@@ -177,8 +177,11 @@ class CscvMatrix {
   /// x = A^T y — CSCV-based backprojection (the paper's stated future
   /// work). Per block: gather y into y~ with iota_k, then each VxG reduces
   /// to one x entry via a contiguous dot product (the transpose of the
-  /// forward FMA; same no-gather inner loop). Threads partition image
-  /// tiles, whose x ranges are disjoint, so no private copies are needed.
+  /// forward FMA; same no-gather inner loop) in a fixed order: one partial
+  /// sum per view lane over the S_VxG CSCVEs, a pairwise tree over the
+  /// lanes, then x[col] += in block order. Threads partition image tiles,
+  /// whose x ranges are disjoint, so no private copies are needed and the
+  /// result does not depend on the thread count.
   void spmv_transpose(std::span<const T> y, std::span<T> x,
                       simd::ExpandPath path = simd::ExpandPath::kAuto) const;
 
@@ -186,7 +189,7 @@ class CscvMatrix {
   /// X[col * K + k]) — the backprojection counterpart of spmv_multi: one
   /// matrix traversal contracts K sinogram columns. Column k of the result
   /// is bitwise identical to spmv_transpose of that column alone (the
-  /// kernels visit each column's values in the single-RHS order).
+  /// kernels run each column through the single-RHS operations).
   void spmv_transpose_multi(std::span<const T> y, std::span<T> x, int num_rhs) const;
 
   // ---- storage transforms (docs/PRECISION.md) --------------------------

@@ -12,7 +12,10 @@
 // copy per ISA tier; including this header gives the ambient-flags build.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <utility>
 
 #include "simd/expand.hpp"
 #include "sparse/types.hpp"

@@ -343,11 +343,16 @@ PlanStats SpmvPlan<T>::stats() const {
   s.apply_seconds_total = counters_.apply_seconds_total;
   s.apply_seconds_min = counters_.apply_seconds_min;
   s.transpose_seconds_total = counters_.transpose_seconds_total;
+  s.transpose_seconds_min = counters_.transpose_seconds_min;
+  const auto flops = static_cast<double>(s.flops_per_apply);
+  const auto bytes = static_cast<double>(s.matrix_bytes + s.vector_bytes_per_apply);
   if (counters_.apply_seconds_min > 0.0) {
-    s.gflops_best = static_cast<double>(s.flops_per_apply) / counters_.apply_seconds_min / 1e9;
-    s.gbytes_per_second_best =
-        static_cast<double>(s.matrix_bytes + s.vector_bytes_per_apply) /
-        counters_.apply_seconds_min / 1e9;
+    s.gflops_best = flops / counters_.apply_seconds_min / 1e9;
+    s.gbytes_per_second_best = bytes / counters_.apply_seconds_min / 1e9;
+  }
+  if (counters_.transpose_seconds_min > 0.0) {
+    s.transpose_gflops_best = flops / counters_.transpose_seconds_min / 1e9;
+    s.transpose_gbytes_per_second_best = bytes / counters_.transpose_seconds_min / 1e9;
   }
   if (counters_.apply_seconds_total > 0.0 && counters_.applies > 0) {
     s.gflops_avg = static_cast<double>(s.flops_per_apply) *

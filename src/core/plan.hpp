@@ -86,11 +86,15 @@ struct PlanStats {
   double apply_seconds_total = 0.0;
   double apply_seconds_min = 0.0;
   double transpose_seconds_total = 0.0;
+  double transpose_seconds_min = 0.0;
   /// 2 * nnz * num_rhs / apply_seconds_min / 1e9 (best observed apply).
   double gflops_best = 0.0;
   double gflops_avg = 0.0;
   /// (M(A) + vector traffic) / apply_seconds_min, in GB/s.
   double gbytes_per_second_best = 0.0;
+  /// The two best-apply rates above over transpose_seconds_min.
+  double transpose_gflops_best = 0.0;
+  double transpose_gbytes_per_second_best = 0.0;
 };
 
 template <typename T>

@@ -241,6 +241,7 @@ util::Json ReconResult::to_json() const {
       p["applies"] = util::Json(plan_stats.applies);
       p["transpose_applies"] = util::Json(plan_stats.transpose_applies);
       p["gflops_best"] = util::Json(plan_stats.gflops_best);
+      p["transpose_gflops_best"] = util::Json(plan_stats.transpose_gflops_best);
     }
     j["plan"] = p;
   }

@@ -1,6 +1,7 @@
 #include "sparse/csr.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/assertx.hpp"
 #include "util/parallel.hpp"
@@ -17,12 +18,22 @@ namespace {
 // which diverges in the last ulp and breaks the batched solvers' contract
 // that column c of a fused apply is bitwise identical to the single-RHS
 // apply. noinline pins both paths to this one instantiation.
+//
+// That is not enough for row_dot: GCC 12 still specializes it for stride 1
+// (a clone, and loop versioning inside) and vectorizes that copy into
+// separately rounded products, while the strided copy contracts to FMA.
+// Where the target has FMA, row_dot therefore fuses explicitly, so every
+// copy rounds alike.
 template <typename T>
 [[gnu::noinline]] T row_dot(const T* v, const index_t* ci, offset_t k0, offset_t k1,
                             const T* x, std::size_t stride, std::size_t c) {
   T acc = T(0);
   for (offset_t k = k0; k < k1; ++k) {
+#if defined(__FMA__)
+    acc = std::fma(v[k], x[static_cast<std::size_t>(ci[k]) * stride + c], acc);
+#else
     acc += v[k] * x[static_cast<std::size_t>(ci[k]) * stride + c];
+#endif
   }
   return acc;
 }

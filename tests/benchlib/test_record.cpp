@@ -234,8 +234,12 @@ TEST(Compare, IsaMismatchSkipsTimingGatesButKeepsStructuralOnes) {
   EXPECT_EQ(result.skipped, 1);
   EXPECT_EQ(result.regressions, 1);  // nnz still fails; timing does not
   for (const auto& d : result.deltas) {
-    if (d.metric == "seconds_median") EXPECT_EQ(d.verdict, Verdict::kSkipped);
-    if (d.metric == "nnz") EXPECT_EQ(d.verdict, Verdict::kRegression);
+    if (d.metric == "seconds_median") {
+      EXPECT_EQ(d.verdict, Verdict::kSkipped);
+    }
+    if (d.metric == "nnz") {
+      EXPECT_EQ(d.verdict, Verdict::kRegression);
+    }
   }
 
   // --force-timing semantics: the 2x slowdown gates again.

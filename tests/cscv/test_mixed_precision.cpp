@@ -34,17 +34,7 @@ using testing::cached_ct_csc;
 using testing::cached_ct_csr;
 using testing::expect_vectors_close;
 using testing::spmv_tolerance;
-
-constexpr simd::IsaTier kConcreteTiers[] = {simd::IsaTier::kGeneric, simd::IsaTier::kAvx2,
-                                            simd::IsaTier::kAvx512};
-
-std::vector<simd::IsaTier> usable_tiers() {
-  std::vector<simd::IsaTier> tiers;
-  for (simd::IsaTier t : kConcreteTiers) {
-    if (dispatch::tier_registered(t) && simd::cpu_supports_tier(t)) tiers.push_back(t);
-  }
-  return tiers;
-}
+using testing::usable_tiers;
 
 using FVariant = CscvMatrix<float>::Variant;
 
@@ -140,6 +130,61 @@ TEST_P(ReducedDtype, BitwiseMatchesQuantizedF32OnEveryTier) {
     }
   }
 }
+
+// The transpose half of that contract swept over the kernel shapes: every
+// S_VVec x S_VxG x {Z, M-hw, M-soft} x K (single RHS, compile-time 2/8/16
+// and the runtime-K fallback at 3), each usable tier.
+class ReducedTransposeSweep
+    : public ::testing::TestWithParam<std::tuple<ValueType, int, int>> {};
+
+TEST_P(ReducedTransposeSweep, BitwiseMatchesQuantizedF32) {
+  const auto [vt, s_vvec, s_vxg] = GetParam();
+  const int image = 32, views = 24;
+  const OperatorLayout layout{image, ct::standard_num_bins(image), views};
+  struct Path {
+    FVariant variant;
+    simd::ExpandPath expand;
+    const char* name;
+  };
+  for (const Path path : {Path{FVariant::kZ, simd::ExpandPath::kAuto, "Z"},
+                          Path{FVariant::kM, simd::ExpandPath::kHardware, "M-hw"},
+                          Path{FVariant::kM, simd::ExpandPath::kSoftware, "M-soft"}}) {
+    const CscvParams params{.s_vvec = s_vvec, .s_imgb = 8, .s_vxg = s_vxg};
+    auto m16 = CscvMatrix<float>::build(cached_ct_csc<float>(image, views), layout, params,
+                                        path.variant);
+    m16.convert_values(vt);
+    auto m32 = CscvMatrix<float>::build(cached_ct_csc<float>(image, views), layout, params,
+                                        path.variant);
+    m32.convert_values(vt);
+    m32.convert_values(ValueType::kF32);
+    const auto rows = static_cast<std::size_t>(m16.rows());
+    const auto cols = static_cast<std::size_t>(m16.cols());
+    for (const simd::IsaTier tier : usable_tiers()) {
+      for (const int k : {1, 2, 3, 8, 16}) {
+        const auto ks = static_cast<std::size_t>(k);
+        const SpmvPlan<float> p16(m16, {.path = path.expand, .num_rhs = k, .isa = tier});
+        const SpmvPlan<float> p32(m32, {.path = path.expand, .num_rhs = k, .isa = tier});
+        const auto y = sparse::random_vector<float>(rows * ks, 47, -1.0, 1.0);
+        util::AlignedVector<float> x16(cols * ks), x32(cols * ks);
+        p16.execute_transpose(y, x16);
+        p32.execute_transpose(y, x32);
+        EXPECT_EQ(std::memcmp(x16.data(), x32.data(), cols * ks * sizeof(float)), 0)
+            << path.name << " transpose K=" << k << " diverges on "
+            << simd::isa_tier_name(tier);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DtypeByShape, ReducedTransposeSweep,
+    ::testing::Combine(::testing::Values(ValueType::kBf16, ValueType::kF16),
+                       ::testing::Values(4, 8, 16), ::testing::Values(1, 2, 4, 8, 16)),
+    [](const ::testing::TestParamInfo<std::tuple<ValueType, int, int>>& info) {
+      return std::string(value_type_name(std::get<0>(info.param))) + "_S" +
+             std::to_string(std::get<1>(info.param)) + "_V" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 // Every usable tier agrees with the generic resolution on the same reduced
 // matrix (relative L2 — tiers differ in FMA contraction of the widen-free

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "core/format.hpp"
+#include "core/plan.hpp"
 #include "sparse/random.hpp"
 #include "test_helpers.hpp"
 #include "util/parallel.hpp"
@@ -110,6 +112,77 @@ TEST(CscvSpmmBitwise, MFourRhs) {
 TEST(CscvSpmmBitwise, MSevenRhsDouble) {
   check_bitwise_columns<double>(7, CscvMatrix<double>::Variant::kM);
 }
+
+// The same contract swept over the kernel shapes: every S_VVec x S_VxG x
+// {Z, M-hw, M-soft} x K (the compile-time widths 2/8/16 and the runtime-K
+// fallback at 3), each registered tier pinned through PlanOptions::isa, both
+// directions, memcmp per column against a single-RHS plan of that tier.
+template <typename T>
+void check_bitwise_sweep(int s_vvec, int s_vxg) {
+  const int image = 32, views = 24;
+  const auto& csc = cached_ct_csc<T>(image, views);
+  const OperatorLayout layout{image, ct::standard_num_bins(image), views};
+  const auto rows = static_cast<std::size_t>(csc.rows());
+  const auto cols = static_cast<std::size_t>(csc.cols());
+  using Variant = typename CscvMatrix<T>::Variant;
+  struct Path {
+    Variant variant;
+    simd::ExpandPath expand;
+    const char* name;
+  };
+  for (const Path path : {Path{Variant::kZ, simd::ExpandPath::kAuto, "Z"},
+                          Path{Variant::kM, simd::ExpandPath::kHardware, "M-hw"},
+                          Path{Variant::kM, simd::ExpandPath::kSoftware, "M-soft"}}) {
+    const auto m = CscvMatrix<T>::build(
+        csc, layout, {.s_vvec = s_vvec, .s_imgb = 8, .s_vxg = s_vxg}, path.variant);
+    for (const simd::IsaTier tier : testing::usable_tiers()) {
+      const SpmvPlan<T> single(m, {.path = path.expand, .isa = tier});
+      for (const int k : {2, 3, 8, 16}) {
+        const std::string where = std::string(path.name) + " on " +
+                                  simd::isa_tier_name(tier) + ", K=" + std::to_string(k);
+        const auto ks = static_cast<std::size_t>(k);
+        const SpmvPlan<T> batched(m, {.path = path.expand, .num_rhs = k, .isa = tier});
+        const auto x = sparse::random_vector<T>(cols * ks, 41, 0.0, 1.0);
+        const auto y = sparse::random_vector<T>(rows * ks, 43, -1.0, 1.0);
+        util::AlignedVector<T> y_multi(rows * ks), x_multi(cols * ks);
+        batched.execute(x, y_multi);
+        batched.execute_transpose(y, x_multi);
+        util::AlignedVector<T> x_one(cols), y_one(rows), out_y(rows), out_x(cols);
+        util::AlignedVector<T> col_y(rows), col_x(cols);
+        for (std::size_t c = 0; c < ks; ++c) {
+          for (std::size_t j = 0; j < cols; ++j) x_one[j] = x[j * ks + c];
+          for (std::size_t i = 0; i < rows; ++i) y_one[i] = y[i * ks + c];
+          single.execute(x_one, out_y);
+          single.execute_transpose(y_one, out_x);
+          for (std::size_t i = 0; i < rows; ++i) col_y[i] = y_multi[i * ks + c];
+          for (std::size_t j = 0; j < cols; ++j) col_x[j] = x_multi[j * ks + c];
+          EXPECT_EQ(std::memcmp(col_y.data(), out_y.data(), rows * sizeof(T)), 0)
+              << "forward column " << c << ", " << where;
+          EXPECT_EQ(std::memcmp(col_x.data(), out_x.data(), cols * sizeof(T)), 0)
+              << "transpose column " << c << ", " << where;
+        }
+      }
+    }
+  }
+}
+
+class CscvSpmmBitwiseSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(CscvSpmmBitwiseSweep, FloatColumnsMatchSingleRhs) {
+  check_bitwise_sweep<float>(std::get<0>(GetParam()), std::get<1>(GetParam()));
+}
+
+TEST_P(CscvSpmmBitwiseSweep, DoubleColumnsMatchSingleRhs) {
+  check_bitwise_sweep<double>(std::get<0>(GetParam()), std::get<1>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, CscvSpmmBitwiseSweep,
+    ::testing::Combine(::testing::Values(4, 8, 16), ::testing::Values(1, 2, 4, 8, 16)),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+      return "S" + std::to_string(std::get<0>(info.param)) + "_V" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // Multi-RHS transpose against the CSR serial reference (tolerance): the
 // fused kernels must be *correct*, not just self-consistent.

@@ -124,12 +124,21 @@ TEST(PlanStats, DynamicCountersFollowBuildConfig) {
     EXPECT_GT(s.apply_seconds_min, 0.0);
     EXPECT_LE(s.apply_seconds_min, s.apply_seconds_total / 3.0);
     EXPECT_GT(s.transpose_seconds_total, 0.0);
-    // Derived rates use the paper's useful-flops convention.
+    EXPECT_GT(s.transpose_seconds_min, 0.0);
+    EXPECT_LE(s.transpose_seconds_min, s.transpose_seconds_total);
+    // Derived rates use the paper's useful-flops convention; the transpose
+    // moves the same bytes as the forward.
     EXPECT_NEAR(s.gflops_best,
                 static_cast<double>(s.flops_per_apply) / s.apply_seconds_min / 1e9,
                 1e-9 * s.gflops_best + 1e-15);
     EXPECT_GT(s.gbytes_per_second_best, 0.0);
     EXPECT_GE(s.gflops_best, s.gflops_avg);
+    EXPECT_NEAR(s.transpose_gflops_best,
+                static_cast<double>(s.flops_per_apply) / s.transpose_seconds_min / 1e9,
+                1e-9 * s.transpose_gflops_best + 1e-15);
+    const double bytes = static_cast<double>(s.matrix_bytes + s.vector_bytes_per_apply);
+    EXPECT_NEAR(s.transpose_gbytes_per_second_best, bytes / s.transpose_seconds_min / 1e9,
+                1e-9 * s.transpose_gbytes_per_second_best + 1e-15);
   } else {
     // Off build: the dynamic half reads as exactly zero, never garbage.
     EXPECT_FALSE(s.telemetry_enabled);
@@ -139,6 +148,9 @@ TEST(PlanStats, DynamicCountersFollowBuildConfig) {
     EXPECT_EQ(s.apply_seconds_total, 0.0);
     EXPECT_EQ(s.gflops_best, 0.0);
     EXPECT_EQ(s.gbytes_per_second_best, 0.0);
+    EXPECT_EQ(s.transpose_seconds_min, 0.0);
+    EXPECT_EQ(s.transpose_gflops_best, 0.0);
+    EXPECT_EQ(s.transpose_gbytes_per_second_best, 0.0);
   }
 }
 

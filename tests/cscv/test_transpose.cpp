@@ -1,7 +1,12 @@
 // CSCV transpose apply (x = A^T y) — the paper's future-work extension.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "core/format.hpp"
+#include "core/plan.hpp"
 #include "sparse/random.hpp"
 #include "test_helpers.hpp"
 #include "util/parallel.hpp"
@@ -112,6 +117,95 @@ TEST(CscvTranspose, MultiThreadedMatchesSerial) {
   cscv.spmv_transpose(y, x2);
   util::set_num_threads(saved);
   expect_vectors_close<float>(x2, x1, 1e-6);
+}
+
+// The documented within-VxG order (docs/API.md, spmv_transpose), spelled
+// out over the public format arrays: one partial sum per view lane over the
+// S_VxG CSCVEs, a pairwise tree over the S_VVec lanes (lane l + W/2 onto
+// lane l), then x[col] += in block order. `fold` instead accumulates every
+// CSCVE slot of a VxG in one in-order chain.
+std::vector<float> ordered_transpose(const CscvMatrix<float>& m, std::span<const float> y,
+                                     bool fold) {
+  const int s = m.params().s_vvec, v = m.params().s_vxg;
+  const OperatorLayout& layout = m.layout();
+  const bool packed = m.variant() == CscvMatrix<float>::Variant::kM;
+  std::vector<float> x(static_cast<std::size_t>(m.cols()), 0.0f);
+  for (std::size_t b = 0; b < m.blocks().size(); ++b) {
+    const auto& info = m.blocks()[b];
+    std::vector<float> yt(static_cast<std::size_t>(info.o_count) * s, 0.0f);
+    for (int vi = 0; vi < s; ++vi) {
+      const int view = info.view_group * s + vi;
+      for (int o = 0; o < info.o_count && view < layout.num_views; ++o) {
+        const int bin = m.reference_bins()[b * s + vi] + info.o_min + o;
+        if (bin >= 0 && bin < layout.num_bins) yt[o * s + vi] = y[layout.row_of(view, bin)];
+      }
+    }
+    std::size_t val = static_cast<std::size_t>(info.val_begin);
+    for (auto g = info.vxg_begin; g < info.vxg_end; ++g) {
+      std::vector<float> lane(static_cast<std::size_t>(s), 0.0f);
+      float chain = 0.0f;
+      for (int e = 0; e < v; ++e) {
+        const unsigned mask = packed ? m.masks()[g * v + e] : ~0u;
+        for (int l = 0; l < s; ++l) {
+          if ((mask >> l & 1u) == 0) continue;
+          const float p = m.values()[val++] * yt[m.vxg_q()[g] + e * s + l];
+          lane[l] += p;
+          chain += p;
+        }
+      }
+      for (int w = s / 2; w > 0; w /= 2) {
+        for (int l = 0; l < w; ++l) lane[l] += lane[l + w];
+      }
+      x[static_cast<std::size_t>(m.vxg_col()[g])] += fold ? chain : lane[0];
+    }
+  }
+  return x;
+}
+
+// Pins that order on every tier: values rounded down to powers of two and
+// y mixing +-2^20 with 1 make every product exact (so FMA versus mul+add
+// cannot matter and one expected vector serves all tiers) while the sums
+// cancel, so an in-order fold or any other association rounds differently.
+TEST(CscvTranspose, SummationOrderIsPinned) {
+  const int image = 32, views = 24;
+  const auto& pattern = cached_ct_csc<float>(image, views);
+  util::AlignedVector<float> vals(pattern.values().begin(), pattern.values().end());
+  for (float& a : vals) a = std::exp2(std::floor(std::log2(a)));
+  const sparse::CscMatrix<float> csc(
+      pattern.rows(), pattern.cols(),
+      util::AlignedVector<sparse::offset_t>(pattern.col_ptr().begin(), pattern.col_ptr().end()),
+      util::AlignedVector<sparse::index_t>(pattern.row_idx().begin(), pattern.row_idx().end()),
+      std::move(vals));
+  util::AlignedVector<float> y(static_cast<std::size_t>(csc.rows()));
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    y[i] = i % 3 == 0 ? 1.0f : (i % 3 == 1 ? 1048576.0f : -1048576.0f);
+  }
+  const OperatorLayout layout{image, ct::standard_num_bins(image), views};
+  for (const CscvParams params : {CscvParams{.s_vvec = 8, .s_imgb = 8, .s_vxg = 2},
+                                  CscvParams{.s_vvec = 8, .s_imgb = 8, .s_vxg = 4},
+                                  CscvParams{.s_vvec = 16, .s_imgb = 8, .s_vxg = 2},
+                                  CscvParams{.s_vvec = 4, .s_imgb = 8, .s_vxg = 8}}) {
+    for (const auto variant : {CscvMatrix<float>::Variant::kZ, CscvMatrix<float>::Variant::kM}) {
+      const auto m = CscvMatrix<float>::build(csc, layout, params, variant);
+      const std::vector<float> want = ordered_transpose(m, y, false);
+      // The data must tell the orders apart, or the memcmp below proves nothing.
+      ASSERT_NE(std::memcmp(want.data(), ordered_transpose(m, y, true).data(),
+                            want.size() * sizeof(float)),
+                0);
+      for (const simd::IsaTier tier : testing::usable_tiers()) {
+        for (const auto path : {simd::ExpandPath::kHardware, simd::ExpandPath::kSoftware}) {
+          const SpmvPlan<float> plan(m, {.path = path, .isa = tier});
+          util::AlignedVector<float> got(want.size());
+          plan.execute_transpose(y, got);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+              << "S_VVec " << params.s_vvec << ", S_VxG " << params.s_vxg
+              << (variant == CscvMatrix<float>::Variant::kZ ? " Z" : " M") << " on "
+              << simd::isa_tier_name(tier)
+              << (path == simd::ExpandPath::kHardware ? " (hw)" : " (soft)");
+        }
+      }
+    }
+  }
 }
 
 TEST(CscvTranspose, AdjointIdentity) {

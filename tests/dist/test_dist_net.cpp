@@ -24,7 +24,11 @@ namespace {
 class WorkerHarness {
  public:
   WorkerHarness()
-      : worker_(WorkerOptions{.host = "127.0.0.1", .port = 0, .poll_seconds = 0.05}),
+      : worker_(WorkerOptions{.host = "127.0.0.1",
+                              .port = 0,
+                              .spill_dir = {},
+                              .limits = {},
+                              .poll_seconds = 0.05}),
         thread_([this] {
           // OMP thread counts are per-thread ICVs: the set_num_threads(1)
           // in make_job() does not reach this thread, which would otherwise

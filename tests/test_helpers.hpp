@@ -5,7 +5,9 @@
 
 #include <map>
 #include <span>
+#include <vector>
 
+#include "core/dispatch.hpp"
 #include "ct/geometry.hpp"
 #include "ct/system_matrix.hpp"
 #include "sparse/csc.hpp"
@@ -49,6 +51,16 @@ const sparse::CsrMatrix<T>& cached_ct_csr(int image_size, int num_views) {
              .first;
   }
   return it->second;
+}
+
+/// Every kernel tier this binary registers and this CPU can run — what a
+/// sweep pins through PlanOptions::isa.
+inline std::vector<simd::IsaTier> usable_tiers() {
+  std::vector<simd::IsaTier> tiers;
+  for (simd::IsaTier t : {simd::IsaTier::kGeneric, simd::IsaTier::kAvx2, simd::IsaTier::kAvx512}) {
+    if (core::dispatch::tier_registered(t) && simd::cpu_supports_tier(t)) tiers.push_back(t);
+  }
+  return tiers;
 }
 
 /// Asserts relative L2 agreement between an SpMV result and the reference.

@@ -186,6 +186,73 @@ void run_mixed_precision(const SuiteFlags& flags, benchlib::BenchReport& report,
   }
 }
 
+// Backprojection x = A^T y on the large clinical dataset: the CSR scatter
+// transpose, the CSC row gather (CSC of A is CSR of A^T) and the two CSCV
+// transpose kernels. speedup_vs_csc is the timing headline: the CSC time of
+// this same run over the engine's (higher is better; CSC itself reads 1).
+void run_transpose(const SuiteFlags& flags, benchlib::BenchReport& report,
+                   util::Table& table) {
+  const auto datasets = benchlib::standard_datasets(flags.scale);
+  const benchlib::Dataset& dataset = datasets[2];
+  const auto csc = ct::build_system_matrix_csc<float>(dataset.geometry);
+  const auto csr = sparse::csr_from_csc(csc);
+  const auto layout = core::OperatorLayout::from_geometry(dataset.geometry);
+  const auto cols = static_cast<std::size_t>(csc.cols());
+  const auto rows = static_cast<std::size_t>(csc.rows());
+  const int threads = flags.threads > 0 ? flags.threads : util::max_threads();
+  const core::CscvParams params{.s_vvec = 8, .s_imgb = 16, .s_vxg = 4};
+  auto z = std::make_shared<core::CscvMatrix<float>>(core::CscvMatrix<float>::build(
+      csc, layout, params, core::CscvMatrix<float>::Variant::kZ));
+  auto m = std::make_shared<core::CscvMatrix<float>>(core::CscvMatrix<float>::build(
+      csc, layout, params, core::CscvMatrix<float>::Variant::kM));
+
+  // Every engine maps y (rows) to x (cols), so the sampler's input and
+  // output lengths are (rows, cols).
+  std::vector<benchlib::Engine<float>> engines;
+  engines.push_back({"CSR", [&csr](auto y, auto x) { csr.spmv_transpose(y, x); },
+                     csr.matrix_bytes(), csr.nnz(), nullptr});
+  engines.push_back({"CSC", [&csc](auto y, auto x) { csc.spmv_transpose(y, x); },
+                     csc.matrix_bytes(), csc.nnz(), nullptr});
+  engines.push_back({"CSCV-Z", [z](auto y, auto x) { z->spmv_transpose(y, x); },
+                     z->matrix_bytes(), z->nnz(), z, [z] { (void)z->plan(); }});
+  engines.push_back({"CSCV-M", [m](auto y, auto x) { m->spmv_transpose(y, x); },
+                     m->matrix_bytes(), m->nnz(), m, [m] { (void)m->plan(); }});
+
+  std::vector<benchlib::BenchRecord> records;
+  std::vector<double> medians;
+  double csc_median = 0.0;
+  for (const auto& engine : engines) {
+    const auto samples =
+        benchlib::measure_spmv_samples(engine, rows, cols, threads, flags.iters);
+    auto record = benchlib::make_spmv_record("transpose", engine, threads, flags.iters,
+                                             rows, cols, samples);
+    if (engine.name == "CSC") csc_median = samples.median;
+    const core::CscvMatrix<float>* cscv =
+        engine.name == "CSCV-Z" ? z.get() : engine.name == "CSCV-M" ? m.get() : nullptr;
+    if (cscv != nullptr) {
+      const int saved = util::max_threads();
+      util::set_num_threads(threads);  // address the plan the timed loop used
+      const core::PlanStats st = cscv->plan().stats();
+      util::set_num_threads(saved);
+      if (st.telemetry_enabled && st.transpose_applies > 0) {
+        record.set("telemetry_transpose_gflops_best", st.transpose_gflops_best);
+      }
+    }
+    table.add("transpose", engine.name, record.precision, threads,
+              util::fmt_fixed(samples.median * 1e3, 3),
+              util::fmt_fixed(*record.find("gflops"), 2),
+              util::fmt_fixed(*record.find("gbps"), 2));
+    medians.push_back(samples.median);
+    records.push_back(std::move(record));
+  }
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (csc_median > 0.0 && medians[i] > 0.0) {
+      records[i].set("speedup_vs_csc", csc_median / medians[i]);
+    }
+    report.records.push_back(std::move(records[i]));
+  }
+}
+
 // End-to-end serving throughput: a burst of reconstruction jobs through
 // ReconService vs the same jobs run serially through execute_job. One
 // warm-up job per distinct operator key makes the cache hit rate of the
@@ -520,6 +587,7 @@ int main(int argc, char** argv) try {
     if (flags.f64) run_precision<double>(dataset, flags, report, table);
   }
   run_mixed_precision(flags, report, table);
+  run_transpose(flags, report, table);
   table.print(std::cout);
   run_pipeline_throughput(flags, report);
   run_pipeline_batched(flags, report);
