@@ -289,6 +289,26 @@ void SpmvPlan<T>::execute_transpose(std::span<const T> y, std::span<T> x) const 
 }
 
 template <typename T>
+std::span<const T> SpmvPlan<T>::sums_of_ones(bool transpose) const {
+  util::AlignedVector<T>& memo = transpose ? col_sums_ : row_sums_;
+  const auto k = static_cast<std::size_t>(num_rhs_);
+  const auto in_len = static_cast<std::size_t>(transpose ? a_->rows() : a_->cols());
+  const auto out_len = static_cast<std::size_t>(transpose ? a_->cols() : a_->rows());
+  if (memo.size() != out_len) {
+    const util::AlignedVector<T> ones(in_len * k, T(1));
+    util::AlignedVector<T> out(out_len * k);
+    if (transpose) {
+      execute_transpose(ones, out);
+    } else {
+      execute(ones, out);
+    }
+    memo.resize(out_len);
+    for (std::size_t i = 0; i < out_len; ++i) memo[i] = out[i * k];
+  }
+  return memo;
+}
+
+template <typename T>
 PlanStats SpmvPlan<T>::stats() const {
   PlanStats s;
   const CscvMatrix<T>& a = *a_;

@@ -112,6 +112,15 @@ class SpmvPlan {
   /// bitwise identical to a single-RHS transpose of that column.
   void execute_transpose(std::span<const T> y, std::span<T> x) const;
 
+  /// A 1 and A^T 1 (rows and cols long): the SIRT normalizers, computed
+  /// through execute() / execute_transpose() the first time each is asked
+  /// for and kept, so a plan that outlives one solve pays for them once.
+  /// On a num_rhs > 1 plan the ones are replicated across the batch and
+  /// column 0 is kept; every column of a fused apply is bitwise the
+  /// single-RHS apply. Same concurrency rule as execute().
+  [[nodiscard]] std::span<const T> row_sums() const { return sums_of_ones(false); }
+  [[nodiscard]] std::span<const T> col_sums() const { return sums_of_ones(true); }
+
   // ---- introspection ---------------------------------------------------
   [[nodiscard]] const CscvMatrix<T>* matrix() const { return a_; }
   [[nodiscard]] const PlanOptions& options() const { return requested_; }
@@ -157,6 +166,7 @@ class SpmvPlan {
   void scatter_add(int block, const T* ytilde, T* dst) const;  // K-aware
   void gather(int block, const T* src, T* ytilde) const;       // K-aware
   void run_forward(int block, const T* x, T* ytilde) const;    // K-aware
+  [[nodiscard]] std::span<const T> sums_of_ones(bool transpose) const;
 
   const CscvMatrix<T>* a_ = nullptr;
   PlanOptions requested_;
@@ -180,6 +190,8 @@ class SpmvPlan {
   std::size_t ytilde_stride_ = 0;
   mutable util::AlignedVector<T> ytilde_pool_;  // threads_ * ytilde_stride_
   mutable util::AlignedVector<T> copies_;       // kPrivateY: threads_ * rows * num_rhs
+  mutable util::AlignedVector<T> row_sums_;     // memo of row_sums(), empty until asked
+  mutable util::AlignedVector<T> col_sums_;     // memo of col_sums(), empty until asked
 
   // Empty when CSCV_TELEMETRY is off — overlaps other members, adds no
   // state and no codegen (verified by tests/cscv/test_telemetry.cpp).

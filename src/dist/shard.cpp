@@ -10,6 +10,7 @@
 #include "ct/system_matrix.hpp"
 #include "pipeline/matrix_cache.hpp"
 #include "recon/operators.hpp"
+#include "recon/os_sart.hpp"
 #include "sparse/convert.hpp"
 #include "util/assertx.hpp"
 #include "util/timing.hpp"
@@ -55,44 +56,6 @@ void try_spill(const std::string& path, const core::CscvMatrix<float>& m) {
   if (std::rename(tmp.c_str(), path.c_str()) != 0) std::remove(tmp.c_str());
 }
 
-/// Extracts the shard's stratum of GLOBAL subset s: local views l with
-/// (l + view_begin) % num_subsets == s, ascending, bins inner. The per-row
-/// slicing below is the same prefix-sum + std::copy extraction
-/// recon::split_view_subsets performs, so at N=1 (view_begin == 0, all
-/// views local) the strata are bitwise the serial subsets.
-sparse::CsrMatrix<float> extract_stratum(const sparse::CsrMatrix<float>& csr,
-                                         const ShardSpec& spec, int s) {
-  const int bins = spec.geometry.num_bins;
-  util::AlignedVector<sparse::index_t> local_rows;
-  for (int v = spec.view_begin; v < spec.view_end; ++v) {
-    if (v % spec.os_sart_subsets != s) continue;
-    for (int bin = 0; bin < bins; ++bin) {
-      local_rows.push_back(static_cast<sparse::index_t>(v - spec.view_begin) * bins + bin);
-    }
-  }
-  auto row_ptr = csr.row_ptr();
-  auto col_idx = csr.col_idx();
-  auto vals = csr.values();
-  const auto sub_rows = local_rows.size();
-  util::AlignedVector<sparse::offset_t> sub_ptr(sub_rows + 1, 0);
-  for (std::size_t r = 0; r < sub_rows; ++r) {
-    const auto gr = static_cast<std::size_t>(local_rows[r]);
-    sub_ptr[r + 1] = sub_ptr[r] + (row_ptr[gr + 1] - row_ptr[gr]);
-  }
-  util::AlignedVector<sparse::index_t> sub_cols(static_cast<std::size_t>(sub_ptr[sub_rows]));
-  util::AlignedVector<float> sub_vals(static_cast<std::size_t>(sub_ptr[sub_rows]));
-  for (std::size_t r = 0; r < sub_rows; ++r) {
-    const auto gr = static_cast<std::size_t>(local_rows[r]);
-    std::copy(col_idx.begin() + row_ptr[gr], col_idx.begin() + row_ptr[gr + 1],
-              sub_cols.begin() + sub_ptr[r]);
-    std::copy(vals.begin() + row_ptr[gr], vals.begin() + row_ptr[gr + 1],
-              sub_vals.begin() + sub_ptr[r]);
-  }
-  return sparse::CsrMatrix<float>(static_cast<sparse::index_t>(sub_rows), csr.cols(),
-                                  std::move(sub_ptr), std::move(sub_cols),
-                                  std::move(sub_vals));
-}
-
 }  // namespace
 
 Shard build_shard(const ShardSpec& spec, const std::string& spill_dir) {
@@ -109,9 +72,12 @@ Shard build_shard(const ShardSpec& spec, const std::string& spill_dir) {
                                                         spec.view_end);
     shard.nnz = static_cast<std::uint64_t>(csc.nnz());
     shard.csr = std::make_shared<sparse::CsrMatrix<float>>(sparse::csr_from_csc(csc));
-    shard.subset_csr.reserve(static_cast<std::size_t>(spec.os_sart_subsets));
-    for (int s = 0; s < spec.os_sart_subsets; ++s) {
-      shard.subset_csr.push_back(extract_stratum(*shard.csr, spec, s));
+    for (auto& sub : recon::split_view_subsets(*shard.csr, shard.local_layout,
+                                               spec.os_sart_subsets, spec.view_begin)) {
+      const recon::CsrOperator<float> op(sub.matrix);
+      auto row_sums = op.row_sums();
+      auto col_sums = op.col_sums();
+      shard.strata.push_back({std::move(sub.matrix), std::move(row_sums), std::move(col_sums)});
     }
   } else {
     const std::string spill_path =
@@ -167,12 +133,13 @@ void apply_shard(const Shard& shard, ApplyOp op, int subset, std::span<const flo
     CSCV_CHECK_MSG(false, "shard row/col sums require a subset index");
   }
 
-  CSCV_CHECK_MSG(!shard.subset_csr.empty(),
+  CSCV_CHECK_MSG(!shard.strata.empty(),
                  "subset apply on a shard built for " << pipeline::algorithm_name(
                      shard.spec.algorithm));
-  CSCV_CHECK_MSG(subset < static_cast<int>(shard.subset_csr.size()),
-                 "subset " << subset << " out of " << shard.subset_csr.size());
-  const auto& sub = shard.subset_csr[static_cast<std::size_t>(subset)];
+  CSCV_CHECK_MSG(subset < static_cast<int>(shard.strata.size()),
+                 "subset " << subset << " out of " << shard.strata.size());
+  const auto& stratum = shard.strata[static_cast<std::size_t>(subset)];
+  const auto& sub = stratum.matrix;
   const auto sub_rows = static_cast<std::size_t>(sub.rows());
   switch (op) {
     case ApplyOp::kForward:
@@ -186,14 +153,16 @@ void apply_shard(const Shard& shard, ApplyOp op, int subset, std::span<const flo
                                                 << in.size() << " elements, want "
                                                 << sub_rows);
       out.resize(cols);
-      // 2-arg transpose — the exact call serial recon::os_sart makes.
+      // The CSR transpose recon::os_sart applies to its strata; a held
+      // scratch there gives the same bits, and a one-thread shard never
+      // touches one.
       sub.spmv_transpose(in, out);
       return;
     case ApplyOp::kRowSums:
-      out = recon::CsrOperator<float>(sub).row_sums();
+      out = stratum.row_sums;
       return;
     case ApplyOp::kColSums:
-      out = recon::CsrOperator<float>(sub).col_sums();
+      out = stratum.col_sums;
       return;
   }
   CSCV_CHECK_MSG(false, "unknown apply op");

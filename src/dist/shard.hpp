@@ -1,10 +1,11 @@
 // One shard's operator state, worker-side: the CSCV matrix (+ plan) of a
 // contiguous view range for SIRT/CGLS, or the range's CSR plus its
-// per-global-subset strata for OS-SART. Built from a ShardSpec by the
-// exact same code paths the serial pipeline uses
-// (ct::build_system_matrix_csc_range / CscvMatrix::build / csr_from_csc),
-// so a single shard covering [0, num_views) is bit-for-bit the serial
-// operator — the anchor of the N=1 determinism contract (docs/SHARDING.md).
+// per-global-subset strata and their sums for OS-SART. Built from a
+// ShardSpec by the exact same code paths the serial pipeline uses
+// (ct::build_system_matrix_csc_range / CscvMatrix::build / csr_from_csc /
+// recon::split_view_subsets), so a single shard covering [0, num_views) is
+// bit-for-bit the serial operator — the anchor of the N=1 determinism
+// contract (docs/SHARDING.md).
 //
 // Everything here is single-threaded by contract: plans are built with
 // threads = 1 and callers pin util::set_num_threads(1), because the CSR
@@ -32,11 +33,19 @@ struct Shard {
   /// SIRT/CGLS engine (null for kOsSart).
   std::shared_ptr<core::CscvMatrix<float>> cscv;
   /// OS-SART engines (empty for the CSCV algorithms): the shard's CSR and
-  /// one stratum CSR per GLOBAL subset s — the shard's views v with
-  /// v % num_subsets == s, ascending, bins inner. A subset with no local
-  /// views gets an empty (0-row) matrix.
+  /// one stratum per GLOBAL subset s — the shard's views v with
+  /// v % num_subsets == s, ascending, bins inner (recon::split_view_subsets
+  /// with the shard's first view as offset). A subset with no local views
+  /// gets an empty (0-row) matrix. Each stratum's sums A_s 1 and A_s^T 1 are
+  /// computed once at build, at the thread count the shard then applies at
+  /// (see above), so kRowSums/kColSums answer from memory.
+  struct Stratum {
+    sparse::CsrMatrix<float> matrix;
+    util::AlignedVector<float> row_sums;
+    util::AlignedVector<float> col_sums;
+  };
   std::shared_ptr<sparse::CsrMatrix<float>> csr;
-  std::vector<sparse::CsrMatrix<float>> subset_csr;
+  std::vector<Stratum> strata;
 
   std::uint64_t nnz = 0;
   bool restored_from_spill = false;

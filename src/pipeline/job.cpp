@@ -178,6 +178,12 @@ ReconJob ReconJob::from_json(const util::Json& spec) {
 
   job.os_sart_subsets = get_int_field(spec, "os_sart_subsets", job.os_sart_subsets);
   CSCV_CHECK_MSG(job.os_sart_subsets >= 1, "job spec: os_sart_subsets must be >= 1");
+  // The same bound ShardSpec::from_json enforces: every stratum needs a view.
+  if (job.algorithm == Algorithm::kOsSart) {
+    CSCV_CHECK_MSG(job.os_sart_subsets <= job.geometry.num_views,
+                   "job spec: os_sart_subsets " << job.os_sart_subsets << " out of [1, "
+                                                << job.geometry.num_views << "]");
+  }
   job.deadline_seconds = get_double_field(spec, "deadline_seconds", 0.0);
   CSCV_CHECK_MSG(job.deadline_seconds >= 0.0,
                  "job spec: deadline_seconds must be >= 0");

@@ -48,7 +48,8 @@ struct ReconJob {
 
   /// Solver knobs for the iterative algorithms (ignored by kFbp).
   recon::SolveOptions solve{};
-  /// Subset count for kOsSart (ignored elsewhere).
+  /// Subset count for kOsSart, in [1, geometry.num_views] (ignored
+  /// elsewhere); part of an OS-SART job's matrix_key().
   int os_sart_subsets = 8;
 
   /// Wall-clock budget measured from submit(); 0 disables. A job whose
@@ -70,7 +71,8 @@ struct ReconJob {
   util::AlignedVector<float> sinogram;
 
   [[nodiscard]] MatrixKey matrix_key() const {
-    return MatrixKey{geometry, cscv, variant, algorithm, value_type, sparsify_eps};
+    return MatrixKey{geometry, cscv, variant, algorithm, value_type, sparsify_eps,
+                     algorithm == Algorithm::kOsSart ? os_sart_subsets : 0};
   }
 
   /// The service wire format (docs/SERVICE.md): every field of the job as

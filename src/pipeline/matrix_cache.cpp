@@ -56,6 +56,7 @@ std::string MatrixKey::fingerprint() const {
      << core::vxg_order_name(cscv.order)
      << (variant == core::CscvMatrix<float>::Variant::kZ ? "-z-" : "-m-")
      << algorithm_name(algorithm);
+  if (algorithm == Algorithm::kOsSart) os << "-s" << os_sart_subsets;
   // Suffix only when non-default: fp32/eps=0 keys keep their pre-precision
   // fingerprints, so existing spill files restore without a rebuild.
   if (value_type != core::ValueType::kF32) {
@@ -68,7 +69,7 @@ std::string MatrixKey::fingerprint() const {
 std::size_t SystemMatrixEntry::bytes() const {
   std::size_t total = 0;
   if (cscv) total += cscv->matrix_bytes();
-  if (csr) total += csr->matrix_bytes();
+  if (os_sart) total += os_sart->bytes();
   return total;
 }
 
@@ -120,6 +121,14 @@ std::shared_ptr<SystemMatrixEntry> SystemMatrixCache::build_entry(const MatrixKe
   entry->layout = core::OperatorLayout::from_geometry(key.geometry);
   entry->algorithm = key.algorithm;
   const auto csc = ct::build_system_matrix_csc<float>(key.geometry);
+  if (key.algorithm == Algorithm::kOsSart) {
+    // OS-SART runs on the fp32 CSR rows, split into its view strata; the
+    // strata hold every row, so neither the CSR nor a CSCV matrix stays.
+    entry->os_sart = std::make_shared<const recon::OsSartSystem<float>>(
+        sparse::csr_from_csc(csc), entry->layout, key.os_sart_subsets);
+    entry->build_seconds = timer.seconds();
+    return entry;
+  }
   auto cscv =
       core::CscvMatrix<float>::build(csc, entry->layout, key.cscv, key.variant);
   // Footprint reduction happens build-side so every consumer of the entry
@@ -128,17 +137,14 @@ std::shared_ptr<SystemMatrixEntry> SystemMatrixCache::build_entry(const MatrixKe
   if (key.sparsify_eps > 0.0) cscv.sparsify(key.sparsify_eps);
   if (key.value_type != core::ValueType::kF32) cscv.convert_values(key.value_type);
   entry->cscv = std::make_shared<const core::CscvMatrix<float>>(std::move(cscv));
-  if (key.algorithm == Algorithm::kOsSart) {
-    entry->csr = std::make_shared<const sparse::CsrMatrix<float>>(sparse::csr_from_csc(csc));
-  }
   entry->build_seconds = timer.seconds();
   return entry;
 }
 
 std::shared_ptr<SystemMatrixEntry> SystemMatrixCache::try_restore(
     const MatrixKey& key) const {
-  // OS-SART entries are CSR-driven and CSR is not spilled, so a restore
-  // would still have to run the expensive CSC build — not worth a file.
+  // OS-SART entries hold CSR strata, which have no file format, so a
+  // restore would still have to run the expensive CSC build — no file.
   if (options_.spill_dir.empty() || key.algorithm == Algorithm::kOsSart) return nullptr;
   const std::string path = spill_path(key);
   std::error_code ec;
@@ -207,9 +213,9 @@ void SystemMatrixCache::spill_entries(
   for (const auto& entry : victims) {
     try {
       std::filesystem::create_directories(options_.spill_dir);
-      MatrixKey key{entry->geometry, entry->cscv->params(), entry->cscv->variant(),
-                    entry->algorithm, entry->cscv->value_type(),
-                    entry->cscv->sparsify_eps()};
+      const MatrixKey key{entry->geometry, entry->cscv->params(), entry->cscv->variant(),
+                          entry->algorithm, entry->cscv->value_type(),
+                          entry->cscv->sparsify_eps(), /*os_sart_subsets=*/0};
       core::save_cscv_file(spill_path(key), *entry->cscv);
       util::MutexLock lock(mu_);
       ++stats_.spills;

@@ -6,15 +6,16 @@
 // orders of magnitude more than the reconstruction it feeds. A service
 // handling a stream of slices therefore lives or dies on operator reuse:
 //
-//   * keyed on (geometry, CscvParams, variant, algorithm) — everything that
-//     changes the bytes of the built operator set;
+//   * keyed on (geometry, CscvParams, variant, algorithm, and the subset
+//     count of an OS-SART entry) — everything that changes the bytes of the
+//     built operator set;
 //   * single-flight build deduplication: when N requests for the same key
 //     arrive while nothing is cached, exactly one caller builds and the
 //     other N-1 block on the in-flight slot, then share the result;
 //   * byte-budget LRU: ready entries are evicted least-recently-used first
 //     once the resident total exceeds the budget (a single entry larger
 //     than the whole budget stays resident — a cache of one);
-//   * optional disk spill: evicted entries write their CSCV half through
+//   * optional disk spill: evicted CSCV entries write their matrix through
 //     core::save_cscv, and a later miss restores via core::load_cscv —
 //     which runs the mandatory cheap invariant verify on every load, so a
 //     truncated or corrupted spill file falls back to a full rebuild
@@ -38,15 +39,15 @@
 #include "core/layout.hpp"
 #include "core/params.hpp"
 #include "ct/geometry.hpp"
-#include "sparse/csr.hpp"
+#include "recon/os_sart.hpp"
 #include "util/json.hpp"
 #include "util/sync.hpp"
 
 namespace cscv::pipeline {
 
 /// Reconstruction algorithm a job runs — part of the cache key because it
-/// decides which operator representations an entry must carry (the
-/// plan-driven algorithms need only the CSCV matrix; OS-SART needs CSR).
+/// decides which operator representation an entry carries (the plan-driven
+/// algorithms a CSCV matrix, OS-SART its view strata with their weights).
 enum class Algorithm { kFbp, kSirt, kCgls, kOsSart };
 
 [[nodiscard]] const char* algorithm_name(Algorithm a);
@@ -70,11 +71,15 @@ struct MatrixKey {
   /// Certified sparsification threshold applied after the build; 0 keeps
   /// every stored coefficient.
   double sparsify_eps = 0.0;
+  /// Subset count of the strata a kOsSart entry holds; 0 on every other
+  /// key (ReconJob::matrix_key), so it never splits plan-driven entries.
+  int os_sart_subsets = 0;
 
   /// Stable, filesystem-safe serialization of the key — the map key and
   /// the spill file stem (docs/PIPELINE.md documents the format). Precision
-  /// fields append a suffix only when non-default, so fingerprints (and
-  /// spill files) from before the mixed-precision change stay valid.
+  /// fields append a suffix only when non-default, and the subset count only
+  /// on ossart keys (which never spill), so every spill file name from
+  /// before either field existed stays valid.
   [[nodiscard]] std::string fingerprint() const;
 
   friend bool operator==(const MatrixKey&, const MatrixKey&) = default;
@@ -90,11 +95,12 @@ struct SystemMatrixEntry {
   double build_seconds = 0.0;  // wall time of the build (or restore)
 
   /// The house format: forward via SpmvPlan::execute, backprojection via
-  /// SpmvPlan::execute_transpose. Always present.
+  /// SpmvPlan::execute_transpose. Present for kFbp/kSirt/kCgls, null for
+  /// kOsSart.
   std::shared_ptr<const core::CscvMatrix<float>> cscv;
-  /// Row-major operator for OS-SART's row subsets; only built (and only
-  /// counted against the budget) when algorithm == kOsSart.
-  std::shared_ptr<const sparse::CsrMatrix<float>> csr;
+  /// kOsSart only: the key's view strata of the CSR operator with their
+  /// SART weights, built once and shared by every OS-SART solve.
+  std::shared_ptr<const recon::OsSartSystem<float>> os_sart;
 
   /// Budget-relevant footprint of the resident arrays.
   [[nodiscard]] std::size_t bytes() const;
@@ -173,7 +179,8 @@ class SystemMatrixCache {
     std::exception_ptr error;                        // set when the build threw
   };
 
-  /// Full build from the geometry (CSC -> CSCV [-> CSR]); no lock held.
+  /// Full build from the geometry (CSC -> CSCV, or CSC -> CSR -> OS-SART
+  /// strata); no lock held.
   static std::shared_ptr<SystemMatrixEntry> build_entry(const MatrixKey& key);
   /// Attempts a spill restore; nullptr when unavailable/unusable.
   [[nodiscard]] std::shared_ptr<SystemMatrixEntry> try_restore(const MatrixKey& key) const;

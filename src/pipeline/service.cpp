@@ -82,14 +82,14 @@ ReconResult execute_job(const ReconJob& job, const SystemMatrixEntry& entry,
       break;
     }
     case Algorithm::kOsSart: {
-      CSCV_CHECK_MSG(entry.csr != nullptr, "kOsSart entry is missing its CSR operator");
+      CSCV_CHECK_MSG(entry.os_sart != nullptr, "kOsSart entry is missing its strata");
       recon::OsSartOptions opts;
       opts.iterations = job.solve.iterations;
       opts.num_subsets = job.os_sart_subsets;
       opts.relaxation = job.solve.relaxation;
       opts.enforce_nonneg = job.solve.enforce_nonneg;
       const recon::RunStats stats =
-          recon::os_sart<float>(*entry.csr, entry.layout, job.sinogram, r.volume, opts);
+          recon::os_sart<float>(*entry.os_sart, job.sinogram, r.volume, opts);
       r.iterations_run = stats.iterations_run;
       if (!stats.residual_norms.empty()) r.final_residual = stats.residual_norms.back();
       break;
@@ -152,7 +152,7 @@ std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
       break;
     }
     case Algorithm::kOsSart: {
-      CSCV_CHECK_MSG(entry.csr != nullptr, "kOsSart entry is missing its CSR operator");
+      CSCV_CHECK_MSG(entry.os_sart != nullptr, "kOsSart entry is missing its strata");
       std::vector<recon::OsSartOptions> opts(k);
       for (std::size_t c = 0; c < k; ++c) {
         opts[c].iterations = jobs[c].solve.iterations;
@@ -160,7 +160,7 @@ std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
         opts[c].relaxation = jobs[c].solve.relaxation;
         opts[c].enforce_nonneg = jobs[c].solve.enforce_nonneg;
       }
-      stats = recon::os_sart_batch<float>(*entry.csr, entry.layout, b, x, num_rhs, opts);
+      stats = recon::os_sart_batch<float>(*entry.os_sart, b, x, num_rhs, opts);
       break;
     }
     case Algorithm::kFbp: break;  // unreachable, checked above
@@ -387,7 +387,6 @@ void ReconService::worker_main(int worker_index) {
     }
 
     const Algorithm lead_algo = batch.front().p.job.algorithm;
-    const int lead_subsets = batch.front().p.job.os_sart_subsets;
     if (options_.max_batch > 1 && lead_algo != Algorithm::kFbp) {
       const MatrixKey lead_key = batch.front().p.job.matrix_key();
       bool has_deadline = batch.front().p.job.deadline_seconds > 0.0;
@@ -415,11 +414,9 @@ void ReconService::worker_main(int worker_index) {
         if (!queue_.try_pop_for(next, wait)) break;  // window spent or closed
         auto m = admit(std::move(next));
         if (!m.has_value()) continue;
+        // The key carries the algorithm and, for OS-SART, the subset count.
         const ReconJob& j = m->p.job;
-        const bool fusable =
-            j.algorithm == lead_algo && j.matrix_key() == lead_key &&
-            (lead_algo != Algorithm::kOsSart || j.os_sart_subsets == lead_subsets);
-        if (!fusable) {
+        if (j.matrix_key() != lead_key) {
           carry = std::move(*m);  // leads its own batch next iteration
           break;
         }

@@ -113,7 +113,7 @@ struct ServiceStats {
 /// Runs one job against an acquired operator entry, synchronously on the
 /// calling thread. `plan` is the execution plan for the plan-driven
 /// algorithms (kFbp/kSirt/kCgls; must be a plan over *entry.cscv) and is
-/// ignored by kOsSart (which runs on entry.csr). Fills the solve half of
+/// ignored by kOsSart (which runs on entry.os_sart). Fills the solve half of
 /// the result (status/volume/iterations/residual/solve_seconds/plan_stats);
 /// the service half (ids, waits, cache flags) belongs to the caller.
 ///
@@ -126,7 +126,7 @@ ReconResult execute_job(const ReconJob& job, const SystemMatrixEntry& entry,
 /// algorithm (kFbp never batches) — as one fused multi-RHS solve with
 /// num_rhs == jobs.size(). For kSirt/kCgls `plan` must be a plan over
 /// *entry.cscv built with num_rhs == jobs.size(); kOsSart ignores it and
-/// runs on entry.csr. Returns one result per job, in order. Each job's
+/// runs on entry.os_sart. Returns one result per job, in order. Each job's
 /// volume is bitwise identical to execute_job() on that job alone — the
 /// contract that lets ReconService fuse queued jobs transparently.
 std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,

@@ -218,37 +218,19 @@ class PlanOperator final : public LinearOperator<T> {
     CSCV_CHECK(num_rhs == plan_->num_rhs());
     plan_->execute_transpose(y, x);
   }
-  /// Normalizer sums on a k-RHS plan: replicate ones across the batch and
-  /// keep column 0 — every column sees the same input, and each column of
-  /// the fused apply is bitwise the single-RHS apply of that column.
+  /// The plan's memoized normalizer sums (SpmvPlan::row_sums/col_sums):
+  /// bitwise the forward/adjoint of ones at any num_rhs, computed once per
+  /// plan rather than once per solve.
   [[nodiscard]] util::AlignedVector<T> row_sums() const override {
-    const int k = plan_->num_rhs();
-    if (k == 1) return LinearOperator<T>::row_sums();
-    return batched_sums(/*transpose=*/false);
+    const std::span<const T> sums = plan_->row_sums();
+    return util::AlignedVector<T>(sums.begin(), sums.end());
   }
   [[nodiscard]] util::AlignedVector<T> col_sums() const override {
-    const int k = plan_->num_rhs();
-    if (k == 1) return LinearOperator<T>::col_sums();
-    return batched_sums(/*transpose=*/true);
+    const std::span<const T> sums = plan_->col_sums();
+    return util::AlignedVector<T>(sums.begin(), sums.end());
   }
 
  private:
-  [[nodiscard]] util::AlignedVector<T> batched_sums(bool transpose) const {
-    const auto k = static_cast<std::size_t>(plan_->num_rhs());
-    const auto in_len = static_cast<std::size_t>(transpose ? rows() : cols());
-    const auto out_len = static_cast<std::size_t>(transpose ? cols() : rows());
-    util::AlignedVector<T> ones(in_len * k, T(1));
-    util::AlignedVector<T> out_multi(out_len * k);
-    if (transpose) {
-      plan_->execute_transpose(ones, out_multi);
-    } else {
-      plan_->execute(ones, out_multi);
-    }
-    util::AlignedVector<T> out(out_len);
-    for (std::size_t i = 0; i < out_len; ++i) out[i] = out_multi[i * k];
-    return out;
-  }
-
   const core::SpmvPlan<T>* plan_;
 };
 

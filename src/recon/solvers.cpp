@@ -24,6 +24,28 @@ void clamp_nonneg(std::span<T> x, const SolveOptions& options) {
   colmath::clamp_floor(x.data(), static_cast<T>(options.nonneg_floor), x.size());
 }
 
+// A x for x all ±0 is exactly +0 on every engine (finite A): accumulators
+// start at +0 and +0 + ±0 == +0. A solve started from zero therefore skips
+// its first forward and writes those zeros itself, so b - A x == b bit for
+// bit.
+template <typename T>
+bool all_zero(std::span<const T> x) {
+  return std::all_of(x.begin(), x.end(), [](T v) { return v == T(0); });
+}
+
+/// y = A X over num_rhs interleaved columns, or +0 when `zero_x` (above).
+template <typename T>
+void forward_or_zero(const LinearOperator<T>& a, std::span<const T> x, std::span<T> y,
+                     int num_rhs, bool zero_x) {
+  if (zero_x) {
+    std::fill(y.begin(), y.end(), T(0));
+  } else if (num_rhs == 1) {
+    a.forward(x, y);
+  } else {
+    a.forward_batch(x, y, num_rhs);
+  }
+}
+
 }  // namespace
 
 template <typename T>
@@ -44,8 +66,9 @@ RunStats sirt(const LinearOperator<T>& a, std::span<const T> b, std::span<T> x,
   RunStats stats;
   const T lambda = static_cast<T>(options.relaxation);
 
+  const bool zero_start = all_zero<T>(x);
   for (int it = 0; it < options.iterations; ++it) {
-    a.forward(x, residual);
+    forward_or_zero<T>(a, x, residual, 1, it == 0 && zero_start);
     colmath::residual_from(b.data(), residual.data(), m);
     stats.residual_norms.push_back(colmath::norm2(residual.data(), m));
     colmath::scale_by(residual.data(), inv_row.data(), m);
@@ -94,8 +117,9 @@ std::vector<RunStats> sirt_batch(const LinearOperator<T>& a, std::span<const T> 
   int max_iters = 0;
   for (const SolveOptions& o : options) max_iters = std::max(max_iters, o.iterations);
 
+  const bool zero_start = all_zero<T>(x);
   for (int it = 0; it < max_iters; ++it) {
-    a.forward_batch(x, residual, num_rhs);
+    forward_or_zero<T>(a, x, residual, num_rhs, it == 0 && zero_start);
     for (std::size_t c = 0; c < k; ++c) {
       if (it >= options[c].iterations) continue;  // finished column: x frozen
       colmath::gather_column(residual.data(), m, k, c, col_m.data());
@@ -183,7 +207,7 @@ RunStats cgls(const LinearOperator<T>& a, std::span<const T> b, std::span<T> x,
   util::AlignedVector<T> p(n);
   util::AlignedVector<T> q(m);   // A p
 
-  a.forward(x, r);
+  forward_or_zero<T>(a, x, r, 1, all_zero<T>(x));
   colmath::residual_from(b.data(), r.data(), m);
   a.adjoint(r, s);
   p.assign(s.begin(), s.end());
@@ -240,7 +264,7 @@ std::vector<RunStats> cgls_batch(const LinearOperator<T>& a, std::span<const T> 
     qc[c].resize(m);
   }
 
-  a.forward_batch(x, multi_m, num_rhs);
+  forward_or_zero<T>(a, x, multi_m, num_rhs, all_zero<T>(x));
   for (std::size_t c = 0; c < k; ++c) {
     colmath::gather_column(multi_m.data(), m, k, c, rc[c].data());
     colmath::residual_from(bc[c].data(), rc[c].data(), m);

@@ -9,6 +9,10 @@
 //
 // All solvers report per-iteration residual norms through RunStats so tests
 // can assert monotone convergence.
+//
+// sirt/cgls and their batches skip the first forward apply when they start
+// from x == 0 (every entry ±0): that apply is exactly +0 on every engine,
+// so b - A x is b and the outputs are unchanged (docs/API.md).
 #pragma once
 
 #include <functional>

@@ -10,8 +10,11 @@
 
 #include <array>
 #include <barrier>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -327,6 +330,101 @@ TEST(SpmvPlan, ScratchStableAcrossExecutes) {
   util::AlignedVector<float> y(static_cast<std::size_t>(m.rows()));
   for (int i = 0; i < 3; ++i) plan.execute(x, y);
   EXPECT_EQ(plan.scratch_bytes(), bytes);
+}
+
+// A x for x all +0 or all -0 is exactly +0 on every engine — the fact the
+// solvers' zero-start skip rests on (recon/solvers.cpp). The outputs start
+// as NaN so a path that leaves an entry unwritten fails too.
+TEST(ZeroInput, ForwardIsExactlyPositiveZeroOnEveryEngine) {
+  const int image = 32, views = 24;
+  const auto& csc = cached_ct_csc<float>(image, views);
+  const auto& csr = cached_ct_csr<float>(image, views);
+  const auto rows = static_cast<std::size_t>(csc.rows());
+  const auto cols = static_cast<std::size_t>(csc.cols());
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const auto expect_positive_zero = [](const util::AlignedVector<float>& y,
+                                       const std::string& what) {
+    const util::AlignedVector<float> zeros(y.size(), 0.0F);
+    EXPECT_EQ(0, std::memcmp(y.data(), zeros.data(), y.size() * sizeof(float))) << what;
+  };
+
+  for (const float zero : {0.0F, -0.0F}) {
+    const std::string sign = std::signbit(zero) ? "-0" : "+0";
+    for (const int k : {1, 3}) {
+      const util::AlignedVector<float> x(cols * static_cast<std::size_t>(k), zero);
+      util::AlignedVector<float> y(rows * static_cast<std::size_t>(k), nan);
+      csr.spmv_multi(x, y, k);
+      expect_positive_zero(y, "CSR x=" + sign + " k=" + std::to_string(k));
+    }
+    const util::AlignedVector<float> x(cols, zero);
+    util::AlignedVector<float> y(rows, nan);
+    util::AlignedVector<float> scratch;
+    csc.spmv(x, y, scratch);
+    expect_positive_zero(y, "CSC x=" + sign);
+
+    for (const simd::IsaTier tier : testing::usable_tiers()) {
+      for (const auto variant : {CscvMatrix<float>::Variant::kZ, CscvMatrix<float>::Variant::kM}) {
+        for (const ValueType vt : {ValueType::kF32, ValueType::kBf16}) {
+          auto m = build_cscv<float>(variant, image, views);
+          m.convert_values(vt);
+          for (const ThreadScheme scheme :
+               {ThreadScheme::kRowPartition, ThreadScheme::kPrivateY}) {
+            for (const int k : {1, 3}) {
+              const SpmvPlan<float> plan(
+                  m, {.scheme = scheme, .num_rhs = k, .threads = 2, .isa = tier});
+              const util::AlignedVector<float> xk(cols * static_cast<std::size_t>(k), zero);
+              util::AlignedVector<float> yk(rows * static_cast<std::size_t>(k), nan);
+              plan.execute(xk, yk);
+              expect_positive_zero(
+                  yk, std::string("CSCV x=") + sign + " tier=" + simd::isa_tier_name(tier) +
+                          (variant == CscvMatrix<float>::Variant::kZ ? " Z" : " M") + " " +
+                          value_type_name(vt) +
+                          (scheme == ThreadScheme::kPrivateY ? " private-y" : " row") +
+                          " k=" + std::to_string(k));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The plan's memoized A 1 / A^T 1 are bitwise a fresh execute /
+// execute_transpose of ones (column 0 of a replicated batch when K > 1),
+// computed once.
+TEST(SpmvPlan, MemoizedSumsAreBitwiseFreshAppliesOfOnes) {
+  for (const ValueType vt : {ValueType::kF32, ValueType::kBf16}) {
+    auto m = build_cscv<float>(CscvMatrix<float>::Variant::kM);
+    m.convert_values(vt);
+    const auto rows = static_cast<std::size_t>(m.rows());
+    const auto cols = static_cast<std::size_t>(m.cols());
+    for (const ThreadScheme scheme : {ThreadScheme::kRowPartition, ThreadScheme::kPrivateY}) {
+      for (const int k : {1, 3}) {
+        const SpmvPlan<float> plan(m, {.scheme = scheme, .num_rhs = k, .threads = 2});
+        ASSERT_EQ(plan.scheme(), scheme);
+        const auto kk = static_cast<std::size_t>(k);
+        const std::span<const float> row_sums = plan.row_sums();
+        const std::span<const float> col_sums = plan.col_sums();
+        EXPECT_EQ(plan.row_sums().data(), row_sums.data()) << "row sums recomputed";
+        EXPECT_EQ(plan.col_sums().data(), col_sums.data()) << "col sums recomputed";
+
+        const util::AlignedVector<float> ones_x(cols * kk, 1.0F);
+        const util::AlignedVector<float> ones_y(rows * kk, 1.0F);
+        util::AlignedVector<float> fwd(rows * kk);
+        util::AlignedVector<float> adj(cols * kk);
+        plan.execute(ones_x, fwd);
+        plan.execute_transpose(ones_y, adj);
+        util::AlignedVector<float> want_rows(rows);
+        util::AlignedVector<float> want_cols(cols);
+        for (std::size_t i = 0; i < rows; ++i) want_rows[i] = fwd[i * kk];
+        for (std::size_t j = 0; j < cols; ++j) want_cols[j] = adj[j * kk];
+        SCOPED_TRACE(std::string(value_type_name(vt)) + " k=" + std::to_string(k) +
+                     (scheme == ThreadScheme::kPrivateY ? " private-y" : " row"));
+        expect_bitwise_equal<float>(row_sums, want_rows);
+        expect_bitwise_equal<float>(col_sums, want_cols);
+      }
+    }
+  }
 }
 
 }  // namespace

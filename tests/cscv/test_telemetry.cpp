@@ -11,6 +11,7 @@
 
 #include "core/format.hpp"
 #include "core/plan.hpp"
+#include "recon/solvers.hpp"
 #include "sparse/random.hpp"
 #include "test_helpers.hpp"
 #include "util/telemetry.hpp"
@@ -166,6 +167,36 @@ TEST(PlanStats, ResetTelemetryClearsDynamicHalf) {
   EXPECT_EQ(s.apply_seconds_total, 0.0);
   // Structural half is untouched by reset.
   EXPECT_EQ(s.nnz, m.nnz());
+}
+
+// SIRT's normalizers come from the plan's memo: the first solve on a plan
+// pays one forward and one adjoint for them, a second solve none. Both
+// start from zero, so each skips its first forward too.
+TEST(PlanStats, SecondSirtSolveAddsNoNormalizerApplies) {
+  const auto m = build_cscv<float>(CscvMatrix<float>::Variant::kM);
+  SpmvPlan<float> plan(m, {.threads = 1});
+  const recon::PlanOperator<float> op(plan);
+  const auto b = sparse::random_vector<float>(static_cast<std::size_t>(m.rows()), 13, 0.0, 1.0);
+  constexpr int kIters = 3;
+  const auto solve = [&] {
+    util::AlignedVector<float> x(static_cast<std::size_t>(m.cols()), 0.0F);
+    (void)recon::sirt<float>(op, b, x, {.iterations = kIters});
+  };
+
+  solve();
+  const PlanStats first = plan.stats();
+  plan.reset_telemetry();
+  solve();
+  const PlanStats second = plan.stats();
+  if constexpr (util::telemetry::kEnabled) {
+    EXPECT_EQ(first.applies, 1u + (kIters - 1));  // A 1, then iterations 2..n
+    EXPECT_EQ(first.transpose_applies, 1u + kIters);
+    EXPECT_EQ(second.applies, static_cast<std::uint64_t>(kIters - 1));
+    EXPECT_EQ(second.transpose_applies, static_cast<std::uint64_t>(kIters));
+  } else {
+    EXPECT_EQ(first.applies, 0u);
+    EXPECT_EQ(second.transpose_applies, 0u);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // path (src/pipeline/job.hpp): JSON text -> strict-key spec validation ->
 // base64 sinogram decode -> geometry checks. Contract: any text either
 // throws util::CheckError (the 400 path) or yields a job whose wire round
-// trip (to_json -> from_json) reproduces the same shape.
+// trip (to_json -> from_json) reproduces the same shape, and an accepted
+// OS-SART job has 1 <= os_sart_subsets <= num_views (every stratum gets a
+// view, so the cache build it keys cannot fail on the count).
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -21,6 +23,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     if (back.sinogram.size() != job.sinogram.size() ||
         back.geometry.image_size != job.geometry.image_size) {
       __builtin_trap();  // accepted spec did not survive its own wire format
+    }
+    if (job.algorithm == cscv::pipeline::Algorithm::kOsSart &&
+        (job.os_sart_subsets < 1 || job.os_sart_subsets > job.geometry.num_views)) {
+      __builtin_trap();  // accepted an OS-SART subset count no stratum split can serve
     }
   } catch (const cscv::util::CheckError&) {
     // Malformed spec rejected — the expected path (HTTP 400).

@@ -160,6 +160,14 @@ TEST(JobJson, RejectsMalformedSpecs) {
     spec["solve"]["iterations"] = util::Json(0);
     EXPECT_THROW(ReconJob::from_json(spec), util::CheckError);
   }
+  {  // OS-SART with more subsets than views: a stratum would have no view
+    util::Json spec = good;
+    spec["algorithm"] = util::Json("ossart");
+    spec["os_sart_subsets"] = util::Json(spec["geometry"]["num_views"].as_int() + 1);
+    EXPECT_THROW(ReconJob::from_json(spec), util::CheckError);
+    spec["os_sart_subsets"] = util::Json(spec["geometry"]["num_views"].as_int());
+    EXPECT_NO_THROW(ReconJob::from_json(spec));
+  }
 }
 
 TEST(JobJson, QosClassNamesRoundTrip) {

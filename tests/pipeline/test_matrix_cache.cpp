@@ -115,15 +115,34 @@ TEST(SystemMatrixCache, DistinctKeysBuildSeparatelyAndHitAfterwards) {
   EXPECT_EQ(s.hits, 1U);
 }
 
-// OS-SART entries carry the CSR operator as well; plan-driven ones don't.
-TEST(SystemMatrixCache, OsSartEntriesCarryCsr) {
+// OS-SART entries carry their view strata and weights instead of a CSCV
+// matrix, counted against the budget; the subset count is part of the key.
+TEST(SystemMatrixCache, OsSartEntriesCarryStrataNotCscv) {
   SystemMatrixCache cache;
   const auto sirt = cache.get_or_build(key_for(16, 12, Algorithm::kSirt));
-  EXPECT_EQ(sirt.entry->csr, nullptr);
-  const auto ossart = cache.get_or_build(key_for(16, 12, Algorithm::kOsSart));
-  ASSERT_NE(ossart.entry->csr, nullptr);
-  EXPECT_GT(ossart.entry->bytes(), sirt.entry->bytes())
-      << "the CSR half must count against the budget";
+  EXPECT_EQ(sirt.entry->os_sart, nullptr);
+  ASSERT_NE(sirt.entry->cscv, nullptr);
+
+  MatrixKey key4 = key_for(16, 12, Algorithm::kOsSart);
+  key4.os_sart_subsets = 4;
+  MatrixKey key3 = key4;
+  key3.os_sart_subsets = 3;
+  EXPECT_NE(key4.fingerprint(), key3.fingerprint());
+  const auto four = cache.get_or_build(key4);
+  ASSERT_NE(four.entry->os_sart, nullptr);
+  EXPECT_EQ(four.entry->cscv, nullptr) << "nothing reads a CSCV matrix for OS-SART";
+  EXPECT_EQ(four.entry->os_sart->num_subsets(), 4);
+  EXPECT_GT(four.entry->os_sart->bytes(), 0U);
+  EXPECT_EQ(four.entry->bytes(), four.entry->os_sart->bytes())
+      << "the strata must count against the budget";
+
+  const auto three = cache.get_or_build(key3);
+  EXPECT_FALSE(three.hit);
+  EXPECT_NE(three.entry.get(), four.entry.get());
+  EXPECT_EQ(three.entry->os_sart->num_subsets(), 3);
+  EXPECT_TRUE(cache.get_or_build(key4).hit);
+  EXPECT_EQ(cache.stats().builds, 3U);
+  EXPECT_EQ(cache.stats().resident_entries, 3U);
 }
 
 // Byte-budget LRU: with A and B resident and A freshly touched, inserting a

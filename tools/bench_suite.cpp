@@ -29,6 +29,7 @@
 #include "dist/sharded_operator.hpp"
 #include "dist/worker.hpp"
 #include "pipeline/service.hpp"
+#include "recon/solvers.hpp"
 #include "sparse/convert.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
@@ -445,6 +446,55 @@ void run_pipeline_batched(const SuiteFlags& flags, benchlib::BenchReport& report
             << ")\n";
 }
 
+// Apply counts of one warm SIRT solve and one warm CGLS solve over a
+// plan-backed operator (the service worker's path), read off the plan's
+// telemetry counters. Warm means the plan has served a solve already, so
+// its memoized normalizers are in place; both solves start from zero and
+// skip that forward. The counts change only when a solver's apply sequence
+// does, so they gate exactly on any runner (structural, like nnz).
+void run_warm_solves(const SuiteFlags& flags, benchlib::BenchReport& report) {
+  const auto datasets = benchlib::standard_datasets(flags.scale);
+  const benchlib::Dataset& d = datasets.front();
+  const auto csc = ct::build_system_matrix_csc<float>(d.geometry);
+  const auto m = core::CscvMatrix<float>::build(
+      csc, core::OperatorLayout::from_geometry(d.geometry),
+      {.s_vvec = 8, .s_imgb = 16, .s_vxg = 4}, core::CscvMatrix<float>::Variant::kM);
+  core::SpmvPlan<float> plan(m, {.threads = 1});
+  const recon::PlanOperator<float> op(plan);
+  const auto b = ct::analytic_sinogram<float>(ct::shepp_logan_modified(), d.geometry);
+  const recon::SolveOptions solve{.iterations = 4};
+
+  for (const char* algo : {"SIRT", "CGLS"}) {
+    const auto run = [&] {
+      util::AlignedVector<float> x(static_cast<std::size_t>(m.cols()), 0.0F);
+      if (std::strcmp(algo, "SIRT") == 0) {
+        (void)recon::sirt<float>(op, b, x, solve);
+      } else {
+        (void)recon::cgls<float>(op, b, x, solve);
+      }
+    };
+    run();  // the plan memoizes A 1 and A^T 1 here
+    plan.reset_telemetry();
+    run();
+    const core::PlanStats st = plan.stats();
+
+    benchlib::BenchRecord record;
+    record.workload = "warm_solve";
+    record.engine = algo;
+    record.precision = "f32";
+    record.threads = 1;
+    record.iterations = solve.iterations;
+    if (st.telemetry_enabled) {
+      record.set("forward_applies", static_cast<double>(st.applies));
+      record.set("adjoint_applies", static_cast<double>(st.transpose_applies));
+    }
+    report.records.push_back(std::move(record));
+    std::cout << "warm_solve " << algo << ": " << st.applies << " forward, "
+              << st.transpose_applies << " adjoint applies for " << solve.iterations
+              << " iterations" << (st.telemetry_enabled ? "" : " (telemetry off)") << "\n";
+  }
+}
+
 // Workload: the sharded reconstruction path (docs/SHARDING.md) over real
 // loopback sockets — in-process ShardWorkers standing in for the cscv_shardd
 // processes. Structural gate metrics: jobs_ok, shards, and determinism_ok
@@ -591,6 +641,7 @@ int main(int argc, char** argv) try {
   table.print(std::cout);
   run_pipeline_throughput(flags, report);
   run_pipeline_batched(flags, report);
+  run_warm_solves(flags, report);
   run_sharded(flags, report);
 
   benchlib::write_report_file(flags.out, report);
