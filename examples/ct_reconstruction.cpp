@@ -19,7 +19,6 @@
 #include "recon/fbp.hpp"
 #include "recon/os_sart.hpp"
 #include "recon/solvers.hpp"
-#include "sparse/convert.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/timing.hpp"
@@ -98,8 +97,7 @@ int main(int argc, char** argv) {
   } else if (solver == "icd") {
     stats = recon::icd<double>(csc, sinogram, x, {.iterations = iters});
   } else if (solver == "ossart") {
-    auto csr = sparse::csr_from_csc(csc);
-    stats = recon::os_sart<double>(csr, layout, sinogram, x,
+    stats = recon::os_sart<double>(cscv.plan(), sinogram, x,
                                    {.iterations = iters, .num_subsets = 10,
                                     .relaxation = 0.7});
   } else if (solver == "fbp") {

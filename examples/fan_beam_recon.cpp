@@ -14,7 +14,6 @@
 #include "ct/fan_beam.hpp"
 #include "ct/phantom.hpp"
 #include "recon/os_sart.hpp"
-#include "sparse/convert.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/timing.hpp"
@@ -50,10 +49,9 @@ int main(int argc, char** argv) {
   util::AlignedVector<double> sinogram(static_cast<std::size_t>(csc.rows()));
   cscv.spmv(truth, sinogram);
 
-  auto csr = sparse::csr_from_csc(csc);
   util::AlignedVector<double> x(static_cast<std::size_t>(csc.cols()), 0.0);
   timer.reset();
-  auto stats = recon::os_sart<double>(csr, layout, sinogram, x,
+  auto stats = recon::os_sart<double>(cscv.plan(), sinogram, x,
                                       {.iterations = iters, .num_subsets = 12,
                                        .relaxation = 0.7});
   std::cout << "OS-SART (" << iters << " passes, 12 subsets): residual "

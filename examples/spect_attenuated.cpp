@@ -17,7 +17,6 @@
 #include "ct/phantom.hpp"
 #include "ct/system_matrix.hpp"
 #include "recon/os_sart.hpp"
-#include "sparse/convert.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 
@@ -60,16 +59,16 @@ int main(int argc, char** argv) {
   util::Rng rng(21);
   ct::add_emission_poisson_noise<double>(std::span<double>(sinogram), 50.0, rng);
 
-  auto reconstruct = [&](const sparse::CscMatrix<double>& op_matrix) {
-    auto csr = sparse::csr_from_csc(op_matrix);
+  auto reconstruct = [&](const core::CscvMatrix<double>& op_matrix) {
     util::AlignedVector<double> x(static_cast<std::size_t>(csc.cols()), 0.0);
-    recon::os_sart<double>(csr, layout, sinogram, x,
+    recon::os_sart<double>(op_matrix.plan(), sinogram, x,
                            {.iterations = iters, .num_subsets = 10, .relaxation = 0.7});
     return x;
   };
 
-  const auto matched = reconstruct(csc);
-  const auto unmatched = reconstruct(plain);
+  const auto matched = reconstruct(cscv);
+  const auto unmatched = reconstruct(core::CscvMatrix<double>::build(
+      plain, layout, cscv.params(), core::CscvMatrix<double>::Variant::kM));
   std::cout << "RMSE vs activity, matched (attenuation-corrected) operator:   "
             << util::rmse<double>(matched, activity) << "\n";
   std::cout << "RMSE vs activity, unmatched (no attenuation model) operator:  "

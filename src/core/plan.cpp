@@ -178,38 +178,68 @@ void SpmvPlan<T>::gather(int block, const T* src, T* ytilde) const {
 }
 
 template <typename T>
-void SpmvPlan<T>::execute(std::span<const T> x, std::span<T> y) const {
-  CSCV_CHECK(x.size() ==
+void SpmvPlan<T>::check_sizes(std::size_t x_size, std::size_t y_size) const {
+  CSCV_CHECK(x_size ==
              static_cast<std::size_t>(a_->cols()) * static_cast<std::size_t>(num_rhs_));
-  CSCV_CHECK(y.size() ==
+  CSCV_CHECK(y_size ==
              static_cast<std::size_t>(a_->rows()) * static_cast<std::size_t>(num_rhs_));
-  const util::telemetry::Stopwatch apply_timer;
+}
+
+namespace {
+
+void check_subset(const GroupSubset& subset) {
+  CSCV_CHECK_MSG(subset.count >= 1 && subset.index >= 0 && subset.index < subset.count &&
+                     subset.first_group >= 0,
+                 "group subset " << subset.index << " of " << subset.count << " (offset "
+                                 << subset.first_group << ") is malformed");
+}
+
+}  // namespace
+
+template <typename T>
+void SpmvPlan<T>::forward_groups(const GroupSubset& subset, const T* x, T* y) const {
   const int tiles_per_group = a_->grid_.tiles_x * a_->grid_.tiles_y;
   const int s = a_->params_.s_vvec;
   const int k = num_rhs_;
+  // A group's rows are contiguous (row = view * num_bins + bin).
+  const std::size_t group_elems = static_cast<std::size_t>(s) *
+                                  static_cast<std::size_t>(a_->layout_.num_bins) *
+                                  static_cast<std::size_t>(k);
+  const std::size_t y_size =
+      static_cast<std::size_t>(a_->rows()) * static_cast<std::size_t>(k);
 
-  if (scheme_ == ThreadScheme::kRowPartition) {
-    // Slots own whole view groups: their blocks write disjoint y rows, so
-    // scatter goes straight into the shared output. Slots are striped over
-    // however many threads the runtime actually provides, so a plan built
-    // at N threads stays correct at any other count.
-    util::parallel_for(0, y.size(), [&](std::size_t i) { y[i] = T(0); });
-    util::parallel_region([&](int tid, int nthreads) {
-      for (int slot = tid; slot < threads_; slot += nthreads) {
-        T* ytilde = ytilde_slot(slot);
-        for (std::size_t g = group_bounds_[static_cast<std::size_t>(slot)];
-             g < group_bounds_[static_cast<std::size_t>(slot) + 1]; ++g) {
-          for (int tb = 0; tb < tiles_per_group; ++tb) {
-            const int b = static_cast<int>(g) * tiles_per_group + tb;
-            const auto& info = a_->blocks_[static_cast<std::size_t>(b)];
-            if (info.vxg_begin == info.vxg_end) continue;
-            std::fill_n(ytilde, static_cast<std::size_t>(info.o_count) * s * k, T(0));
-            run_forward(b, x.data(), ytilde);
-            scatter_add(b, ytilde, y.data());
-          }
+  // Slots own whole view groups: their blocks write disjoint y rows, so
+  // each slot zeroes its groups' rows and scatters straight into the shared
+  // output. Slots are striped over however many threads the runtime
+  // actually provides, so a plan built at N threads stays correct at any
+  // other count.
+  util::parallel_region([&](int tid, int nthreads) {
+    for (int slot = tid; slot < threads_; slot += nthreads) {
+      T* ytilde = ytilde_slot(slot);
+      for (std::size_t g = group_bounds_[static_cast<std::size_t>(slot)];
+           g < group_bounds_[static_cast<std::size_t>(slot) + 1]; ++g) {
+        if (!subset.contains(static_cast<int>(g))) continue;
+        const std::size_t r0 = g * group_elems;
+        std::fill(y + r0, y + std::min(r0 + group_elems, y_size), T(0));
+        for (int tb = 0; tb < tiles_per_group; ++tb) {
+          const int b = static_cast<int>(g) * tiles_per_group + tb;
+          const auto& info = a_->blocks_[static_cast<std::size_t>(b)];
+          if (info.vxg_begin == info.vxg_end) continue;
+          std::fill_n(ytilde, static_cast<std::size_t>(info.o_count) * s * k, T(0));
+          run_forward(b, x, ytilde);
+          scatter_add(b, ytilde, y);
         }
       }
-    });
+    }
+  });
+}
+
+template <typename T>
+void SpmvPlan<T>::execute(std::span<const T> x, std::span<T> y) const {
+  check_sizes(x.size(), y.size());
+  const util::telemetry::Stopwatch apply_timer;
+  if (scheme_ == ThreadScheme::kRowPartition) {
+    forward_groups(GroupSubset{}, x.data(), y.data());
     counters_.record_apply(apply_timer.seconds());
     return;
   }
@@ -218,6 +248,8 @@ void SpmvPlan<T>::execute(std::span<const T> x, std::span<T> y) const {
   // list; each accumulates into its own y copy; copies are reduced in a
   // second parallel pass. Only each slot's touchable row interval is
   // zeroed and reduced.
+  const int s = a_->params_.s_vvec;
+  const int k = num_rhs_;
   const std::size_t m_total = y.size();
   util::parallel_region([&](int tid, int nthreads) {
     for (int slot = tid; slot < threads_; slot += nthreads) {
@@ -251,41 +283,64 @@ void SpmvPlan<T>::execute(std::span<const T> x, std::span<T> y) const {
 }
 
 template <typename T>
-void SpmvPlan<T>::execute_transpose(std::span<const T> y, std::span<T> x) const {
-  CSCV_CHECK(y.size() ==
-             static_cast<std::size_t>(a_->rows()) * static_cast<std::size_t>(num_rhs_));
-  CSCV_CHECK(x.size() ==
-             static_cast<std::size_t>(a_->cols()) * static_cast<std::size_t>(num_rhs_));
-  const util::telemetry::Stopwatch apply_timer;
-  const int tiles_per_group = a_->grid_.tiles_x * a_->grid_.tiles_y;
+void SpmvPlan<T>::execute(const GroupSubset& subset, std::span<const T> x,
+                          std::span<T> y) const {
+  check_subset(subset);
+  check_sizes(x.size(), y.size());
+  forward_groups(subset, x.data(), y.data());
+  counters_.record_subset_apply();
+}
 
-  // Slots own image tiles: the same tile across all view groups touches a
-  // private x slice, so writes need no synchronization. y is read-only.
-  util::parallel_for(0, x.size(), [&](std::size_t i) { x[i] = T(0); });
+template <typename T>
+void SpmvPlan<T>::transpose_groups(const GroupSubset& subset, const T* y, T* x) const {
+  const int tiles_per_group = a_->grid_.tiles_x * a_->grid_.tiles_y;
+  const std::size_t x_size =
+      static_cast<std::size_t>(a_->cols()) * static_cast<std::size_t>(num_rhs_);
+
+  // Slots own image tiles: the same tile across the view groups touches a
+  // private x slice, so writes need no synchronization. y is read-only, and
+  // each tile sums its groups in ascending order at any thread count.
+  util::parallel_for(0, x_size, [&](std::size_t i) { x[i] = T(0); });
   util::parallel_region([&](int tid, int nthreads) {
     for (int slot = tid; slot < threads_; slot += nthreads) {
       T* ytilde = ytilde_slot(slot);
       for (std::size_t tile = tile_bounds_[static_cast<std::size_t>(slot)];
            tile < tile_bounds_[static_cast<std::size_t>(slot) + 1]; ++tile) {
-        for (int g = 0; g < a_->grid_.view_groups; ++g) {
+        for (int g = subset.first_local(); g < a_->grid_.view_groups; g += subset.count) {
           const int b = g * tiles_per_group + static_cast<int>(tile);
           const auto& info = a_->blocks_[static_cast<std::size_t>(b)];
           if (info.vxg_begin == info.vxg_end) continue;
-          gather(b, y.data(), ytilde);
+          gather(b, y, ytilde);
           if (num_rhs_ == 1) {
             kernels_.transpose(info.vxg_begin, info.vxg_end, a_->vxg_col_.data(),
                                a_->vxg_q_.data(), a_->value_ptr(info.val_begin),
-                               a_->masks_.data(), ytilde, x.data());
+                               a_->masks_.data(), ytilde, x);
           } else {
             kernels_.transpose_multi(info.vxg_begin, info.vxg_end, a_->vxg_col_.data(),
                                      a_->vxg_q_.data(), a_->value_ptr(info.val_begin),
-                                     a_->masks_.data(), ytilde, num_rhs_, x.data());
+                                     a_->masks_.data(), ytilde, num_rhs_, x);
           }
         }
       }
     }
   });
+}
+
+template <typename T>
+void SpmvPlan<T>::execute_transpose(std::span<const T> y, std::span<T> x) const {
+  check_sizes(x.size(), y.size());
+  const util::telemetry::Stopwatch apply_timer;
+  transpose_groups(GroupSubset{}, y.data(), x.data());
   counters_.record_transpose(apply_timer.seconds());
+}
+
+template <typename T>
+void SpmvPlan<T>::execute_transpose(const GroupSubset& subset, std::span<const T> y,
+                                    std::span<T> x) const {
+  check_subset(subset);
+  check_sizes(x.size(), y.size());
+  transpose_groups(subset, y.data(), x.data());
+  counters_.record_subset_transpose();
 }
 
 template <typename T>
@@ -304,6 +359,27 @@ std::span<const T> SpmvPlan<T>::sums_of_ones(bool transpose) const {
     }
     memo.resize(out_len);
     for (std::size_t i = 0; i < out_len; ++i) memo[i] = out[i * k];
+  }
+  return memo;
+}
+
+template <typename T>
+std::span<const T> SpmvPlan<T>::col_sums(const GroupSubset& subset) const {
+  check_subset(subset);
+  if (subset.count != subset_sums_for_.count ||
+      subset.first_group != subset_sums_for_.first_group || subset_col_sums_.empty()) {
+    subset_sums_for_ = subset;
+    subset_col_sums_.assign(static_cast<std::size_t>(subset.count), {});
+  }
+  util::AlignedVector<T>& memo = subset_col_sums_[static_cast<std::size_t>(subset.index)];
+  const auto k = static_cast<std::size_t>(num_rhs_);
+  const auto cols = static_cast<std::size_t>(a_->cols());
+  if (memo.size() != cols) {
+    const util::AlignedVector<T> ones(static_cast<std::size_t>(a_->rows()) * k, T(1));
+    util::AlignedVector<T> out(cols * k);
+    execute_transpose(subset, ones, out);
+    memo.resize(cols);
+    for (std::size_t i = 0; i < cols; ++i) memo[i] = out[i * k];
   }
   return memo;
 }
@@ -364,6 +440,8 @@ PlanStats SpmvPlan<T>::stats() const {
   s.apply_seconds_min = counters_.apply_seconds_min;
   s.transpose_seconds_total = counters_.transpose_seconds_total;
   s.transpose_seconds_min = counters_.transpose_seconds_min;
+  s.subset_applies = counters_.subset_applies;
+  s.subset_transpose_applies = counters_.subset_transpose_applies;
   const auto flops = static_cast<double>(s.flops_per_apply);
   const auto bytes = static_cast<double>(s.matrix_bytes + s.vector_bytes_per_apply);
   if (counters_.apply_seconds_min > 0.0) {

@@ -87,6 +87,10 @@ struct PlanStats {
   double apply_seconds_min = 0.0;
   double transpose_seconds_total = 0.0;
   double transpose_seconds_min = 0.0;
+  /// View-group subset applies (execute / execute_transpose with a
+  /// GroupSubset), counted apart from the full applies above.
+  std::uint64_t subset_applies = 0;
+  std::uint64_t subset_transpose_applies = 0;
   /// 2 * nnz * num_rhs / apply_seconds_min / 1e9 (best observed apply).
   double gflops_best = 0.0;
   double gflops_avg = 0.0;
@@ -95,6 +99,24 @@ struct PlanStats {
   /// The two best-apply rates above over transpose_seconds_min.
   double transpose_gflops_best = 0.0;
   double transpose_gbytes_per_second_best = 0.0;
+};
+
+/// A set of view groups — the row unit of every CSCV block: the groups g
+/// with (g + first_group) % count == index. `first_group` is the global
+/// index of the matrix's group 0, nonzero only when the matrix holds a
+/// contiguous group range of a larger problem (a dist shard), so subsets
+/// stay chosen by global group. OS-SART's strata are the subsets of one
+/// count (recon/os_sart.hpp).
+struct GroupSubset {
+  int count = 1;
+  int index = 0;
+  int first_group = 0;
+
+  [[nodiscard]] bool contains(int g) const { return (g + first_group) % count == index; }
+  /// The lowest local group in the subset; the rest follow every `count`.
+  [[nodiscard]] int first_local() const {
+    return ((index - first_group) % count + count) % count;
+  }
 };
 
 template <typename T>
@@ -112,6 +134,17 @@ class SpmvPlan {
   /// bitwise identical to a single-RHS transpose of that column.
   void execute_transpose(std::span<const T> y, std::span<T> x) const;
 
+  /// y = A_s x over the rows of subset s's view groups only; every other
+  /// row of y is left untouched. Slots own whole groups whatever the
+  /// plan's scheme, so each written row is bitwise that row of a
+  /// row-partition execute(). Sizes as execute().
+  void execute(const GroupSubset& subset, std::span<const T> x, std::span<T> y) const;
+  /// x = A_s^T y: execute_transpose over subset s's groups only (in the
+  /// same ascending group order, so independent of the thread count). Only
+  /// the subset's rows of y are read. Sizes as execute_transpose().
+  void execute_transpose(const GroupSubset& subset, std::span<const T> y,
+                         std::span<T> x) const;
+
   /// A 1 and A^T 1 (rows and cols long): the SIRT normalizers, computed
   /// through execute() / execute_transpose() the first time each is asked
   /// for and kept, so a plan that outlives one solve pays for them once.
@@ -120,6 +153,12 @@ class SpmvPlan {
   /// single-RHS apply. Same concurrency rule as execute().
   [[nodiscard]] std::span<const T> row_sums() const { return sums_of_ones(false); }
   [[nodiscard]] std::span<const T> col_sums() const { return sums_of_ones(true); }
+  /// A_s^T 1 through execute_transpose(subset, ...), memoized for every
+  /// subset of the last (count, first_group) asked for; asking for another
+  /// count drops the memo (and invalidates its spans), which bounds it at
+  /// one count's worth. A subset's row sums are its rows of row_sums().
+  /// Same concurrency rule as execute().
+  [[nodiscard]] std::span<const T> col_sums(const GroupSubset& subset) const;
 
   // ---- introspection ---------------------------------------------------
   [[nodiscard]] const CscvMatrix<T>* matrix() const { return a_; }
@@ -166,6 +205,12 @@ class SpmvPlan {
   void scatter_add(int block, const T* ytilde, T* dst) const;  // K-aware
   void gather(int block, const T* src, T* ytilde) const;       // K-aware
   void run_forward(int block, const T* x, T* ytilde) const;    // K-aware
+  /// The row-partition block loop: zeroes and fills the rows of the
+  /// subset's groups (every group for the full forward).
+  void forward_groups(const GroupSubset& subset, const T* x, T* y) const;
+  /// The tile-partition block loop over the subset's groups.
+  void transpose_groups(const GroupSubset& subset, const T* y, T* x) const;
+  void check_sizes(std::size_t x_size, std::size_t y_size) const;
   [[nodiscard]] std::span<const T> sums_of_ones(bool transpose) const;
 
   const CscvMatrix<T>* a_ = nullptr;
@@ -192,6 +237,10 @@ class SpmvPlan {
   mutable util::AlignedVector<T> copies_;       // kPrivateY: threads_ * rows * num_rhs
   mutable util::AlignedVector<T> row_sums_;     // memo of row_sums(), empty until asked
   mutable util::AlignedVector<T> col_sums_;     // memo of col_sums(), empty until asked
+  // Memo of col_sums(subset): one vector per index of subset_sums_for_'s
+  // (count, first_group), each empty until asked.
+  mutable GroupSubset subset_sums_for_;
+  mutable std::vector<util::AlignedVector<T>> subset_col_sums_;
 
   // Empty when CSCV_TELEMETRY is off — overlaps other members, adds no
   // state and no codegen (verified by tests/cscv/test_telemetry.cpp).

@@ -46,11 +46,9 @@ std::uint64_t expected_reply_count(const ShardSpec& spec, ApplyOp op, int subset
       break;
   }
   if (subset < 0) return static_cast<std::uint64_t>(spec.local_rows());
-  std::uint64_t stratum_views = 0;
-  for (int v = spec.view_begin; v < spec.view_end; ++v) {
-    if (v % spec.os_sart_subsets == subset) ++stratum_views;
-  }
-  return stratum_views * static_cast<std::uint64_t>(spec.geometry.num_bins);
+  std::uint64_t stratum_rows = 0;
+  for (const auto& range : stratum_ranges(spec, subset)) stratum_rows += range.second;
+  return stratum_rows;
 }
 
 }  // namespace

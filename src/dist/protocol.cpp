@@ -262,6 +262,12 @@ ShardSpec ShardSpec::from_json(const util::Json& spec) {
                  "shard spec: view range [" << s.view_begin << ", " << s.view_end
                                             << ") out of [0, "
                                             << s.geometry.num_views << ")");
+  const int s_vvec = s.cscv.s_vvec;
+  CSCV_CHECK_MSG(s.view_begin % s_vvec == 0 &&
+                     (s.view_end % s_vvec == 0 || s.view_end == s.geometry.num_views),
+                 "shard spec: view range [" << s.view_begin << ", " << s.view_end
+                                            << ") cuts inside a view group of " << s_vvec
+                                            << " views");
   if (s.algorithm == pipeline::Algorithm::kOsSart) {
     CSCV_CHECK_MSG(s.os_sart_subsets >= 1 &&
                        s.os_sart_subsets <= s.geometry.num_views,

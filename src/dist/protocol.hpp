@@ -4,7 +4,7 @@
 // Every message is one frame:
 //
 //   bytes 0..3   magic   0x43534844 ("CSHD" big-endian on the wire)
-//   bytes 4..5   version (currently 1)
+//   bytes 4..5   version (currently 2)
 //   bytes 6..7   message type (MsgType)
 //   bytes 8..15  payload length in bytes
 //
@@ -47,7 +47,10 @@ class ProtocolError : public util::CheckError {
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x43534844;  // "CSHD"
-inline constexpr std::uint16_t kProtocolVersion = 1;
+// Version 2: OS-SART stratum rows are whole view groups (g % n == k), not
+// single views; shards are cut on view-group boundaries. The frame layout is
+// unchanged, so a version-1 peer is refused by version, not mis-sized.
+inline constexpr std::uint16_t kProtocolVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 
 enum class MsgType : std::uint16_t {
@@ -101,13 +104,13 @@ enum class ApplyOp : std::uint8_t {
   kForward = 0,  // in: image (cols floats) -> out: shard/stratum rows
   kAdjoint = 1,  // in: shard/stratum rows -> out: image (cols floats)
   kRowSums = 2,  // no input -> out: stratum row sums (OS-SART normalizer)
-  kColSums = 3,  // no input -> out: per-shard column sums (OS-SART normalizer)
+  kColSums = 3,  // no input -> out: per-shard stratum column sums
 };
 
 struct ApplyHeader {
   std::uint32_t shard_id = 0;
   ApplyOp op = ApplyOp::kForward;
-  /// OS-SART global subset index, or -1 for the whole shard.
+  /// OS-SART global stratum index, or -1 for the whole shard.
   std::int32_t subset = -1;
   /// float32 elements following the header.
   std::uint64_t count = 0;
@@ -132,13 +135,15 @@ ApplyHeader decode_apply(std::string_view payload, util::AlignedVector<float>& d
 struct ShardSpec {
   std::uint32_t shard_id = 0;
   std::uint32_t num_shards = 1;
+  /// View range, cut on view-group boundaries (cscv.s_vvec views): begin a
+  /// multiple of s_vvec, end one too or num_views.
   int view_begin = 0;
   int view_end = 0;  // exclusive; rows [view_begin*num_bins, view_end*num_bins)
   ct::ParallelGeometry geometry;
   core::CscvParams cscv{};
   core::CscvMatrix<float>::Variant variant = core::CscvMatrix<float>::Variant::kM;
   pipeline::Algorithm algorithm = pipeline::Algorithm::kSirt;
-  int os_sart_subsets = 8;  // global subset count (kOsSart only)
+  int os_sart_subsets = 8;  // requested global subset count (kOsSart only)
 
   [[nodiscard]] int num_local_views() const { return view_end - view_begin; }
   [[nodiscard]] sparse::index_t local_rows() const {

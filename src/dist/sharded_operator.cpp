@@ -26,6 +26,9 @@ void check_partition(const std::vector<ShardSpec>& specs) {
     CSCV_CHECK_MSG(s.view_begin == expect_begin && s.view_end > s.view_begin,
                    "shard " << i << " views [" << s.view_begin << ", " << s.view_end
                             << ") break the contiguous partition at view " << expect_begin);
+    CSCV_CHECK_MSG(s.view_end % s.cscv.s_vvec == 0 || s.view_end == s.geometry.num_views,
+                   "shard " << i << " ends at view " << s.view_end
+                            << ", inside a view group of " << s.cscv.s_vvec << " views");
     expect_begin = s.view_end;
   }
   CSCV_CHECK_MSG(expect_begin == first.geometry.num_views,
@@ -96,53 +99,56 @@ recon::RunStats sharded_os_sart(ShardBackend& backend, std::span<const float> b,
   CSCV_CHECK(static_cast<sparse::index_t>(b.size()) == g.num_rows());
   CSCV_CHECK(static_cast<sparse::index_t>(x.size()) == g.num_cols());
 
-  const int n = options.num_subsets;
-  const int bins = g.num_bins;
+  const int n = shard_strata(specs[0]);
   const std::size_t num_shards = specs.size();
   const auto cols = static_cast<std::size_t>(g.num_cols());
 
-  // Per-subset geometry of the shard-concatenated stratum, plus the same
-  // normalizer state serial os_sart derives. Concatenating shard strata in
-  // shard order lists the subset's views ascending — exactly the row order
-  // of recon::split_view_subsets — so b slices element-for-element match.
-  struct SubsetState {
-    std::vector<std::size_t> part_rows;  // stratum rows per shard
-    std::vector<std::size_t> part_off;   // their offsets in the concatenation
+  // Per-stratum layout of the shard-concatenated stratum rows (whole view
+  // groups, ascending — stratum_ranges in shard order), its b slice and
+  // weights, and the latest forward of its rows. Serial os_sart works on
+  // the same rows in place, through the same colmath calls.
+  struct Stratum {
+    std::vector<std::size_t> global_row;  // per concatenated range
+    std::vector<std::size_t> length;
+    std::vector<std::size_t> part_rows;   // stratum rows per shard
+    std::vector<std::size_t> part_off;    // their offsets in the concatenation
     std::size_t rows = 0;
     util::AlignedVector<float> b;
     util::AlignedVector<float> inv_row;
     util::AlignedVector<float> inv_col;
+    util::AlignedVector<float> fwd;
   };
-  std::vector<SubsetState> state(static_cast<std::size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    auto& st = state[static_cast<std::size_t>(s)];
-    st.part_rows.resize(num_shards);
-    st.part_off.resize(num_shards);
-    for (std::size_t i = 0; i < num_shards; ++i) {
-      st.part_off[i] = st.rows;
-      std::size_t views = 0;
-      for (int v = specs[i].view_begin; v < specs[i].view_end; ++v) {
-        if (v % n == s) ++views;
-      }
-      st.part_rows[i] = views * static_cast<std::size_t>(bins);
-      st.rows += st.part_rows[i];
-    }
-    st.b.resize(st.rows);
+  // A stratum's rows of a global-row vector, in concatenation order.
+  const auto gather_rows = [](const Stratum& st, std::span<const float> src,
+                              util::AlignedVector<float>& dst) {
+    dst.resize(st.rows);
     std::size_t at = 0;
-    for (std::size_t i = 0; i < num_shards; ++i) {
-      for (int v = specs[i].view_begin; v < specs[i].view_end; ++v) {
-        if (v % n != s) continue;
-        for (int bin = 0; bin < bins; ++bin) {
-          st.b[at++] = b[static_cast<std::size_t>(v) * static_cast<std::size_t>(bins) +
-                         static_cast<std::size_t>(bin)];
-        }
-      }
+    for (std::size_t r = 0; r < st.global_row.size(); ++r) {
+      std::copy_n(src.begin() + static_cast<std::ptrdiff_t>(st.global_row[r]), st.length[r],
+                  dst.begin() + static_cast<std::ptrdiff_t>(at));
+      at += st.length[r];
     }
+  };
+  std::vector<Stratum> strata(static_cast<std::size_t>(n));
+  for (int s = 0; s < n; ++s) {
+    auto& st = strata[static_cast<std::size_t>(s)];
+    for (std::size_t i = 0; i < num_shards; ++i) {
+      st.part_off.push_back(st.rows);
+      std::size_t part = 0;
+      for (const auto& [r0, len] : stratum_ranges(specs[i], s)) {
+        st.global_row.push_back(static_cast<std::size_t>(specs[i].row_offset()) + r0);
+        st.length.push_back(len);
+        part += len;
+      }
+      st.part_rows.push_back(part);
+      st.rows += part;
+    }
+    gather_rows(st, b, st.b);
   }
 
   std::vector<std::span<const float>> in(num_shards);
   std::vector<util::AlignedVector<float>> parts;
-  const auto concat = [&](const SubsetState& st, util::AlignedVector<float>& dst) {
+  const auto concat = [&](const Stratum& st, util::AlignedVector<float>& dst) {
     dst.resize(st.rows);
     for (std::size_t i = 0; i < num_shards; ++i) {
       CSCV_CHECK(parts[i].size() == st.part_rows[i]);
@@ -159,11 +165,10 @@ recon::RunStats sharded_os_sart(ShardBackend& backend, std::span<const float> b,
       recon::colmath::accumulate(dst.data(), parts[i].data(), cols);
     }
   };
-
-  // Normalizers: R_s/C_s fetched from the shards and inverted here with the
-  // identical guard serial os_sart applies after CsrOperator sums.
+  // Weights: the shards' stratum rows of A 1 and partial A_s^T 1, reduced
+  // in shard order, inverted with the guard serial os_sart applies.
   for (int s = 0; s < n; ++s) {
-    auto& st = state[static_cast<std::size_t>(s)];
+    auto& st = strata[static_cast<std::size_t>(s)];
     std::fill(in.begin(), in.end(), std::span<const float>());
     backend.apply_all(ApplyOp::kRowSums, s, in, parts);
     concat(st, st.inv_row);
@@ -174,30 +179,32 @@ recon::RunStats sharded_os_sart(ShardBackend& backend, std::span<const float> b,
   }
 
   const float lambda = static_cast<float>(options.relaxation);
-  util::AlignedVector<float> residual;
   util::AlignedVector<float> back(x.size());
   util::AlignedVector<float> full_residual(b.size());
   recon::RunStats stats;
 
   for (int it = 0; it < options.iterations; ++it) {
     for (int s = 0; s < n; ++s) {
-      const auto& st = state[static_cast<std::size_t>(s)];
-      std::fill(in.begin(), in.end(), std::span<const float>(x.data(), x.size()));
-      backend.apply_all(ApplyOp::kForward, s, in, parts);
-      concat(st, residual);
-      recon::colmath::weighted_residual(st.b.data(), st.inv_row.data(), residual.data(),
-                                 residual.size());
+      auto& st = strata[static_cast<std::size_t>(s)];
+      if (it == 0 || s != 0) {  // else: the last residual forward's rows
+        std::fill(in.begin(), in.end(), std::span<const float>(x.data(), x.size()));
+        backend.apply_all(ApplyOp::kForward, s, in, parts);
+        concat(st, st.fwd);
+      }
+      recon::colmath::weighted_residual(st.b.data(), st.inv_row.data(), st.fwd.data(),
+                                        st.rows);
       for (std::size_t i = 0; i < num_shards; ++i) {
-        in[i] = std::span<const float>(residual).subspan(st.part_off[i], st.part_rows[i]);
+        in[i] = std::span<const float>(st.fwd).subspan(st.part_off[i], st.part_rows[i]);
       }
       backend.apply_all(ApplyOp::kAdjoint, s, in, parts);
       reduce(back);
       recon::colmath::sart_step(x.data(), st.inv_col.data(), back.data(), lambda,
-                         options.enforce_nonneg, back.size());
+                                options.enforce_nonneg, back.size());
     }
-    // Per-pass residual norm over the full forward: CSR rows are independent
-    // dot products, so the concatenation (and hence this norm) is bitwise
-    // the serial value for ANY shard count — unlike the adjoint reduce.
+    // Per-pass residual from one full forward per shard: a shard's plan has
+    // one thread, so it runs the row-partition loop and every row is
+    // bitwise the stratum forward serial os_sart stacks. Stratum 0's rows
+    // are kept for the next pass, as serial os_sart keeps them.
     std::fill(in.begin(), in.end(), std::span<const float>(x.data(), x.size()));
     backend.apply_all(ApplyOp::kForward, -1, in, parts);
     for (std::size_t i = 0; i < num_shards; ++i) {
@@ -205,6 +212,7 @@ recon::RunStats sharded_os_sart(ShardBackend& backend, std::span<const float> b,
       std::copy(parts[i].begin(), parts[i].end(),
                 full_residual.begin() + static_cast<std::ptrdiff_t>(specs[i].row_offset()));
     }
+    gather_rows(strata.front(), full_residual, strata.front().fwd);
     stats.residual_norms.push_back(
         recon::colmath::diff_norm2(b.data(), full_residual.data(), full_residual.size()));
     ++stats.iterations_run;
@@ -218,7 +226,7 @@ std::vector<ShardSpec> make_shard_specs(const pipeline::ReconJob& job, int num_s
   CSCV_CHECK_MSG(num_shards >= 1, "num_shards must be positive");
   job.geometry.validate();
   const std::vector<std::uint64_t> nnz = ct::count_view_nnz(job.geometry);
-  const std::vector<ViewRange> ranges = partition_views(nnz, num_shards);
+  const std::vector<ViewRange> ranges = partition_views(nnz, num_shards, job.cscv.s_vvec);
   std::vector<ShardSpec> specs;
   specs.reserve(ranges.size());
   for (std::size_t i = 0; i < ranges.size(); ++i) {

@@ -9,9 +9,9 @@
 // (copy shard 0, then colmath::accumulate shards 1..N-1 — the determinism
 // contract of docs/SHARDING.md).
 //
-// OS-SART cannot ride LinearOperator (its updates are per view-subset), so
+// OS-SART cannot ride LinearOperator (its updates are per stratum), so
 // sharded_os_sart() mirrors recon::os_sart's iteration line for line with
-// the per-subset applies going through the backend.
+// the stratum applies (whole view groups) going through the backend.
 #pragma once
 
 #include <span>
@@ -50,21 +50,24 @@ class ShardedOperator final : public recon::LinearOperator<float> {
   mutable std::vector<util::AlignedVector<float>> parts_;
 };
 
-/// Validates that `specs` partition the problem ShardedOperator expects;
-/// shared by the operator and sharded_os_sart. CheckError on violations.
+/// Validates that `specs` partition the problem ShardedOperator expects —
+/// contiguous ranges of whole view groups; shared by the operator and
+/// sharded_os_sart. CheckError on violations.
 void check_partition(const std::vector<ShardSpec>& specs);
 
 /// OS-SART over a sharded backend. Mirrors recon::os_sart exactly — same
-/// subset order, same colmath update calls, normalizers fetched from the
-/// shards (kRowSums/kColSums) and reduced in shard order. options.num_subsets
-/// must equal the os_sart_subsets the shards were built with.
+/// strata (view groups g % n == k, n = shard_strata), same stratum order and
+/// stratum-0 reuse, same colmath update calls, normalizers fetched from the
+/// shards (kRowSums/kColSums) and reduced in shard order.
+/// options.num_subsets must equal the os_sart_subsets the shards were
+/// built with.
 recon::RunStats sharded_os_sart(ShardBackend& backend, std::span<const float> b,
                                 std::span<float> x,
                                 const recon::OsSartOptions& options = {});
 
-/// Splits `job`'s problem into `num_shards` specs along nnz-balanced view
-/// boundaries (ct::count_view_nnz + partition_views). May return fewer
-/// shards than requested when views run out.
+/// Splits `job`'s problem into `num_shards` specs along nnz-balanced
+/// view-group boundaries (ct::count_view_nnz + partition_views). May return
+/// fewer shards than requested when view groups run out.
 [[nodiscard]] std::vector<ShardSpec> make_shard_specs(const pipeline::ReconJob& job,
                                                       int num_shards);
 

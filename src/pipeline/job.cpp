@@ -178,7 +178,8 @@ ReconJob ReconJob::from_json(const util::Json& spec) {
 
   job.os_sart_subsets = get_int_field(spec, "os_sart_subsets", job.os_sart_subsets);
   CSCV_CHECK_MSG(job.os_sart_subsets >= 1, "job spec: os_sart_subsets must be >= 1");
-  // The same bound ShardSpec::from_json enforces: every stratum needs a view.
+  // The same bound ShardSpec::from_json enforces; the solve further clamps
+  // the count to the operator's view groups (recon::os_sart_strata).
   if (job.algorithm == Algorithm::kOsSart) {
     CSCV_CHECK_MSG(job.os_sart_subsets <= job.geometry.num_views,
                    "job spec: os_sart_subsets " << job.os_sart_subsets << " out of [1, "
@@ -234,11 +235,13 @@ util::Json ReconResult::to_json() const {
     j["batch_size"] = util::Json(batch_size);
     j["batch_index"] = util::Json(batch_index);
   }
+  if (os_sart_subsets > 0) j["os_sart_subsets"] = util::Json(os_sart_subsets);
   j["volume_elements"] = util::Json(volume.size());
   if (plan_stats.nnz > 0) {
     util::Json p = util::Json::object();
     p["nnz"] = util::Json(plan_stats.nnz);
     p["padding_fraction"] = util::Json(plan_stats.padding_fraction);
+    p["value_type"] = util::Json(core::value_type_name(plan_stats.value_type));
     p["isa_tier"] = util::Json(simd::isa_tier_name(plan_stats.isa_tier));
     if (plan_stats.isa_clamped) p["isa_clamped"] = util::Json(true);
     p["threads"] = util::Json(plan_stats.threads);

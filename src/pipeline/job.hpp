@@ -49,7 +49,8 @@ struct ReconJob {
   /// Solver knobs for the iterative algorithms (ignored by kFbp).
   recon::SolveOptions solve{};
   /// Subset count for kOsSart, in [1, geometry.num_views] (ignored
-  /// elsewhere); part of an OS-SART job's matrix_key().
+  /// elsewhere). The solve clamps it to the operator's view groups
+  /// (recon::os_sart_strata); ReconResult::os_sart_subsets reports what ran.
   int os_sart_subsets = 8;
 
   /// Wall-clock budget measured from submit(); 0 disables. A job whose
@@ -70,9 +71,9 @@ struct ReconJob {
   /// Bin-major sinogram, geometry.num_rows() elements.
   util::AlignedVector<float> sinogram;
 
+  /// The operator this job runs on — the same for every algorithm.
   [[nodiscard]] MatrixKey matrix_key() const {
-    return MatrixKey{geometry, cscv, variant, algorithm, value_type, sparsify_eps,
-                     algorithm == Algorithm::kOsSart ? os_sart_subsets : 0};
+    return MatrixKey{geometry, cscv, variant, value_type, sparsify_eps};
   }
 
   /// The service wire format (docs/SERVICE.md): every field of the job as
@@ -120,10 +121,13 @@ struct ReconResult {
   int batch_size = 1;
   int batch_index = 0;
 
+  /// The stratum count a kOsSart job ran with (its os_sart_subsets clamped
+  /// to the operator's view groups); 0 for the other algorithms.
+  int os_sart_subsets = 0;
+
   /// Reconstructed image, geometry.num_cols() elements (empty unless kOk).
   util::AlignedVector<float> volume;
-  /// Snapshot of the worker plan that ran the job (zero for kOsSart, which
-  /// runs on CSR subsets instead of a plan).
+  /// Snapshot of the plan that ran the job.
   core::PlanStats plan_stats{};
 
   /// Telemetry summary (status, timings, plan highlights) — not the volume.

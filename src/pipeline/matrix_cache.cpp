@@ -8,7 +8,6 @@
 
 #include "core/serialize.hpp"
 #include "ct/system_matrix.hpp"
-#include "sparse/convert.hpp"
 #include "util/timing.hpp"
 
 namespace cscv::pipeline {
@@ -54,11 +53,8 @@ std::string MatrixKey::fingerprint() const {
      << geometry.delta_angle_deg << "-v" << cscv.s_vvec << 'i' << cscv.s_imgb << 'g'
      << cscv.s_vxg << '-' << core::reference_name(cscv.reference) << '-'
      << core::vxg_order_name(cscv.order)
-     << (variant == core::CscvMatrix<float>::Variant::kZ ? "-z-" : "-m-")
-     << algorithm_name(algorithm);
-  if (algorithm == Algorithm::kOsSart) os << "-s" << os_sart_subsets;
-  // Suffix only when non-default: fp32/eps=0 keys keep their pre-precision
-  // fingerprints, so existing spill files restore without a rebuild.
+     << (variant == core::CscvMatrix<float>::Variant::kZ ? "-z" : "-m");
+  // Suffix only when non-default: fp32/eps=0 keys keep the short form.
   if (value_type != core::ValueType::kF32) {
     os << '-' << core::value_type_name(value_type);
   }
@@ -66,12 +62,7 @@ std::string MatrixKey::fingerprint() const {
   return os.str();
 }
 
-std::size_t SystemMatrixEntry::bytes() const {
-  std::size_t total = 0;
-  if (cscv) total += cscv->matrix_bytes();
-  if (os_sart) total += os_sart->bytes();
-  return total;
-}
+std::size_t SystemMatrixEntry::bytes() const { return cscv ? cscv->matrix_bytes() : 0; }
 
 util::Json CacheStats::to_json() const {
   util::Json j = util::Json::object();
@@ -119,16 +110,7 @@ std::shared_ptr<SystemMatrixEntry> SystemMatrixCache::build_entry(const MatrixKe
   auto entry = std::make_shared<SystemMatrixEntry>();
   entry->geometry = key.geometry;
   entry->layout = core::OperatorLayout::from_geometry(key.geometry);
-  entry->algorithm = key.algorithm;
   const auto csc = ct::build_system_matrix_csc<float>(key.geometry);
-  if (key.algorithm == Algorithm::kOsSart) {
-    // OS-SART runs on the fp32 CSR rows, split into its view strata; the
-    // strata hold every row, so neither the CSR nor a CSCV matrix stays.
-    entry->os_sart = std::make_shared<const recon::OsSartSystem<float>>(
-        sparse::csr_from_csc(csc), entry->layout, key.os_sart_subsets);
-    entry->build_seconds = timer.seconds();
-    return entry;
-  }
   auto cscv =
       core::CscvMatrix<float>::build(csc, entry->layout, key.cscv, key.variant);
   // Footprint reduction happens build-side so every consumer of the entry
@@ -143,9 +125,7 @@ std::shared_ptr<SystemMatrixEntry> SystemMatrixCache::build_entry(const MatrixKe
 
 std::shared_ptr<SystemMatrixEntry> SystemMatrixCache::try_restore(
     const MatrixKey& key) const {
-  // OS-SART entries hold CSR strata, which have no file format, so a
-  // restore would still have to run the expensive CSC build — no file.
-  if (options_.spill_dir.empty() || key.algorithm == Algorithm::kOsSart) return nullptr;
+  if (options_.spill_dir.empty()) return nullptr;
   const std::string path = spill_path(key);
   std::error_code ec;
   if (!std::filesystem::exists(path, ec)) return nullptr;
@@ -165,7 +145,6 @@ std::shared_ptr<SystemMatrixEntry> SystemMatrixCache::try_restore(
     auto entry = std::make_shared<SystemMatrixEntry>();
     entry->geometry = key.geometry;
     entry->layout = layout;
-    entry->algorithm = key.algorithm;
     entry->restored_from_spill = true;
     entry->cscv = std::make_shared<const core::CscvMatrix<float>>(std::move(m));
     entry->build_seconds = timer.seconds();
@@ -200,9 +179,7 @@ std::vector<std::shared_ptr<const SystemMatrixEntry>> SystemMatrixCache::evict_t
     if (entry) {
       resident_bytes_ -= std::min(resident_bytes_, entry->bytes());
       ++stats_.evictions;
-      if (!options_.spill_dir.empty() && entry->algorithm != Algorithm::kOsSart) {
-        victims.push_back(entry);
-      }
+      if (!options_.spill_dir.empty()) victims.push_back(entry);
     }
   }
   return victims;
@@ -214,8 +191,7 @@ void SystemMatrixCache::spill_entries(
     try {
       std::filesystem::create_directories(options_.spill_dir);
       const MatrixKey key{entry->geometry, entry->cscv->params(), entry->cscv->variant(),
-                          entry->algorithm, entry->cscv->value_type(),
-                          entry->cscv->sparsify_eps(), /*os_sart_subsets=*/0};
+                          entry->cscv->value_type(), entry->cscv->sparsify_eps()};
       core::save_cscv_file(spill_path(key), *entry->cscv);
       util::MutexLock lock(mu_);
       ++stats_.spills;

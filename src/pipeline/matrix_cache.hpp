@@ -6,9 +6,9 @@
 // orders of magnitude more than the reconstruction it feeds. A service
 // handling a stream of slices therefore lives or dies on operator reuse:
 //
-//   * keyed on (geometry, CscvParams, variant, algorithm, and the subset
-//     count of an OS-SART entry) — everything that changes the bytes of the
-//     built operator set;
+//   * keyed on the operator alone (geometry, CscvParams, variant, value
+//     dtype, sparsify threshold) — everything that changes its bytes — so
+//     one entry serves a geometry's FBP, SIRT, CGLS and OS-SART jobs;
 //   * single-flight build deduplication: when N requests for the same key
 //     arrive while nothing is cached, exactly one caller builds and the
 //     other N-1 block on the in-flight slot, then share the result;
@@ -39,15 +39,13 @@
 #include "core/layout.hpp"
 #include "core/params.hpp"
 #include "ct/geometry.hpp"
-#include "recon/os_sart.hpp"
 #include "util/json.hpp"
 #include "util/sync.hpp"
 
 namespace cscv::pipeline {
 
-/// Reconstruction algorithm a job runs — part of the cache key because it
-/// decides which operator representation an entry carries (the plan-driven
-/// algorithms a CSCV matrix, OS-SART its view strata with their weights).
+/// Reconstruction algorithm a job runs. Not part of the cache key: every
+/// algorithm runs on the entry's one CSCV matrix.
 enum class Algorithm { kFbp, kSirt, kCgls, kOsSart };
 
 [[nodiscard]] const char* algorithm_name(Algorithm a);
@@ -59,27 +57,21 @@ enum class Algorithm { kFbp, kSirt, kCgls, kOsSart };
 /// Inverse of variant_name; throws util::CheckError on unknown names.
 [[nodiscard]] core::CscvMatrix<float>::Variant variant_from_name(std::string_view name);
 
-/// Cache identity: two keys compare equal exactly when the built operator
-/// sets would be byte-identical.
+/// Cache identity: two keys compare equal exactly when the built operators
+/// would be byte-identical.
 struct MatrixKey {
   ct::ParallelGeometry geometry;
   core::CscvParams cscv{};
   core::CscvMatrix<float>::Variant variant = core::CscvMatrix<float>::Variant::kM;
-  Algorithm algorithm = Algorithm::kSirt;
   /// Value storage dtype of the built CSCV matrix (docs/PRECISION.md).
   core::ValueType value_type = core::ValueType::kF32;
   /// Certified sparsification threshold applied after the build; 0 keeps
   /// every stored coefficient.
   double sparsify_eps = 0.0;
-  /// Subset count of the strata a kOsSart entry holds; 0 on every other
-  /// key (ReconJob::matrix_key), so it never splits plan-driven entries.
-  int os_sart_subsets = 0;
 
   /// Stable, filesystem-safe serialization of the key — the map key and
   /// the spill file stem (docs/PIPELINE.md documents the format). Precision
-  /// fields append a suffix only when non-default, and the subset count only
-  /// on ossart keys (which never spill), so every spill file name from
-  /// before either field existed stays valid.
+  /// fields append a suffix only when non-default.
   [[nodiscard]] std::string fingerprint() const;
 
   friend bool operator==(const MatrixKey&, const MatrixKey&) = default;
@@ -90,17 +82,13 @@ struct MatrixKey {
 struct SystemMatrixEntry {
   ct::ParallelGeometry geometry;
   core::OperatorLayout layout;
-  Algorithm algorithm = Algorithm::kSirt;
   bool restored_from_spill = false;
   double build_seconds = 0.0;  // wall time of the build (or restore)
 
-  /// The house format: forward via SpmvPlan::execute, backprojection via
-  /// SpmvPlan::execute_transpose. Present for kFbp/kSirt/kCgls, null for
-  /// kOsSart.
+  /// The house format, for every algorithm: forward via SpmvPlan::execute,
+  /// backprojection via SpmvPlan::execute_transpose, OS-SART strata via
+  /// their group-subset forms.
   std::shared_ptr<const core::CscvMatrix<float>> cscv;
-  /// kOsSart only: the key's view strata of the CSR operator with their
-  /// SART weights, built once and shared by every OS-SART solve.
-  std::shared_ptr<const recon::OsSartSystem<float>> os_sart;
 
   /// Budget-relevant footprint of the resident arrays.
   [[nodiscard]] std::size_t bytes() const;
@@ -179,8 +167,7 @@ class SystemMatrixCache {
     std::exception_ptr error;                        // set when the build threw
   };
 
-  /// Full build from the geometry (CSC -> CSCV, or CSC -> CSR -> OS-SART
-  /// strata); no lock held.
+  /// Full build from the geometry (CSC -> CSCV); no lock held.
   static std::shared_ptr<SystemMatrixEntry> build_entry(const MatrixKey& key);
   /// Attempts a spill restore; nullptr when unavailable/unusable.
   [[nodiscard]] std::shared_ptr<SystemMatrixEntry> try_restore(const MatrixKey& key) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <list>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -47,6 +48,34 @@ ServiceStats ServiceStats::from_json(const util::Json& j) {
   return s;
 }
 
+namespace {
+
+recon::OsSartOptions os_sart_options(const ReconJob& job) {
+  return {.iterations = job.solve.iterations,
+          .num_subsets = job.os_sart_subsets,
+          .relaxation = job.solve.relaxation,
+          .enforce_nonneg = job.solve.enforce_nonneg};
+}
+
+/// `plan`, or a call-local plan over the entry at the ambient thread count
+/// held in `local` when `plan` is null.
+const core::SpmvPlan<float>& plan_or_local(const SystemMatrixEntry& entry,
+                                           const core::SpmvPlan<float>* plan, int num_rhs,
+                                           std::unique_ptr<core::SpmvPlan<float>>& local) {
+  CSCV_CHECK_MSG(entry.cscv != nullptr, "the entry holds no CSCV matrix");
+  if (plan == nullptr) {
+    local = std::make_unique<core::SpmvPlan<float>>(*entry.cscv,
+                                                    core::PlanOptions{.num_rhs = num_rhs});
+    return *local;
+  }
+  CSCV_CHECK_MSG(plan->matrix() == entry.cscv.get() && plan->num_rhs() == num_rhs,
+                 "jobs need a plan over the entry's CSCV matrix with num_rhs == "
+                     << num_rhs);
+  return *plan;
+}
+
+}  // namespace
+
 ReconResult execute_job(const ReconJob& job, const SystemMatrixEntry& entry,
                         const core::SpmvPlan<float>* plan) {
   job.geometry.validate();
@@ -55,48 +84,38 @@ ReconResult execute_job(const ReconJob& job, const SystemMatrixEntry& entry,
   CSCV_CHECK_MSG(job.sinogram.size() == rows, "sinogram has " << job.sinogram.size()
                                                               << " elements, geometry wants "
                                                               << rows);
+  std::unique_ptr<core::SpmvPlan<float>> local;
+  const core::SpmvPlan<float>& p = plan_or_local(entry, plan, 1, local);
   ReconResult r;
   r.tag = job.tag;
   util::WallTimer timer;
   r.volume.assign(cols, 0.0F);
+  recon::RunStats stats;
   switch (job.algorithm) {
     case Algorithm::kFbp: {
-      CSCV_CHECK_MSG(plan != nullptr && plan->matrix() == entry.cscv.get(),
-                     "kFbp needs a plan over the entry's CSCV matrix");
-      const recon::PlanOperator<float> op(*plan);
+      const recon::PlanOperator<float> op(p);
       r.volume = recon::fbp<float>(job.geometry, op, job.sinogram);
-      r.iterations_run = 1;
+      stats.iterations_run = 1;
       break;
     }
     case Algorithm::kSirt:
     case Algorithm::kCgls: {
-      CSCV_CHECK_MSG(plan != nullptr && plan->matrix() == entry.cscv.get(),
-                     "iterative algorithms need a plan over the entry's CSCV matrix");
-      const recon::PlanOperator<float> op(*plan);
-      const recon::RunStats stats =
-          job.algorithm == Algorithm::kSirt
-              ? recon::sirt<float>(op, job.sinogram, r.volume, job.solve)
-              : recon::cgls<float>(op, job.sinogram, r.volume, job.solve);
-      r.iterations_run = stats.iterations_run;
-      if (!stats.residual_norms.empty()) r.final_residual = stats.residual_norms.back();
+      const recon::PlanOperator<float> op(p);
+      stats = job.algorithm == Algorithm::kSirt
+                  ? recon::sirt<float>(op, job.sinogram, r.volume, job.solve)
+                  : recon::cgls<float>(op, job.sinogram, r.volume, job.solve);
       break;
     }
-    case Algorithm::kOsSart: {
-      CSCV_CHECK_MSG(entry.os_sart != nullptr, "kOsSart entry is missing its strata");
-      recon::OsSartOptions opts;
-      opts.iterations = job.solve.iterations;
-      opts.num_subsets = job.os_sart_subsets;
-      opts.relaxation = job.solve.relaxation;
-      opts.enforce_nonneg = job.solve.enforce_nonneg;
-      const recon::RunStats stats =
-          recon::os_sart<float>(*entry.os_sart, job.sinogram, r.volume, opts);
-      r.iterations_run = stats.iterations_run;
-      if (!stats.residual_norms.empty()) r.final_residual = stats.residual_norms.back();
+    case Algorithm::kOsSart:
+      stats = recon::os_sart<float>(p, job.sinogram, r.volume, os_sart_options(job));
+      r.os_sart_subsets =
+          recon::os_sart_strata(entry.cscv->grid().view_groups, job.os_sart_subsets);
       break;
-    }
   }
   r.solve_seconds = timer.seconds();
-  if (plan != nullptr) r.plan_stats = plan->stats();
+  r.iterations_run = stats.iterations_run;
+  if (!stats.residual_norms.empty()) r.final_residual = stats.residual_norms.back();
+  r.plan_stats = p.stats();
   r.status = JobStatus::kOk;
   return r;
 }
@@ -125,6 +144,8 @@ std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
   }
   const std::size_t k = jobs.size();
   const int num_rhs = static_cast<int>(k);
+  std::unique_ptr<core::SpmvPlan<float>> local;
+  const core::SpmvPlan<float>& p = plan_or_local(entry, plan, num_rhs, local);
 
   // Interleave the sinograms into one multi-RHS B and solve all columns in
   // lockstep over a single matrix traversal per iteration.
@@ -139,11 +160,7 @@ std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
   switch (algo) {
     case Algorithm::kSirt:
     case Algorithm::kCgls: {
-      CSCV_CHECK_MSG(plan != nullptr && plan->matrix() == entry.cscv.get() &&
-                         plan->num_rhs() == num_rhs,
-                     "batched iterative algorithms need a plan over the entry's CSCV "
-                     "matrix with num_rhs == batch size");
-      const recon::PlanOperator<float> op(*plan);
+      const recon::PlanOperator<float> op(p);
       std::vector<recon::SolveOptions> solve(k);
       for (std::size_t c = 0; c < k; ++c) solve[c] = jobs[c].solve;
       stats = algo == Algorithm::kSirt
@@ -152,15 +169,10 @@ std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
       break;
     }
     case Algorithm::kOsSart: {
-      CSCV_CHECK_MSG(entry.os_sart != nullptr, "kOsSart entry is missing its strata");
-      std::vector<recon::OsSartOptions> opts(k);
-      for (std::size_t c = 0; c < k; ++c) {
-        opts[c].iterations = jobs[c].solve.iterations;
-        opts[c].num_subsets = jobs[c].os_sart_subsets;
-        opts[c].relaxation = jobs[c].solve.relaxation;
-        opts[c].enforce_nonneg = jobs[c].solve.enforce_nonneg;
-      }
-      stats = recon::os_sart_batch<float>(*entry.os_sart, b, x, num_rhs, opts);
+      std::vector<recon::OsSartOptions> opts;
+      opts.reserve(k);
+      for (const ReconJob& j : jobs) opts.push_back(os_sart_options(j));
+      stats = recon::os_sart_batch<float>(p, b, x, opts);
       break;
     }
     case Algorithm::kFbp: break;  // unreachable, checked above
@@ -175,8 +187,12 @@ std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
     for (std::size_t i = 0; i < cols; ++i) r.volume[i] = x[i * k + c];
     r.iterations_run = stats[c].iterations_run;
     if (!stats[c].residual_norms.empty()) r.final_residual = stats[c].residual_norms.back();
+    if (algo == Algorithm::kOsSart) {
+      r.os_sart_subsets = recon::os_sart_strata(entry.cscv->grid().view_groups,
+                                                   jobs[c].os_sart_subsets);
+    }
     r.solve_seconds = solve_seconds;  // shared: the fused solve ran once
-    if (plan != nullptr) r.plan_stats = plan->stats();
+    r.plan_stats = p.stats();
     r.batch_size = num_rhs;
     r.batch_index = static_cast<int>(c);
     r.status = JobStatus::kOk;
@@ -389,6 +405,7 @@ void ReconService::worker_main(int worker_index) {
     const Algorithm lead_algo = batch.front().p.job.algorithm;
     if (options_.max_batch > 1 && lead_algo != Algorithm::kFbp) {
       const MatrixKey lead_key = batch.front().p.job.matrix_key();
+      const int lead_subsets = batch.front().p.job.os_sart_subsets;
       bool has_deadline = batch.front().p.job.deadline_seconds > 0.0;
       bool counted_debatch = false;
       const auto window_end =
@@ -414,9 +431,11 @@ void ReconService::worker_main(int worker_index) {
         if (!queue_.try_pop_for(next, wait)) break;  // window spent or closed
         auto m = admit(std::move(next));
         if (!m.has_value()) continue;
-        // The key carries the algorithm and, for OS-SART, the subset count.
+        // One key serves every algorithm, so fusion also needs the same
+        // algorithm and, for OS-SART, the same subset count.
         const ReconJob& j = m->p.job;
-        if (j.matrix_key() != lead_key) {
+        if (j.matrix_key() != lead_key || j.algorithm != lead_algo ||
+            (j.algorithm == Algorithm::kOsSart && j.os_sart_subsets != lead_subsets)) {
           carry = std::move(*m);  // leads its own batch next iteration
           break;
         }
@@ -448,10 +467,8 @@ void ReconService::worker_main(int worker_index) {
       }
       if (batch.empty()) continue;
 
-      const core::SpmvPlan<float>* plan = nullptr;
-      if (lead_algo != Algorithm::kOsSart) {
-        plan = acquire_plan(acquired.entry, static_cast<int>(batch.size()));
-      }
+      const core::SpmvPlan<float>* plan =
+          acquire_plan(acquired.entry, static_cast<int>(batch.size()));
 
       if (batch.size() == 1) {
         Member& m = batch.front();

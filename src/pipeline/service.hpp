@@ -74,8 +74,8 @@ struct ServiceOptions {
   /// budget (the most recent plan is always kept). 0 = no byte cap.
   std::size_t plan_bytes_per_worker = 0;
   /// Jobs a worker may fuse into one batched multi-RHS solve. 1 disables
-  /// batching. Only queued jobs agreeing on system-matrix key (and subset
-  /// count for kOsSart) fuse; kFbp never fuses.
+  /// batching. Only queued jobs agreeing on system-matrix key and algorithm
+  /// (and subset count for kOsSart) fuse; kFbp never fuses.
   int max_batch = 1;
   /// How long a worker holds its first job waiting for batch-mates before
   /// running with what it has (ignored when max_batch == 1). The window
@@ -111,11 +111,12 @@ struct ServiceStats {
 };
 
 /// Runs one job against an acquired operator entry, synchronously on the
-/// calling thread. `plan` is the execution plan for the plan-driven
-/// algorithms (kFbp/kSirt/kCgls; must be a plan over *entry.cscv) and is
-/// ignored by kOsSart (which runs on entry.os_sart). Fills the solve half of
-/// the result (status/volume/iterations/residual/solve_seconds/plan_stats);
-/// the service half (ids, waits, cache flags) belongs to the caller.
+/// calling thread. `plan` must be a single-RHS plan over *entry.cscv; null
+/// runs the job on a call-local plan at the ambient thread count. Every
+/// algorithm runs on it. Fills the solve half of the result
+/// (status/volume/iterations/residual/solve_seconds/plan_stats, and the
+/// stratum count of an OS-SART job); the service half (ids, waits, cache
+/// flags) belongs to the caller.
 ///
 /// Exposed so tests and benches can produce the serial reference volumes
 /// the service's outputs are compared against — same code path, no queue.
@@ -123,10 +124,10 @@ ReconResult execute_job(const ReconJob& job, const SystemMatrixEntry& entry,
                         const core::SpmvPlan<float>* plan);
 
 /// Runs `jobs` — all sharing `entry`'s matrix key and one iterative
-/// algorithm (kFbp never batches) — as one fused multi-RHS solve with
-/// num_rhs == jobs.size(). For kSirt/kCgls `plan` must be a plan over
-/// *entry.cscv built with num_rhs == jobs.size(); kOsSart ignores it and
-/// runs on entry.os_sart. Returns one result per job, in order. Each job's
+/// algorithm (kFbp never batches; OS-SART jobs also share a subset count)
+/// — as one fused multi-RHS solve with num_rhs == jobs.size(). `plan` must
+/// be a plan over *entry.cscv built with num_rhs == jobs.size(), or null
+/// for a call-local one. Returns one result per job, in order. Each job's
 /// volume is bitwise identical to execute_job() on that job alone — the
 /// contract that lets ReconService fuse queued jobs transparently.
 std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,

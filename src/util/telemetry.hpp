@@ -60,6 +60,11 @@ struct Counters {
   double transpose_seconds_total = 0.0;
   double transpose_seconds_min = 0.0;
 
+  // View-group subset applies (OS-SART strata): counted, not timed, so a
+  // stratum's fraction of the work never becomes the best apply time.
+  std::uint64_t subset_applies = 0;
+  std::uint64_t subset_transpose_applies = 0;
+
   void record_plan_build(double seconds) {
     ++plan_builds;
     plan_build_seconds += seconds;
@@ -77,6 +82,8 @@ struct Counters {
                                 ? seconds
                                 : std::min(transpose_seconds_min, seconds);
   }
+  void record_subset_apply() { ++subset_applies; }
+  void record_subset_transpose() { ++subset_transpose_applies; }
   void reset() { *this = Counters{}; }
 };
 
@@ -98,10 +105,14 @@ struct Counters {
   static constexpr std::uint64_t transpose_applies = 0;
   static constexpr double transpose_seconds_total = 0.0;
   static constexpr double transpose_seconds_min = 0.0;
+  static constexpr std::uint64_t subset_applies = 0;
+  static constexpr std::uint64_t subset_transpose_applies = 0;
 
   void record_plan_build(double) {}
   void record_apply(double) {}
   void record_transpose(double) {}
+  void record_subset_apply() {}
+  void record_subset_transpose() {}
   void reset() {}
 };
 

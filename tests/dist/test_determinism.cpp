@@ -3,8 +3,7 @@
 //   * N=1 sharded is BITWISE (memcmp) the serial reference for SIRT,
 //     OS-SART, and CGLS.
 //   * N in {2, 4} is bitwise run-to-run deterministic (fixed shard-ordered
-//     reduce), and OS-SART's per-pass residual norms stay bitwise-serial
-//     for every N (per-row CSR dot products do not see the row partition).
+//     reduce); shards hold whole view groups, so N is capped by the groups.
 // Everything runs single-threaded — the contract pins shard math to one
 // thread.
 #include "dist/sharded_operator.hpp"
@@ -21,9 +20,9 @@
 #include "ct/phantom.hpp"
 #include "ct/system_matrix.hpp"
 #include "dist/coordinator.hpp"
+#include "pipeline/service.hpp"
 #include "recon/os_sart.hpp"
 #include "recon/solvers.hpp"
-#include "sparse/convert.hpp"
 #include "util/parallel.hpp"
 
 namespace cscv::dist {
@@ -88,15 +87,17 @@ TEST(ShardedDeterminism, CglsSingleShardIsBitwiseSerial) {
 
 TEST(ShardedDeterminism, OsSartSingleShardIsBitwiseSerial) {
   const auto job = make_job(pipeline::Algorithm::kOsSart);
+  // The serial reference: OS-SART over the serial CSCV plan (threads 1).
   auto csc = ct::build_system_matrix_csc<float>(job.geometry);
   const auto layout = core::OperatorLayout::from_geometry(job.geometry);
-  const auto csr = sparse::csr_from_csc(csc);
+  auto m = core::CscvMatrix<float>::build(csc, layout, job.cscv, job.variant);
   util::AlignedVector<float> ref(static_cast<std::size_t>(layout.num_cols()), 0.0f);
   const recon::OsSartOptions opts{.iterations = job.solve.iterations,
                                   .num_subsets = job.os_sart_subsets,
                                   .relaxation = job.solve.relaxation,
                                   .enforce_nonneg = job.solve.enforce_nonneg};
-  const recon::RunStats ref_stats = recon::os_sart<float>(csr, layout, job.sinogram, ref, opts);
+  const recon::RunStats ref_stats =
+      recon::os_sart<float>(m.plan({.threads = 1}), job.sinogram, ref, opts);
 
   recon::RunStats stats;
   const auto volume = run_sharded(job, 1, &stats);
@@ -118,6 +119,47 @@ TEST(ShardedDeterminism, OsSartSingleShardIsBitwiseSerial) {
   }
 }
 
+// One OS-SART job, four paths, one volume: the serial solve over a
+// one-thread plan, its column of a fused batch, one shard, and the service
+// (one worker, one OpenMP thread).
+TEST(ShardedDeterminism, OsSartSerialBatchShardAndServedAgree) {
+  auto job = make_job(pipeline::Algorithm::kOsSart);
+  job.os_sart_subsets = 3;  // 20 views of 8: three view groups
+  const auto layout = core::OperatorLayout::from_geometry(job.geometry);
+  const auto n = static_cast<std::size_t>(layout.num_cols());
+  const auto m_rows = static_cast<std::size_t>(layout.num_rows());
+  const auto m = core::CscvMatrix<float>::build(
+      ct::build_system_matrix_csc<float>(job.geometry), layout, job.cscv, job.variant);
+  const recon::OsSartOptions opts{.iterations = job.solve.iterations,
+                                  .num_subsets = job.os_sart_subsets,
+                                  .relaxation = job.solve.relaxation,
+                                  .enforce_nonneg = job.solve.enforce_nonneg};
+  util::AlignedVector<float> serial(n, 0.0F);
+  (void)recon::os_sart<float>(core::SpmvPlan<float>(m, {.threads = 1}), job.sinogram, serial,
+                              opts);
+
+  constexpr std::size_t kBatch = 3;
+  util::AlignedVector<float> b(m_rows * kBatch);
+  for (std::size_t i = 0; i < m_rows; ++i) {
+    for (std::size_t c = 0; c < kBatch; ++c) b[i * kBatch + c] = job.sinogram[i] * (c + 1.0F) / 2;
+  }
+  util::AlignedVector<float> x(n * kBatch, 0.0F);
+  (void)recon::os_sart_batch<float>(
+      core::SpmvPlan<float>(m, {.num_rhs = kBatch, .threads = 1}), b, x,
+      std::vector<recon::OsSartOptions>(kBatch, opts));
+  util::AlignedVector<float> column(n);
+  for (std::size_t j = 0; j < n; ++j) column[j] = x[j * kBatch + 1];
+  EXPECT_TRUE(bitwise_equal(column, serial)) << "batch column";
+
+  EXPECT_TRUE(bitwise_equal(run_sharded(job, 1), serial)) << "one shard";
+
+  pipeline::ReconService service({.num_workers = 1, .omp_threads_per_worker = 1});
+  const pipeline::ReconResult served = service.submit(job).result.get();
+  ASSERT_EQ(served.status, pipeline::JobStatus::kOk) << served.error;
+  EXPECT_TRUE(bitwise_equal(served.volume, serial)) << "served";
+  EXPECT_EQ(served.os_sart_subsets, 3);
+}
+
 TEST(ShardedDeterminism, MultiShardRunsAreBitwiseRepeatable) {
   for (const auto algorithm : {pipeline::Algorithm::kSirt, pipeline::Algorithm::kCgls,
                                pipeline::Algorithm::kOsSart}) {
@@ -133,9 +175,9 @@ TEST(ShardedDeterminism, MultiShardRunsAreBitwiseRepeatable) {
 }
 
 TEST(ShardedDeterminism, SingletonShardsWithEmptyStrata) {
-  // One shard per view: most shards contribute nothing to most OS-SART
-  // subsets (empty strata), which must degrade to zero-length partials,
-  // not errors.
+  // As many shards as views asked for: the cut yields one shard per view
+  // group, so every shard contributes nothing to all strata but its own
+  // (empty strata), which must degrade to zero-length partials, not errors.
   auto job = make_job(pipeline::Algorithm::kOsSart);
   const auto first = run_sharded(job, job.geometry.num_views);
   const auto second = run_sharded(job, job.geometry.num_views);
@@ -145,11 +187,20 @@ TEST(ShardedDeterminism, SingletonShardsWithEmptyStrata) {
 
 TEST(ShardSpecs, PartitionCoversAllViews) {
   const auto job = make_job(pipeline::Algorithm::kSirt);
+  const int s_vvec = job.cscv.s_vvec;
+  const int groups = (job.geometry.num_views + s_vvec - 1) / s_vvec;
   for (const int n : {1, 2, 4, 7, 100}) {
     const auto specs = make_shard_specs(job, n);
     EXPECT_NO_THROW(check_partition(specs));
-    EXPECT_LE(static_cast<int>(specs.size()), job.geometry.num_views);
+    EXPECT_LE(static_cast<int>(specs.size()), std::min(n, groups));
+    for (const auto& spec : specs) EXPECT_EQ(spec.view_begin % s_vvec, 0);
   }
+  // A hand-made cut inside a view group is refused.
+  auto specs = make_shard_specs(job, 2);
+  ASSERT_EQ(specs.size(), 2U);
+  specs[0].view_end -= 1;
+  specs[1].view_begin -= 1;
+  EXPECT_THROW(check_partition(specs), util::CheckError);
 }
 
 TEST(ShardSpill, SecondBuildRestoresFromSpill) {

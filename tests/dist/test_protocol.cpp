@@ -7,6 +7,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "ct/geometry.hpp"
 
@@ -71,12 +72,17 @@ TEST(FrameParser, BadMagicThrows) {
 }
 
 TEST(FrameParser, BadVersionThrows) {
-  std::string wire = encode_frame(MsgType::kPing, "x");
-  wire[4] = 99;
-  FrameParser parser;
-  parser.append(wire.data(), wire.size());
-  Frame frame;
-  EXPECT_THROW((void)parser.next(frame), ProtocolError);
+  // Version 1 framed the same bytes but meant single-view OS-SART strata:
+  // it must be refused as a protocol error, not parsed.
+  for (const char version : {char{1}, char{99}}) {
+    std::string wire = encode_frame(MsgType::kPing, "x");
+    wire[4] = version;
+    wire[5] = 0;
+    FrameParser parser;
+    parser.append(wire.data(), wire.size());
+    Frame frame;
+    EXPECT_THROW((void)parser.next(frame), ProtocolError) << "version " << int(version);
+  }
 }
 
 TEST(FrameParser, UnknownTypeThrows) {
@@ -190,6 +196,19 @@ TEST(ShardSpecJson, RejectsUnknownKeysAndBadRanges) {
   inverted["view_begin"] = util::Json(16);
   inverted["view_end"] = util::Json(8);
   EXPECT_THROW((void)ShardSpec::from_json(inverted), util::CheckError);
+
+  // Shards hold whole view groups (S_VVec = 8 views): a cut inside a group
+  // is rejected at either end; the last group may end at num_views.
+  for (const auto& [begin, end] : {std::pair{4, 16}, std::pair{8, 12}}) {
+    util::Json mid = spec.to_json();
+    mid["view_begin"] = util::Json(begin);
+    mid["view_end"] = util::Json(end);
+    EXPECT_THROW((void)ShardSpec::from_json(mid), util::CheckError) << begin << ".." << end;
+  }
+  util::Json tail = spec.to_json();
+  tail["view_begin"] = util::Json(16);
+  tail["view_end"] = util::Json(24);
+  EXPECT_NO_THROW((void)ShardSpec::from_json(tail));
 }
 
 TEST(ShardSpecJson, RejectsGeometryThatOverflowsIndexSpace) {

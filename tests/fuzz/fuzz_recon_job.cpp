@@ -3,8 +3,8 @@
 // base64 sinogram decode -> geometry checks. Contract: any text either
 // throws util::CheckError (the 400 path) or yields a job whose wire round
 // trip (to_json -> from_json) reproduces the same shape, and an accepted
-// OS-SART job has 1 <= os_sart_subsets <= num_views (every stratum gets a
-// view, so the cache build it keys cannot fail on the count).
+// OS-SART job has 1 <= os_sart_subsets <= num_views (the solve clamps the
+// count to the view groups, so it cannot fail on it).
 #include <cstddef>
 #include <cstdint>
 #include <string_view>

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   ShardSpec spec;
   spec.shard_id = 1;
   spec.num_shards = 2;
-  spec.view_begin = 6;
+  spec.view_begin = 8;  // whole view groups of 8: [8, 12) ends at num_views
   spec.view_end = 12;
   spec.geometry = cscv::ct::standard_geometry(16, 12);
   spec.algorithm = cscv::pipeline::Algorithm::kOsSart;

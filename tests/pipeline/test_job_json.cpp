@@ -177,6 +177,30 @@ TEST(JobJson, QosClassNamesRoundTrip) {
   EXPECT_THROW((void)qos_class_from_name("bulk"), util::CheckError);
 }
 
+// A result says what ran: the plan block names the dtype the operator
+// streamed, and an OS-SART result the stratum count it ran with (its
+// subsets clamped to the operator's view groups: 12 views of 8 are 2).
+TEST(ResultJson, PlanReportsDtypeAndOsSartReportsItsStrata) {
+  ReconJob job = small_job();
+  job.value_type = core::ValueType::kBf16;
+  job.os_sart_subsets = 8;
+  SystemMatrixCache cache;
+  const auto entry = cache.get_or_build(job.matrix_key()).entry;
+  for (const Algorithm a : {Algorithm::kSirt, Algorithm::kOsSart}) {
+    job.algorithm = a;
+    const util::Json j = execute_job(job, *entry, nullptr).to_json();
+    SCOPED_TRACE(algorithm_name(a));
+    ASSERT_NE(j.find("plan"), nullptr);
+    EXPECT_EQ(j.at("plan").at("value_type").as_string(), "bf16");
+    if (a == Algorithm::kOsSart) {
+      ASSERT_NE(j.find("os_sart_subsets"), nullptr);
+      EXPECT_EQ(j.at("os_sart_subsets").as_int(), 2);
+    } else {
+      EXPECT_EQ(j.find("os_sart_subsets"), nullptr);
+    }
+  }
+}
+
 TEST(ServiceStatsJson, RoundTripPreservesAllCounters) {
   ServiceStats s;
   s.submitted = 11;

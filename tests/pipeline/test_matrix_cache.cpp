@@ -6,11 +6,13 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/plan.hpp"
 #include "core/serialize.hpp"
+#include "pipeline/job.hpp"
 #include "pipeline/matrix_cache.hpp"
 #include "sparse/random.hpp"
 #include "util/assertx.hpp"
@@ -18,11 +20,10 @@
 namespace cscv::pipeline {
 namespace {
 
-MatrixKey key_for(int image, int views, Algorithm algorithm = Algorithm::kSirt) {
+MatrixKey key_for(int image, int views) {
   MatrixKey k;
   k.geometry = ct::standard_geometry(image, views);
   k.cscv = {.s_vvec = 8, .s_imgb = 8, .s_vxg = 2};
-  k.algorithm = algorithm;
   return k;
 }
 
@@ -65,8 +66,13 @@ TEST(SystemMatrixCache, FingerprintSeparatesEveryKeyField) {
   other.variant = core::CscvMatrix<float>::Variant::kZ;
   EXPECT_NE(base.fingerprint(), other.fingerprint());
   other = base;
-  other.algorithm = Algorithm::kCgls;
+  other.value_type = core::ValueType::kBf16;
   EXPECT_NE(base.fingerprint(), other.fingerprint());
+  other = base;
+  other.sparsify_eps = 1e-3;
+  EXPECT_NE(base.fingerprint(), other.fingerprint());
+  // The algorithm is not a key field: every job on one operator shares it.
+  EXPECT_EQ(base.fingerprint().find("sirt"), std::string::npos) << base.fingerprint();
 }
 
 // The acceptance-critical stampede: many threads, one cold key, exactly one
@@ -115,42 +121,39 @@ TEST(SystemMatrixCache, DistinctKeysBuildSeparatelyAndHitAfterwards) {
   EXPECT_EQ(s.hits, 1U);
 }
 
-// OS-SART entries carry their view strata and weights instead of a CSCV
-// matrix, counted against the budget; the subset count is part of the key.
-TEST(SystemMatrixCache, OsSartEntriesCarryStrataNotCscv) {
+// One entry per operator: FBP, SIRT, CGLS and OS-SART jobs (any subset
+// count) on one geometry share one key and one CSCV entry, whose matrix is
+// all that counts against the budget.
+TEST(SystemMatrixCache, EveryAlgorithmSharesOneCscvEntry) {
   SystemMatrixCache cache;
-  const auto sirt = cache.get_or_build(key_for(16, 12, Algorithm::kSirt));
-  EXPECT_EQ(sirt.entry->os_sart, nullptr);
-  ASSERT_NE(sirt.entry->cscv, nullptr);
-
-  MatrixKey key4 = key_for(16, 12, Algorithm::kOsSart);
-  key4.os_sart_subsets = 4;
-  MatrixKey key3 = key4;
-  key3.os_sart_subsets = 3;
-  EXPECT_NE(key4.fingerprint(), key3.fingerprint());
-  const auto four = cache.get_or_build(key4);
-  ASSERT_NE(four.entry->os_sart, nullptr);
-  EXPECT_EQ(four.entry->cscv, nullptr) << "nothing reads a CSCV matrix for OS-SART";
-  EXPECT_EQ(four.entry->os_sart->num_subsets(), 4);
-  EXPECT_GT(four.entry->os_sart->bytes(), 0U);
-  EXPECT_EQ(four.entry->bytes(), four.entry->os_sart->bytes())
-      << "the strata must count against the budget";
-
-  const auto three = cache.get_or_build(key3);
-  EXPECT_FALSE(three.hit);
-  EXPECT_NE(three.entry.get(), four.entry.get());
-  EXPECT_EQ(three.entry->os_sart->num_subsets(), 3);
-  EXPECT_TRUE(cache.get_or_build(key4).hit);
-  EXPECT_EQ(cache.stats().builds, 3U);
-  EXPECT_EQ(cache.stats().resident_entries, 3U);
+  ReconJob job;
+  job.geometry = ct::standard_geometry(16, 12);
+  job.cscv = {.s_vvec = 8, .s_imgb = 8, .s_vxg = 2};
+  std::shared_ptr<const SystemMatrixEntry> first;
+  for (const Algorithm a :
+       {Algorithm::kFbp, Algorithm::kSirt, Algorithm::kCgls, Algorithm::kOsSart}) {
+    for (const int subsets : {4, 3}) {
+      job.algorithm = a;
+      job.os_sart_subsets = subsets;
+      EXPECT_EQ(job.matrix_key(), key_for(16, 12));
+      const auto got = cache.get_or_build(job.matrix_key());
+      if (!first) first = got.entry;
+      EXPECT_EQ(got.entry.get(), first.get()) << algorithm_name(a) << " s" << subsets;
+    }
+  }
+  ASSERT_NE(first->cscv, nullptr);
+  EXPECT_EQ(first->bytes(), first->cscv->matrix_bytes());
+  EXPECT_EQ(cache.stats().builds, 1U);
+  EXPECT_EQ(cache.stats().resident_entries, 1U);
 }
 
 // Byte-budget LRU: with A and B resident and A freshly touched, inserting a
 // third entry evicts B (the least recently used), not A.
 TEST(SystemMatrixCache, LruEvictsLeastRecentlyTouched) {
-  const MatrixKey key_a = key_for(16, 12, Algorithm::kSirt);
-  const MatrixKey key_b = key_for(24, 12, Algorithm::kSirt);
-  const MatrixKey key_c = key_for(16, 12, Algorithm::kCgls);  // same bytes as A
+  const MatrixKey key_a = key_for(16, 12);
+  const MatrixKey key_b = key_for(24, 12);
+  MatrixKey key_c = key_for(16, 12);  // A narrowed: fewer bytes than A
+  key_c.value_type = core::ValueType::kBf16;
 
   std::size_t bytes_a = 0;
   std::size_t bytes_b = 0;

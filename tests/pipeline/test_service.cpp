@@ -48,6 +48,8 @@ ReconResult reference_run(const ReconJob& job) {
   static SystemMatrixCache ref_cache;
   const auto acquired = ref_cache.get_or_build(job.matrix_key());
   std::unique_ptr<core::SpmvPlan<float>> plan;
+  // OS-SART takes the null-plan path: a call-local plan at the one ambient
+  // thread set below, which must give the worker's bits too.
   if (job.algorithm != Algorithm::kOsSart) {
     plan = std::make_unique<core::SpmvPlan<float>>(*acquired.entry->cscv, core::PlanOptions{.threads = 1});
   }
@@ -307,6 +309,41 @@ TEST(ReconServiceBatch, MismatchedSubsetCountsDoNotFuse) {
   EXPECT_EQ(s.batched_jobs, 0U) << "structurally incompatible jobs must not fuse";
 }
 
+// OS-SART runs on the job's own operator: a bf16 job and a sparsified job
+// each reproduce execute_job over their narrowed / sparsified entry bit for
+// bit and differ from the fp32 volume; OS-SART jobs with two subset counts
+// and a SIRT job on one geometry share a single cache build.
+TEST(ReconService, OsSartRunsOnTheJobsOwnOperator) {
+  ServiceOptions opts;
+  opts.num_workers = 2;
+  ReconService service(opts);
+  const ReconJob fp32 = make_job(32, 32, Algorithm::kOsSart);
+  ReconJob bf16 = fp32;
+  bf16.value_type = core::ValueType::kBf16;
+  ReconJob sparse = fp32;
+  sparse.sparsify_eps = 0.05;
+  const ReconResult want_fp32 = reference_run(fp32);
+  for (const ReconJob& job : {bf16, sparse}) {
+    const ReconResult got = service.submit(job).result.get();
+    const ReconResult want = reference_run(job);
+    expect_bitwise_volumes(got, want);
+    ASSERT_EQ(got.volume.size(), want_fp32.volume.size());
+    EXPECT_NE(0, std::memcmp(got.volume.data(), want_fp32.volume.data(),
+                             got.volume.size() * sizeof(float)))
+        << "a narrowed or sparsified OS-SART job ran the fp32 operator";
+  }
+  EXPECT_EQ(service.cache_stats().builds, 2U);
+
+  ReconService fresh(opts);
+  ReconJob two = fp32;
+  two.os_sart_subsets = 2;
+  for (const ReconJob& job : {fp32, two, make_job(32, 32, Algorithm::kSirt)}) {
+    const ReconResult got = fresh.submit(job).result.get();
+    expect_bitwise_volumes(got, reference_run(job));
+  }
+  EXPECT_EQ(fresh.cache_stats().builds, 1U) << "one operator per geometry";
+}
+
 // Deadline-aware de-batching: a job carrying a deadline must not idle out
 // the batch window waiting for mates that may never come. With a window
 // far longer than the deadline, the job only completes in time if the
@@ -343,7 +380,8 @@ TEST(ReconService, StressBitwiseDeterministicAndSingleBuildPerKey) {
                                              Algorithm::kCgls, Algorithm::kOsSart};
   constexpr int kJobs = 72;
 
-  // Serial references, one per distinct (geometry, algorithm) spec.
+  // Serial references, one per distinct (geometry, algorithm) spec; every
+  // algorithm on a geometry shares that geometry's one cache key.
   std::map<std::pair<int, int>, ReconResult> references;
   for (std::size_t g = 0; g < geometries.size(); ++g) {
     for (std::size_t a = 0; a < algorithms.size(); ++a) {
@@ -383,8 +421,8 @@ TEST(ReconService, StressBitwiseDeterministicAndSingleBuildPerKey) {
   EXPECT_EQ(s.failed, 0U);
 
   const CacheStats c = service.cache_stats();
-  EXPECT_EQ(c.builds, geometries.size() * algorithms.size())
-      << "each distinct key must be built exactly once";
+  EXPECT_EQ(c.builds, geometries.size())
+      << "each geometry's one operator must be built exactly once";
   EXPECT_EQ(c.evictions, 0U);
   EXPECT_EQ(c.hits + c.misses + c.single_flight_waits,
             static_cast<std::uint64_t>(kJobs));

@@ -198,12 +198,16 @@ TEST(CglsBatch, ZeroColumnBreaksDownAloneWithoutStallingOthers) {
 }
 
 TEST(OsSartBatch, ColumnsBitwiseMatchSerialWithMixedIterations) {
-  const int image = 16, views = 12;
-  const auto& csr = cached_ct_csr<float>(image, views);
+  const int image = 16, views = 24;
   const core::OperatorLayout layout{image, ct::standard_num_bins(image), views};
-  const auto m = static_cast<std::size_t>(csr.rows());
-  const auto n = static_cast<std::size_t>(csr.cols());
+  const auto a = core::CscvMatrix<float>::build(cached_ct_csc<float>(image, views), layout,
+                                                {.s_vvec = 4, .s_imgb = 8, .s_vxg = 2},
+                                                core::CscvMatrix<float>::Variant::kM);
+  const auto m = static_cast<std::size_t>(a.rows());
+  const auto n = static_cast<std::size_t>(a.cols());
   constexpr std::size_t kBatch = 3;
+  const core::SpmvPlan<float> serial(a, {.threads = 1});
+  const core::SpmvPlan<float> fused(a, {.num_rhs = kBatch, .threads = 1});
 
   std::vector<util::AlignedVector<float>> bs;
   for (std::size_t c = 0; c < kBatch; ++c) {
@@ -216,12 +220,12 @@ TEST(OsSartBatch, ColumnsBitwiseMatchSerialWithMixedIterations) {
       OsSartOptions{.iterations = 4, .num_subsets = 4},
       OsSartOptions{.iterations = 1, .num_subsets = 4},
       OsSartOptions{.iterations = 3, .num_subsets = 4}};
-  const auto stats = os_sart_batch<float>(csr, layout, b, x, kBatch, opts);
+  const auto stats = os_sart_batch<float>(fused, b, x, opts);
 
   for (std::size_t c = 0; c < kBatch; ++c) {
     EXPECT_EQ(stats[c].iterations_run, opts[c].iterations);
     util::AlignedVector<float> x_ref(n, 0.0f);
-    const auto ref_stats = os_sart<float>(csr, layout, bs[c], x_ref, opts[c]);
+    const auto ref_stats = os_sart<float>(serial, bs[c], x_ref, opts[c]);
     expect_bitwise(extract_column(x, kBatch, c), x_ref, "os_sart", c);
     expect_same_stats(stats[c], ref_stats, c);
   }

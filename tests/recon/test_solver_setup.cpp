@@ -1,12 +1,13 @@
 // Operator-only solver set-up done once: the zero-start skip of the first
-// forward (sirt/cgls and their batches), and OsSartSystem — strata and SART
-// weights built once and reused by every OS-SART solve, bit for bit what a
-// one-shot solve computes.
+// forward (sirt/cgls and their batches), and OS-SART over a plan — stratum
+// weights memoized on the plan and reused by every solve, bit for bit what
+// a fresh plan computes, with per-pass norms of the stacked strata.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
+#include "core/plan.hpp"
 #include "recon/colmath.hpp"
 #include "recon/os_sart.hpp"
 #include "recon/solvers.hpp"
@@ -16,6 +17,7 @@
 namespace cscv::recon {
 namespace {
 
+using cscv::testing::cached_ct_csc;
 using cscv::testing::cached_ct_csr;
 
 /// Counts the applies a solver makes through the wrapped operator.
@@ -112,22 +114,32 @@ TEST(ZeroStart, FirstSirtResidualIsExactlyNormOfB) {
   }
 }
 
-/// OS-SART passes one at a time; after each, the reported norm must equal
-/// diff_norm2(b, A x) with A x the full CSR's forward, bit for bit.
-void check_per_pass_norms(int threads) {
-  const int saved = util::max_threads();
-  util::set_num_threads(threads);
-  const int image = 16, views = 12;
-  const auto& csr = cached_ct_csr<float>(image, views);
+core::CscvMatrix<float> os_sart_matrix() {
+  const int image = 16, views = 24;
   const core::OperatorLayout layout{image, ct::standard_num_bins(image), views};
-  const auto m = static_cast<std::size_t>(csr.rows());
-  const auto n = static_cast<std::size_t>(csr.cols());
+  return core::CscvMatrix<float>::build(cached_ct_csc<float>(image, views), layout,
+                                        {.s_vvec = 4, .s_imgb = 8, .s_vxg = 2},
+                                        core::CscvMatrix<float>::Variant::kM);
+}
+
+/// OS-SART passes one at a time; after each, the reported norm must equal
+/// diff_norm2(b, A x) with A x a row-partition forward, bit for bit — also
+/// on a private-y plan, whose strata still run as subset forwards. A pass
+/// run alone recomputes stratum 0's forward that a longer solve reuses, so
+/// the passes also pin that the reuse changes no bit of x.
+void check_per_pass_norms(core::ThreadScheme scheme, int threads) {
+  const auto a = os_sart_matrix();
+  const core::SpmvPlan<float> plan(a, {.scheme = scheme, .threads = threads});
+  ASSERT_EQ(plan.scheme(), scheme);
+  const core::SpmvPlan<float> rows_plan(
+      a, {.scheme = core::ThreadScheme::kRowPartition, .threads = threads});
+  const auto m = static_cast<std::size_t>(a.rows());
+  const auto n = static_cast<std::size_t>(a.cols());
   const auto b = sparse::random_vector<float>(m, 24, 0.0, 1.0);
   const OsSartOptions opts{.iterations = 4, .num_subsets = 4};
-  const OsSartSystem<float> system(csr, layout, opts.num_subsets);
 
   util::AlignedVector<float> x(n, 0.0F);
-  const RunStats stats = os_sart<float>(system, b, x, opts);
+  const RunStats stats = os_sart<float>(plan, b, x, opts);
   ASSERT_EQ(stats.residual_norms.size(), 4U);
 
   util::AlignedVector<float> x_step(n, 0.0F);
@@ -135,67 +147,69 @@ void check_per_pass_norms(int threads) {
   OsSartOptions one_pass = opts;
   one_pass.iterations = 1;
   for (std::size_t pass = 0; pass < 4; ++pass) {
-    (void)os_sart<float>(system, b, x_step, one_pass);
-    csr.spmv(x_step, ax);
+    (void)os_sart<float>(plan, b, x_step, one_pass);
+    rows_plan.execute(x_step, ax);
     const double want = colmath::diff_norm2(b.data(), ax.data(), m);
     EXPECT_EQ(0, std::memcmp(&stats.residual_norms[pass], &want, sizeof(double)))
         << "pass " << pass << " at " << threads << " threads";
   }
   EXPECT_EQ(0, std::memcmp(x.data(), x_step.data(), n * sizeof(float)));
+}
+
+TEST(OsSartPlan, PerPassNormsAreFullForwardNorms) {
+  const int saved = util::max_threads();
+  for (const int threads : {1, 2}) {
+    util::set_num_threads(threads);
+    check_per_pass_norms(core::ThreadScheme::kRowPartition, threads);
+  }
+  check_per_pass_norms(core::ThreadScheme::kPrivateY, 2);
   util::set_num_threads(saved);
 }
 
-TEST(OsSartSystem, PerPassNormsAreFullCsrForwardNorms) {
-  check_per_pass_norms(1);
-  check_per_pass_norms(2);
-}
-
-// One system serves any number of solves, each bitwise a one-shot solve;
-// a system built at another thread count still matches the one-shot at the
-// solve's count (its column weights are recomputed for that solve).
-TEST(OsSartSystem, ReusedSystemMatchesOneShotSolves) {
-  const int image = 16, views = 12;
-  const auto& csr = cached_ct_csr<float>(image, views);
-  const core::OperatorLayout layout{image, ct::standard_num_bins(image), views};
-  const auto m = static_cast<std::size_t>(csr.rows());
-  const auto n = static_cast<std::size_t>(csr.cols());
+// One plan serves any number of solves, at any ambient thread count, each
+// bitwise a fresh plan's solve; its stratum weights are computed once.
+TEST(OsSartPlan, ReusedPlanMatchesFreshPlans) {
+  const auto a = os_sart_matrix();
+  const auto m = static_cast<std::size_t>(a.rows());
+  const auto n = static_cast<std::size_t>(a.cols());
   const OsSartOptions opts{.iterations = 3, .num_subsets = 3};
   const int saved = util::max_threads();
 
-  util::set_num_threads(2);
-  const OsSartSystem<float> built_at_two(csr, layout, opts.num_subsets);
-  EXPECT_EQ(built_at_two.weights_threads(), 2);
+  const core::SpmvPlan<float> reused(a, {.threads = 2});
+  const float* weights = nullptr;
   for (const int threads : {2, 1}) {
     util::set_num_threads(threads);
     for (const unsigned seed : {31U, 32U}) {
       const auto b = sparse::random_vector<float>(m, seed, 0.0, 1.0);
       util::AlignedVector<float> x(n, 0.0F);
       util::AlignedVector<float> x_ref(n, 0.0F);
-      const RunStats got = os_sart<float>(built_at_two, b, x, opts);
-      const RunStats want = os_sart<float>(csr, layout, b, x_ref, opts);
+      const RunStats got = os_sart<float>(reused, b, x, opts);
+      const core::SpmvPlan<float> fresh(a, {.threads = 2});
+      const RunStats want = os_sart<float>(fresh, b, x_ref, opts);
       EXPECT_EQ(0, std::memcmp(x.data(), x_ref.data(), n * sizeof(float)))
           << threads << " threads, seed " << seed;
       EXPECT_EQ(got.residual_norms, want.residual_norms);
+      if (weights == nullptr) weights = reused.col_sums({3, 0}).data();
+      EXPECT_EQ(reused.col_sums({3, 0}).data(), weights) << "stratum weights recomputed";
     }
   }
   util::set_num_threads(saved);
 }
 
-TEST(OsSartSystem, HoldsEveryRowOnceAndRejectsAnotherSubsetCount) {
-  const int image = 16, views = 12;
-  const auto& csr = cached_ct_csr<float>(image, views);
-  const core::OperatorLayout layout{image, ct::standard_num_bins(image), views};
-  const OsSartSystem<float> system(csr, layout, 4);
-  sparse::offset_t nnz = 0;
-  for (int s = 0; s < system.num_subsets(); ++s) nnz += system.subset(s).matrix.nnz();
-  EXPECT_EQ(nnz, csr.nnz());
-  EXPECT_GT(system.bytes(), csr.matrix_bytes());  // plus row maps and weights
-
-  util::AlignedVector<float> b(static_cast<std::size_t>(csr.rows()), 1.0F);
-  util::AlignedVector<float> x(static_cast<std::size_t>(csr.cols()), 0.0F);
-  EXPECT_THROW(os_sart<float>(system, b, x, {.iterations = 1, .num_subsets = 3}),
-               util::CheckError);
-  EXPECT_THROW(OsSartSystem<float>(csr, layout, views + 1), util::CheckError);
+// The strata are structural: a batch whose columns ask for different
+// subset counts is an error, as is a batch wider or narrower than its plan.
+TEST(OsSartBatch, RejectsColumnsWithAnotherSubsetCount) {
+  const auto a = os_sart_matrix();
+  const core::SpmvPlan<float> plan(a, {.num_rhs = 2, .threads = 1});
+  const auto m = static_cast<std::size_t>(a.rows());
+  const auto n = static_cast<std::size_t>(a.cols());
+  util::AlignedVector<float> b(2 * m, 1.0F);
+  util::AlignedVector<float> x(2 * n, 0.0F);
+  const std::vector<OsSartOptions> mixed = {{.iterations = 1, .num_subsets = 4},
+                                            {.iterations = 1, .num_subsets = 3}};
+  EXPECT_THROW(os_sart_batch<float>(plan, b, x, mixed), util::CheckError);
+  const std::vector<OsSartOptions> one = {{.iterations = 1, .num_subsets = 4}};
+  EXPECT_THROW(os_sart_batch<float>(plan, b, x, one), util::CheckError);
 }
 
 }  // namespace

@@ -16,6 +16,8 @@
 #include <future>
 #include <iostream>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "benchlib/compare.hpp"
@@ -29,6 +31,7 @@
 #include "dist/sharded_operator.hpp"
 #include "dist/worker.hpp"
 #include "pipeline/service.hpp"
+#include "recon/os_sart.hpp"
 #include "recon/solvers.hpp"
 #include "sparse/convert.hpp"
 #include "util/cli.hpp"
@@ -256,9 +259,10 @@ void run_transpose(const SuiteFlags& flags, benchlib::BenchReport& report,
 
 // End-to-end serving throughput: a burst of reconstruction jobs through
 // ReconService vs the same jobs run serially through execute_job. One
-// warm-up job per distinct operator key makes the cache hit rate of the
-// burst deterministic (the structural gate metric); the wall-time-derived
-// metrics are timing-class and informational.
+// warm-up job per distinct operator key (matrix_key(): one per geometry,
+// whatever the algorithm) makes the cache hit rate of the burst
+// deterministic (the structural gate metric); the wall-time-derived metrics
+// are timing-class and informational.
 void run_pipeline_throughput(const SuiteFlags& flags, benchlib::BenchReport& report) {
   using pipeline::Algorithm;
   const auto datasets = benchlib::standard_datasets(flags.scale);
@@ -284,8 +288,13 @@ void run_pipeline_throughput(const SuiteFlags& flags, benchlib::BenchReport& rep
       specs.push_back(std::move(job));
     }
   }
-  const std::size_t num_keys = specs.size();
-  const std::size_t burst_jobs = num_keys * kJobsPerKey;
+  const std::size_t num_specs = specs.size();
+  const std::size_t burst_jobs = num_specs * kJobsPerKey;
+  std::vector<const pipeline::ReconJob*> warmups;  // first job of each operator key
+  std::set<std::string> keys;
+  for (const pipeline::ReconJob& spec : specs) {
+    if (keys.insert(spec.matrix_key().fingerprint()).second) warmups.push_back(&spec);
+  }
 
   // Serial reference: identical job set and code path, one thread, no queue.
   double serial_seconds = 0.0;
@@ -302,7 +311,7 @@ void run_pipeline_throughput(const SuiteFlags& flags, benchlib::BenchReport& rep
     util::set_num_threads(1);
     util::WallTimer timer;
     for (int r = 0; r < kJobsPerKey; ++r) {
-      for (std::size_t k = 0; k < num_keys; ++k) {
+      for (std::size_t k = 0; k < num_specs; ++k) {
         (void)pipeline::execute_job(specs[k], *entries[k], plans[k].get());
       }
     }
@@ -315,14 +324,14 @@ void run_pipeline_throughput(const SuiteFlags& flags, benchlib::BenchReport& rep
   opts.queue_capacity = std::max<std::size_t>(8, burst_jobs);
   opts.admission = pipeline::AdmissionPolicy::kBlock;
   opts.omp_threads_per_worker = 1;
-  opts.plans_per_worker = static_cast<int>(num_keys);
+  opts.plans_per_worker = static_cast<int>(keys.size());
   pipeline::ReconService service(opts);
 
   std::uint64_t jobs_ok = 0;
-  // Warm one job per key sequentially: exactly num_keys cold builds, so
+  // Warm one job per key sequentially: exactly one cold build per key, so
   // every burst lookup below is a hit and hit_rate is burst/(burst+keys).
-  for (const pipeline::ReconJob& spec : specs) {
-    if (service.submit(spec).result.get().status == pipeline::JobStatus::kOk) ++jobs_ok;
+  for (const pipeline::ReconJob* spec : warmups) {
+    if (service.submit(*spec).result.get().status == pipeline::JobStatus::kOk) ++jobs_ok;
   }
 
   util::WallTimer burst_timer;
@@ -446,12 +455,16 @@ void run_pipeline_batched(const SuiteFlags& flags, benchlib::BenchReport& report
             << ")\n";
 }
 
-// Apply counts of one warm SIRT solve and one warm CGLS solve over a
-// plan-backed operator (the service worker's path), read off the plan's
-// telemetry counters. Warm means the plan has served a solve already, so
-// its memoized normalizers are in place; both solves start from zero and
-// skip that forward. The counts change only when a solver's apply sequence
-// does, so they gate exactly on any runner (structural, like nnz).
+// Apply counts of one warm SIRT, CGLS and OS-SART solve over a plan-backed
+// operator (the service worker's path), read off the plan's telemetry
+// counters. Warm means the plan has served a solve already, so its memoized
+// normalizers are in place; SIRT and CGLS start from zero and skip that
+// forward. OS-SART counts its stratum applies: per pass one subset forward
+// and adjoint per stratum plus the residual's subset forwards, less the
+// first stratum's forward after pass one (reused from the residual) — no
+// weight transposes once warm. The counts change only when a solver's
+// apply sequence does, so they gate exactly on any runner (structural,
+// like nnz).
 void run_warm_solves(const SuiteFlags& flags, benchlib::BenchReport& report) {
   const auto datasets = benchlib::standard_datasets(flags.scale);
   const benchlib::Dataset& d = datasets.front();
@@ -463,20 +476,26 @@ void run_warm_solves(const SuiteFlags& flags, benchlib::BenchReport& report) {
   const recon::PlanOperator<float> op(plan);
   const auto b = ct::analytic_sinogram<float>(ct::shepp_logan_modified(), d.geometry);
   const recon::SolveOptions solve{.iterations = 4};
+  const recon::OsSartOptions os_sart{.iterations = solve.iterations, .num_subsets = 4};
 
-  for (const char* algo : {"SIRT", "CGLS"}) {
+  for (const char* algo : {"SIRT", "CGLS", "OS-SART"}) {
     const auto run = [&] {
       util::AlignedVector<float> x(static_cast<std::size_t>(m.cols()), 0.0F);
       if (std::strcmp(algo, "SIRT") == 0) {
         (void)recon::sirt<float>(op, b, x, solve);
-      } else {
+      } else if (std::strcmp(algo, "CGLS") == 0) {
         (void)recon::cgls<float>(op, b, x, solve);
+      } else {
+        (void)recon::os_sart<float>(plan, b, x, os_sart);
       }
     };
-    run();  // the plan memoizes A 1 and A^T 1 here
+    run();  // the plan memoizes A 1 and A^T 1 (per stratum for OS-SART) here
     plan.reset_telemetry();
     run();
     const core::PlanStats st = plan.stats();
+    const bool subsets = std::strcmp(algo, "OS-SART") == 0;
+    const std::uint64_t forwards = subsets ? st.subset_applies : st.applies;
+    const std::uint64_t adjoints = subsets ? st.subset_transpose_applies : st.transpose_applies;
 
     benchlib::BenchRecord record;
     record.workload = "warm_solve";
@@ -485,13 +504,14 @@ void run_warm_solves(const SuiteFlags& flags, benchlib::BenchReport& report) {
     record.threads = 1;
     record.iterations = solve.iterations;
     if (st.telemetry_enabled) {
-      record.set("forward_applies", static_cast<double>(st.applies));
-      record.set("adjoint_applies", static_cast<double>(st.transpose_applies));
+      record.set("forward_applies", static_cast<double>(forwards));
+      record.set("adjoint_applies", static_cast<double>(adjoints));
     }
     report.records.push_back(std::move(record));
-    std::cout << "warm_solve " << algo << ": " << st.applies << " forward, "
-              << st.transpose_applies << " adjoint applies for " << solve.iterations
-              << " iterations" << (st.telemetry_enabled ? "" : " (telemetry off)") << "\n";
+    std::cout << "warm_solve " << algo << ": " << forwards << " forward, " << adjoints
+              << (subsets ? " adjoint subset applies for " : " adjoint applies for ")
+              << solve.iterations << " iterations"
+              << (st.telemetry_enabled ? "" : " (telemetry off)") << "\n";
   }
 }
 

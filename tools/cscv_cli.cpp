@@ -18,7 +18,7 @@
 //   cscv_cli fetch    --port=P --id=N [--save-volume=out.raw] [--json]
 //   cscv_cli stats    --port=P [--expect-ok=N] [--json]
 //   cscv_cli shard-run --endpoints=host:port,... [--image=64 --views=48]
-//                     [--algorithm=sirt|cgls|os_sart --iters=8 --subsets=8]
+//                     [--algorithm=sirt|cgls|ossart --iters=8 --subsets=8]
 //                     [--shards=N] [--check] [--save-volume=out.raw]
 //                     [--shutdown-workers]
 //
