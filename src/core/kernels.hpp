@@ -12,6 +12,8 @@
 // copy per ISA tier; including this header gives the ambient-flags build.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>

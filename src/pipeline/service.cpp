@@ -303,16 +303,13 @@ void ReconService::worker_main(int worker_index) {
   // Worker-local plan LRU, keyed on (matrix, num_rhs). Plans carry mutable
   // scratch, so they are never shared across workers; the entry shared_ptr
   // keeps the matrix under a plan alive even after the shared cache evicts
-  // it. Eviction enforces the count cap and the byte budget together —
-  // plan scratch scales with num_rhs, so wide batched plans are charged
-  // what they actually hold — while the plan just used always survives.
+  // it. Eviction enforces the count cap; the plan just used always survives.
   struct WorkerPlan {
     std::shared_ptr<const SystemMatrixEntry> entry;
     int num_rhs = 1;
     std::unique_ptr<core::SpmvPlan<float>> plan;
   };
   std::list<WorkerPlan> plans;  // front = most recently used
-  std::size_t plan_bytes = 0;
   core::PlanOptions plan_opts;
   plan_opts.threads = options_.omp_threads_per_worker;
 
@@ -332,13 +329,9 @@ void ReconService::worker_main(int worker_index) {
       warm.entry = entry;
       warm.num_rhs = num_rhs;
       warm.plan = std::make_unique<core::SpmvPlan<float>>(*entry->cscv, opts);
-      plan_bytes += warm.plan->scratch_bytes();
       plans.push_front(std::move(warm));
       while (plans.size() > 1 &&
-             (plans.size() > static_cast<std::size_t>(options_.plans_per_worker) ||
-              (options_.plan_bytes_per_worker > 0 &&
-               plan_bytes > options_.plan_bytes_per_worker))) {
-        plan_bytes -= plans.back().plan->scratch_bytes();
+             plans.size() > static_cast<std::size_t>(options_.plans_per_worker)) {
         plans.pop_back();
       }
     }

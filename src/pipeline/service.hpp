@@ -68,11 +68,6 @@ struct ServiceOptions {
   /// Plans each worker keeps warm (per distinct operator and batch
   /// width), LRU-evicted.
   int plans_per_worker = 4;
-  /// Byte budget for a worker's plan-LRU scratch. Large-num_rhs plans
-  /// carry num_rhs times the y~ scratch, so a count cap alone would let a
-  /// few wide plans blow a worker's memory; the byte cap evicts past the
-  /// budget (the most recent plan is always kept). 0 = no byte cap.
-  std::size_t plan_bytes_per_worker = 0;
   /// Jobs a worker may fuse into one batched multi-RHS solve. 1 disables
   /// batching. Only queued jobs agreeing on system-matrix key and algorithm
   /// (and subset count for kOsSart) fuse; kFbp never fuses.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "util/assertx.hpp"
 #include "util/fft.hpp"
@@ -27,23 +28,41 @@ util::AlignedVector<T> ramp_filter(const ct::ParallelGeometry& geometry,
   geometry.validate();
   CSCV_CHECK(sinogram.size() == static_cast<std::size_t>(geometry.num_rows()));
   const int bins = geometry.num_bins;
-  const auto h = ram_lak_kernel(bins - 1);
   const int hw = bins - 1;
+  // W output bins per step, one per lane. Output b sums h[hw + k] *
+  // row[b - k] over k = b - hw .. b in ascending k, one double multiply-add
+  // per tap (fused where the target has FMA). Lane j of a step runs the
+  // union of its lanes' k ranges in that same order; its extra taps read
+  // the zero padding around the row (and beyond the kernel's end), adding
+  // +-0 to an accumulator that starts at +0 and so never changing it:
+  // every bin, NaN and Inf included, is bitwise the one-bin-at-a-time sum.
+  constexpr int W = 8;
+  auto h = ram_lak_kernel(hw);
+  h.resize(h.size() + W, 0.0);
 
   util::AlignedVector<T> out(sinogram.size(), T(0));
   util::parallel_for(0, static_cast<std::size_t>(geometry.num_views), [&](std::size_t v) {
     const T* row = sinogram.data() + v * static_cast<std::size_t>(bins);
     T* dst = out.data() + v * static_cast<std::size_t>(bins);
-    for (int b = 0; b < bins; ++b) {
-      double acc = 0.0;
-      // Convolution with zero padding outside the detector.
-      const int k_lo = b - (bins - 1);
-      for (int k = k_lo; k <= b; ++k) {
-        // source index b - k in [0, bins)
-        acc += h[static_cast<std::size_t>(hw + k)] *
-               static_cast<double>(row[b - k]);
+    // row[i] at padded[W - 1 + i], W - 1 zeros on either side.
+    std::vector<double> padded(static_cast<std::size_t>(bins + 2 * (W - 1)), 0.0);
+    for (int i = 0; i < bins; ++i) {
+      padded[static_cast<std::size_t>(W - 1 + i)] = static_cast<double>(row[i]);
+    }
+    for (int b0 = 0; b0 < bins; b0 += W) {
+      double acc[W] = {};
+      for (int k = b0 - hw; k < b0 + W; ++k) {
+        const double hk = h[static_cast<std::size_t>(hw + k)];
+        const double* src = padded.data() + (W - 1 + b0 - k);  // lane j: row[b0 + j - k]
+        for (int j = 0; j < W; ++j) {
+#if defined(__FMA__)
+          acc[j] = std::fma(hk, src[j], acc[j]);
+#else
+          acc[j] += hk * src[j];
+#endif
+        }
       }
-      dst[b] = static_cast<T>(acc);
+      for (int j = 0; j < W && b0 + j < bins; ++j) dst[b0 + j] = static_cast<T>(acc[j]);
     }
   });
   return out;

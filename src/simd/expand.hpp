@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 
 #if defined(__AVX512F__) || defined(__F16C__)
 #include <immintrin.h>

@@ -131,14 +131,14 @@ TEST_P(ReducedDtype, BitwiseMatchesQuantizedF32OnEveryTier) {
   }
 }
 
-// The transpose half of that contract swept over the kernel shapes: every
-// S_VVec x S_VxG x {Z, M-hw, M-soft} x K (single RHS, compile-time 2/8/16
-// and the runtime-K fallback at 3), each usable tier.
-class ReducedTransposeSweep
-    : public ::testing::TestWithParam<std::tuple<ValueType, int, int>> {};
-
-TEST_P(ReducedTransposeSweep, BitwiseMatchesQuantizedF32) {
-  const auto [vt, s_vvec, s_vxg] = GetParam();
+// That contract swept over the kernel shapes: every S_VVec x S_VxG x
+// {Z, M-hw, M-soft} x K (single RHS, compile-time 2/8/16 and the runtime-K
+// fallback at 3), each usable tier. S_VxG = 1 and S_VVec 16 leave the
+// 512-bit hardware loads a single CSCVE; the other shapes group 2 or 4.
+// `check(p16, p32, k, where)` runs one direction on the reduced plan and its
+// quantized fp32 twin.
+template <typename Check>
+void sweep_reduced_shapes(ValueType vt, int s_vvec, int s_vxg, Check&& check) {
   const int image = 32, views = 24;
   const OperatorLayout layout{image, ct::standard_num_bins(image), views};
   struct Path {
@@ -157,34 +157,72 @@ TEST_P(ReducedTransposeSweep, BitwiseMatchesQuantizedF32) {
                                         path.variant);
     m32.convert_values(vt);
     m32.convert_values(ValueType::kF32);
-    const auto rows = static_cast<std::size_t>(m16.rows());
-    const auto cols = static_cast<std::size_t>(m16.cols());
     for (const simd::IsaTier tier : usable_tiers()) {
       for (const int k : {1, 2, 3, 8, 16}) {
-        const auto ks = static_cast<std::size_t>(k);
         const SpmvPlan<float> p16(m16, {.path = path.expand, .num_rhs = k, .isa = tier});
         const SpmvPlan<float> p32(m32, {.path = path.expand, .num_rhs = k, .isa = tier});
-        const auto y = sparse::random_vector<float>(rows * ks, 47, -1.0, 1.0);
-        util::AlignedVector<float> x16(cols * ks), x32(cols * ks);
-        p16.execute_transpose(y, x16);
-        p32.execute_transpose(y, x32);
-        EXPECT_EQ(std::memcmp(x16.data(), x32.data(), cols * ks * sizeof(float)), 0)
-            << path.name << " transpose K=" << k << " diverges on "
-            << simd::isa_tier_name(tier);
+        std::ostringstream where;
+        where << path.name << " K=" << k << " on " << simd::isa_tier_name(tier);
+        check(p16, p32, static_cast<std::size_t>(k), where.str());
       }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    DtypeByShape, ReducedTransposeSweep,
+class ReducedTransposeSweep
+    : public ::testing::TestWithParam<std::tuple<ValueType, int, int>> {};
+
+TEST_P(ReducedTransposeSweep, BitwiseMatchesQuantizedF32) {
+  const auto [vt, s_vvec, s_vxg] = GetParam();
+  sweep_reduced_shapes(vt, s_vvec, s_vxg,
+                       [](const SpmvPlan<float>& p16, const SpmvPlan<float>& p32,
+                          std::size_t k, const std::string& where) {
+                         const auto rows = static_cast<std::size_t>(p16.matrix()->rows());
+                         const auto cols = static_cast<std::size_t>(p16.matrix()->cols());
+                         const auto y = sparse::random_vector<float>(rows * k, 47, -1.0, 1.0);
+                         util::AlignedVector<float> x16(cols * k), x32(cols * k);
+                         p16.execute_transpose(y, x16);
+                         p32.execute_transpose(y, x32);
+                         EXPECT_EQ(std::memcmp(x16.data(), x32.data(), x16.size() * sizeof(float)),
+                                   0)
+                             << where << " transpose diverges";
+                       });
+}
+
+class ReducedForwardSweep
+    : public ::testing::TestWithParam<std::tuple<ValueType, int, int>> {};
+
+TEST_P(ReducedForwardSweep, BitwiseMatchesQuantizedF32) {
+  const auto [vt, s_vvec, s_vxg] = GetParam();
+  sweep_reduced_shapes(vt, s_vvec, s_vxg,
+                       [](const SpmvPlan<float>& p16, const SpmvPlan<float>& p32,
+                          std::size_t k, const std::string& where) {
+                         const auto rows = static_cast<std::size_t>(p16.matrix()->rows());
+                         const auto cols = static_cast<std::size_t>(p16.matrix()->cols());
+                         const auto x = sparse::random_vector<float>(cols * k, 53, -1.0, 1.0);
+                         util::AlignedVector<float> y16(rows * k), y32(rows * k);
+                         p16.execute(x, y16);
+                         p32.execute(x, y32);
+                         EXPECT_EQ(std::memcmp(y16.data(), y32.data(), y16.size() * sizeof(float)),
+                                   0)
+                             << where << " forward diverges";
+                       });
+}
+
+const auto kReducedShapes =
     ::testing::Combine(::testing::Values(ValueType::kBf16, ValueType::kF16),
-                       ::testing::Values(4, 8, 16), ::testing::Values(1, 2, 4, 8, 16)),
-    [](const ::testing::TestParamInfo<std::tuple<ValueType, int, int>>& info) {
-      return std::string(value_type_name(std::get<0>(info.param))) + "_S" +
-             std::to_string(std::get<1>(info.param)) + "_V" +
-             std::to_string(std::get<2>(info.param));
-    });
+                       ::testing::Values(4, 8, 16), ::testing::Values(1, 2, 4, 8, 16));
+
+std::string reduced_shape_name(
+    const ::testing::TestParamInfo<std::tuple<ValueType, int, int>>& info) {
+  return std::string(value_type_name(std::get<0>(info.param))) + "_S" +
+         std::to_string(std::get<1>(info.param)) + "_V" + std::to_string(std::get<2>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(DtypeByShape, ReducedTransposeSweep, kReducedShapes,
+                         reduced_shape_name);
+INSTANTIATE_TEST_SUITE_P(DtypeByShape, ReducedForwardSweep, kReducedShapes,
+                         reduced_shape_name);
 
 // Every usable tier agrees with the generic resolution on the same reduced
 // matrix (relative L2 — tiers differ in FMA contraction of the widen-free

@@ -208,6 +208,98 @@ TEST(CscvTranspose, SummationOrderIsPinned) {
   }
 }
 
+// The documented forward order (docs/API.md, spmv), spelled out over the
+// public format arrays: per block, y~ starts at zero and every VxG adds its
+// products lane by lane in block order; y~ is then added into y, block by
+// block. `by_run` instead sums each run of VxGs sharing a vxg_q from zero
+// and adds that sum into y~, the re-association a register-held run must
+// not make.
+std::vector<float> ordered_forward(const CscvMatrix<float>& m, std::span<const float> x,
+                                   bool by_run) {
+  const int s = m.params().s_vvec, v = m.params().s_vxg;
+  const OperatorLayout& layout = m.layout();
+  const bool packed = m.variant() == CscvMatrix<float>::Variant::kM;
+  std::vector<float> y(static_cast<std::size_t>(m.rows()), 0.0f);
+  for (std::size_t b = 0; b < m.blocks().size(); ++b) {
+    const auto& info = m.blocks()[b];
+    std::vector<float> yt(static_cast<std::size_t>(info.o_count) * s, 0.0f);
+    std::vector<float> run(yt.size(), 0.0f);
+    std::size_t val = static_cast<std::size_t>(info.val_begin);
+    for (auto g = info.vxg_begin; g < info.vxg_end; ++g) {
+      const auto q = static_cast<std::size_t>(m.vxg_q()[g]);
+      const float xv = x[static_cast<std::size_t>(m.vxg_col()[g])];
+      float* dst = by_run ? run.data() : yt.data() + q;
+      for (int e = 0; e < v; ++e) {
+        const unsigned mask = packed ? m.masks()[g * v + e] : ~0u;
+        for (int l = 0; l < s; ++l) {
+          if ((mask >> l & 1u) != 0) dst[e * s + l] += xv * m.values()[val++];
+        }
+      }
+      if (by_run && (g + 1 == info.vxg_end || m.vxg_q()[g + 1] != m.vxg_q()[g])) {
+        for (int i = 0; i < v * s; ++i) {
+          yt[q + static_cast<std::size_t>(i)] += run[static_cast<std::size_t>(i)];
+          run[static_cast<std::size_t>(i)] = 0.0f;
+        }
+      }
+    }
+    for (int vi = 0; vi < s; ++vi) {
+      const int view = info.view_group * s + vi;
+      for (int o = 0; o < info.o_count && view < layout.num_views; ++o) {
+        const int bin = m.reference_bins()[b * s + vi] + info.o_min + o;
+        if (bin >= 0 && bin < layout.num_bins) {
+          y[static_cast<std::size_t>(layout.row_of(view, bin))] += yt[o * s + vi];
+        }
+      }
+    }
+  }
+  return y;
+}
+
+// Pins the forward order on every tier and path, with the transpose test's
+// data: exact products (one expected vector for FMA and mul+add tiers) whose
+// sums cancel, so any other association rounds differently.
+TEST(CscvForward, SummationOrderIsPinned) {
+  const int image = 32, views = 24;
+  const auto& pattern = cached_ct_csc<float>(image, views);
+  util::AlignedVector<float> vals(pattern.values().begin(), pattern.values().end());
+  for (float& a : vals) a = std::exp2(std::floor(std::log2(a)));
+  const sparse::CscMatrix<float> csc(
+      pattern.rows(), pattern.cols(),
+      util::AlignedVector<sparse::offset_t>(pattern.col_ptr().begin(), pattern.col_ptr().end()),
+      util::AlignedVector<sparse::index_t>(pattern.row_idx().begin(), pattern.row_idx().end()),
+      std::move(vals));
+  util::AlignedVector<float> x(static_cast<std::size_t>(csc.cols()));
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = i % 3 == 0 ? 1.0f : (i % 3 == 1 ? 1048576.0f : -1048576.0f);
+  }
+  const OperatorLayout layout{image, ct::standard_num_bins(image), views};
+  for (const CscvParams params : {CscvParams{.s_vvec = 8, .s_imgb = 8, .s_vxg = 2},
+                                  CscvParams{.s_vvec = 8, .s_imgb = 8, .s_vxg = 4},
+                                  CscvParams{.s_vvec = 16, .s_imgb = 8, .s_vxg = 2},
+                                  CscvParams{.s_vvec = 4, .s_imgb = 8, .s_vxg = 8}}) {
+    for (const auto variant : {CscvMatrix<float>::Variant::kZ, CscvMatrix<float>::Variant::kM}) {
+      const auto m = CscvMatrix<float>::build(csc, layout, params, variant);
+      const std::vector<float> want = ordered_forward(m, x, false);
+      // The data must tell the orders apart, or the memcmp below proves nothing.
+      ASSERT_NE(std::memcmp(want.data(), ordered_forward(m, x, true).data(),
+                            want.size() * sizeof(float)),
+                0);
+      for (const simd::IsaTier tier : testing::usable_tiers()) {
+        for (const auto path : {simd::ExpandPath::kHardware, simd::ExpandPath::kSoftware}) {
+          const SpmvPlan<float> plan(m, {.path = path, .threads = 1, .isa = tier});
+          util::AlignedVector<float> got(want.size());
+          plan.execute(x, got);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+              << "S_VVec " << params.s_vvec << ", S_VxG " << params.s_vxg
+              << (variant == CscvMatrix<float>::Variant::kZ ? " Z" : " M") << " on "
+              << simd::isa_tier_name(tier)
+              << (path == simd::ExpandPath::kHardware ? " (hw)" : " (soft)");
+        }
+      }
+    }
+  }
+}
+
 TEST(CscvTranspose, AdjointIdentity) {
   // <A x, y> == <x, A^T y> with both directions computed by CSCV.
   const int image = 32, views = 24;

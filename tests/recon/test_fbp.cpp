@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <span>
+#include <vector>
+
 #include "ct/phantom.hpp"
 #include "recon/fbp.hpp"
 #include "test_helpers.hpp"
@@ -35,6 +42,62 @@ TEST(RampFilter, ConstantRowsLoseDc) {
   for (int v = 0; v < g.num_views; ++v) {
     EXPECT_NEAR(filtered[static_cast<std::size_t>(g.row_id(v, mid))], 0.0, 0.05);
   }
+}
+
+// The direct ramp filter one output bin at a time, in the multiply-add form
+// ramp_filter uses (fused where the target has FMA).
+template <typename T>
+std::vector<T> ramp_filter_by_bin(int bins, std::span<const T> sinogram) {
+  const auto h = ram_lak_kernel(bins - 1);
+  const int hw = bins - 1;
+  std::vector<T> out(sinogram.size());
+  for (std::size_t v = 0; v < sinogram.size() / static_cast<std::size_t>(bins); ++v) {
+    const T* row = sinogram.data() + v * static_cast<std::size_t>(bins);
+    for (int b = 0; b < bins; ++b) {
+      double acc = 0.0;
+      for (int k = b - hw; k <= b; ++k) {
+        const double hk = h[static_cast<std::size_t>(hw + k)];
+#if defined(__FMA__)
+        acc = std::fma(hk, static_cast<double>(row[b - k]), acc);
+#else
+        acc += hk * static_cast<double>(row[b - k]);
+#endif
+      }
+      out[v * static_cast<std::size_t>(bins) + static_cast<std::size_t>(b)] =
+          static_cast<T>(acc);
+    }
+  }
+  return out;
+}
+
+// ramp_filter runs several output bins per step; each bin must still be
+// bitwise the one-bin sum, at bin counts below, equal to and not a multiple
+// of the step width, with one row holding an Inf and one a NaN.
+template <typename T>
+void check_ramp_filter_bitwise() {
+  for (const int bins : {3, 8, 19, 97}) {
+    ct::ParallelGeometry g;
+    g.image_size = 4;
+    g.num_bins = bins;
+    g.num_views = 4;
+    g.delta_angle_deg = 45.0;
+    std::mt19937 rng(static_cast<unsigned>(bins));
+    std::uniform_real_distribution<double> u(-1.0, 1.0);
+    util::AlignedVector<T> sino(static_cast<std::size_t>(g.num_rows()));
+    for (T& v : sino) v = static_cast<T>(u(rng));
+    sino[static_cast<std::size_t>(g.row_id(1, bins / 2))] = std::numeric_limits<T>::infinity();
+    sino[static_cast<std::size_t>(g.row_id(2, bins - 1))] = std::numeric_limits<T>::quiet_NaN();
+    const auto got = ramp_filter<T>(g, sino);
+    const auto want = ramp_filter_by_bin<T>(bins, sino);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(T)), 0)
+        << bins << " bins, " << sizeof(T) * 8 << "-bit";
+  }
+}
+
+TEST(RampFilter, BitwiseMatchesOneBinAtATime) {
+  check_ramp_filter_bitwise<float>();
+  check_ramp_filter_bitwise<double>();
 }
 
 TEST(RampFilter, LinearInInput) {

@@ -121,13 +121,14 @@ void run_precision(const benchlib::Dataset& dataset, const SuiteFlags& flags,
 }
 
 // Mixed-precision workload (docs/PRECISION.md): the large clinical CSCV-M
-// operator at fp32/bf16/fp16 value storage, timed under the paper protocol.
-// bytes_per_value is structural (gate candidate); max_rel_error is the
-// worst per-bin deviation of one SpMV against the fp32 engine of this same
-// run, relative to the fp32 output's peak — structural too, since the
-// widen-on-load kernels keep the fp32 accumulation chain identical in
-// shape on every tier. speedup_vs_fp32 is the timing headline: how much
-// the halved value traffic buys on the dispatched tier.
+// operator at fp32/bf16/fp16 value storage, timed under the paper protocol
+// in both directions (engine "CSCV-M-<dtype>" for y = A x,
+// "CSCV-M-<dtype>-transpose" for x = A^T y). bytes_per_value is structural
+// (gate candidate); max_rel_error is the worst per-entry deviation of one
+// apply against the fp32 engine of this same run and direction, relative to
+// the fp32 output's peak — structural too, since the reduced kernels run
+// the fp32 accumulation chain on every tier. speedup_vs_fp32 is the timing
+// headline: how much the halved value traffic buys on the dispatched tier.
 void run_mixed_precision(const SuiteFlags& flags, benchlib::BenchReport& report,
                          util::Table& table) {
   const auto datasets = benchlib::standard_datasets(flags.scale);
@@ -139,54 +140,67 @@ void run_mixed_precision(const SuiteFlags& flags, benchlib::BenchReport& report,
   const int threads = flags.threads > 0 ? flags.threads : util::max_threads();
   const core::CscvParams params{.s_vvec = 8, .s_imgb = 16, .s_vxg = 4};
 
-  // Same seeded input the timing loop uses, so the error metric audits the
-  // exact kernels being timed.
-  const auto x = sparse::random_vector<float>(cols, 12345, 0.0, 1.0);
-  util::AlignedVector<float> y_ref(rows);
-
-  double fp32_median = 0.0;
+  struct Direction {
+    const char* suffix;
+    std::size_t in, out;
+    bool transpose;
+    double fp32_median = 0.0;
+    util::AlignedVector<float> ref{};
+  };
+  Direction directions[] = {{"", cols, rows, false}, {"-transpose", rows, cols, true}};
   for (const core::ValueType vt :
        {core::ValueType::kF32, core::ValueType::kBf16, core::ValueType::kF16}) {
     auto m = std::make_shared<core::CscvMatrix<float>>(core::CscvMatrix<float>::build(
         csc, layout, params, core::CscvMatrix<float>::Variant::kM));
     if (vt != core::ValueType::kF32) m->convert_values(vt);
-    benchlib::Engine<float> engine{
-        std::string("CSCV-M-") + core::value_type_name(vt),
-        [m](auto xs, auto ys) { m->spmv(xs, ys); },
-        m->matrix_bytes(),
-        m->nnz(),
-        m,
-        [m] { (void)m->plan(); }};
-    auto samples =
-        benchlib::measure_spmv_samples(engine, cols, rows, threads, flags.iters);
-    auto record = benchlib::make_spmv_record("mixed_precision", engine, threads,
-                                             flags.iters, cols, rows, samples);
-    record.set("bytes_per_value", static_cast<double>(m->value_bytes()));
+    for (Direction& d : directions) {
+      const auto apply = [m, t = d.transpose](std::span<const float> in, std::span<float> out) {
+        if (t) {
+          m->spmv_transpose(in, out);
+        } else {
+          m->spmv(in, out);
+        }
+      };
+      benchlib::Engine<float> engine{
+          std::string("CSCV-M-") + core::value_type_name(vt) + d.suffix,
+          apply,
+          m->matrix_bytes(),
+          m->nnz(),
+          m,
+          [m] { (void)m->plan(); }};
+      auto samples = benchlib::measure_spmv_samples(engine, d.in, d.out, threads, flags.iters);
+      auto record = benchlib::make_spmv_record("mixed_precision", engine, threads,
+                                               flags.iters, d.in, d.out, samples);
+      record.set("bytes_per_value", static_cast<double>(m->value_bytes()));
 
-    util::AlignedVector<float> y(rows);
-    m->spmv(x, y);
-    if (vt == core::ValueType::kF32) {
-      fp32_median = samples.median;
-      y_ref = y;
-      record.set("max_rel_error", 0.0);
-    } else {
-      double peak = 0.0;
-      double max_abs = 0.0;
-      for (std::size_t i = 0; i < rows; ++i) {
-        peak = std::max(peak, std::abs(static_cast<double>(y_ref[i])));
-        max_abs = std::max(
-            max_abs, std::abs(static_cast<double>(y[i]) - static_cast<double>(y_ref[i])));
+      // Same seeded input the timing loop uses, so the error metric audits
+      // the exact kernels being timed.
+      const auto in = sparse::random_vector<float>(d.in, 12345, 0.0, 1.0);
+      util::AlignedVector<float> out(d.out);
+      apply(in, out);
+      if (vt == core::ValueType::kF32) {
+        d.fp32_median = samples.median;
+        d.ref = out;
+        record.set("max_rel_error", 0.0);
+      } else {
+        double peak = 0.0;
+        double max_abs = 0.0;
+        for (std::size_t i = 0; i < d.out; ++i) {
+          peak = std::max(peak, std::abs(static_cast<double>(d.ref[i])));
+          max_abs = std::max(
+              max_abs, std::abs(static_cast<double>(out[i]) - static_cast<double>(d.ref[i])));
+        }
+        record.set("max_rel_error", peak > 0.0 ? max_abs / peak : 0.0);
+        if (d.fp32_median > 0.0 && samples.median > 0.0) {
+          record.set("speedup_vs_fp32", d.fp32_median / samples.median);
+        }
       }
-      record.set("max_rel_error", peak > 0.0 ? max_abs / peak : 0.0);
-      if (fp32_median > 0.0 && samples.median > 0.0) {
-        record.set("speedup_vs_fp32", fp32_median / samples.median);
-      }
+      table.add("mixed_precision", engine.name, record.precision, threads,
+                util::fmt_fixed(samples.median * 1e3, 3),
+                util::fmt_fixed(*record.find("gflops"), 2),
+                util::fmt_fixed(*record.find("gbps"), 2));
+      report.records.push_back(std::move(record));
     }
-    table.add("mixed_precision", engine.name, record.precision, threads,
-              util::fmt_fixed(samples.median * 1e3, 3),
-              util::fmt_fixed(*record.find("gflops"), 2),
-              util::fmt_fixed(*record.find("gbps"), 2));
-    report.records.push_back(std::move(record));
   }
 }
 
