@@ -1,5 +1,17 @@
 // CSCV construction: IOBLR reordering + CSCVE/VxG packing (Section IV).
+//
+// Two parallel passes over image tiles: count, then fill — the same
+// count-then-fill pattern as ct::build_system_matrix_csc_range. A tile owns
+// the blocks of every view group over its pixels and walks the groups in
+// ascending order with one cursor per tile column into the CSC: rows are
+// view-major and ascending within a column, so each group's nonzeros of a
+// column are the next run of it. Pass 1 fixes each block's reference
+// curve, offset window, VxG count and value count; a scan in block-id order
+// places every block in the flat arrays; pass 2 lays the same VxGs out again
+// and writes them in place. What a block writes depends on that block's
+// nonzeros alone, so the arrays are the same bytes at any thread count.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -19,233 +31,279 @@ namespace {
 using sparse::index_t;
 using sparse::offset_t;
 
-/// One VxG under construction: S_VxG consecutive-offset CSCVEs of `col`.
-struct VxgRec {
-  index_t col = 0;       // global column
-  std::int32_t o_start = 0;
-  std::size_t arena_off = 0;  // into the block's dense value arena
-  std::int32_t nnz_count = 0;
+/// One CSC nonzero of the block being laid out: view lane, bin (the offset
+/// o = bin - r(vi) once the reference curve is known) and value.
+template <typename T>
+struct Entry {
+  std::int32_t vi;
+  std::int32_t o;
+  T val;
 };
 
-/// Build output of a single block, concatenated into the flat arrays later.
+/// One VxG: S_VxG consecutive offsets of one column starting at o_start.
+/// Its nonzeros are by_offset[first, last), in (offset, lane) order.
+struct Vxg {
+  index_t col;
+  std::int32_t o_start;
+  std::size_t first;
+  std::size_t last;
+};
+
+/// Stable counting sort of [first, last) by key(x) in [0, range) into `out`.
+template <typename It, typename Out, typename Key>
+void bucket_sort(It first, It last, Out out, std::vector<std::size_t>& bucket,
+                 std::size_t range, Key key) {
+  bucket.assign(range, 0);
+  for (It it = first; it != last; ++it) ++bucket[key(*it)];
+  util::exclusive_scan_in_place(bucket);
+  for (It it = first; it != last; ++it) out[bucket[key(*it)]++] = *it;
+}
+
+/// Per-thread working set of both passes, reused tile after tile.
 template <typename T>
-struct BlockResult {
-  std::int32_t o_min = 0;
-  std::int32_t o_count = 0;
-  std::vector<index_t> refs;        // s_vvec reference bins
-  std::vector<VxgRec> vxgs;         // in final processing order
-  std::vector<T> arena;             // dense values, V*S per VxG (build order)
-  offset_t nnz = 0;                 // original nonzeros in this block
+struct Scratch {
+  std::vector<index_t> cols;           // the tile's columns, row-major
+  std::vector<offset_t> cursor;        // per tile column: next CSC position
+  std::vector<Entry<T>> entries;       // block nonzeros, column by column
+  std::vector<std::size_t> col_begin;  // per tile column, into entries
+  std::vector<Entry<T>> by_offset;     // the same, (offset, lane) order per column
+  std::vector<Vxg> vxgs;               // natural order
+  std::vector<Vxg> sorted;             // VxgOrder applied
+  std::vector<std::size_t> bucket;     // counting-sort buckets
 };
 
 template <typename T>
-BlockResult<T> build_block(const sparse::CscMatrix<T>& a, const OperatorLayout& layout,
-                           const CscvParams& params, const BlockGrid& grid, int block_id) {
-  const int s = params.s_vvec;
-  const int vxg = params.s_vxg;
-  const int g = grid.group_of(block_id);
-  const int ty = grid.tile_y_of(block_id);
-  const int tx = grid.tile_x_of(block_id);
-  const int v0 = grid.first_view(g);
-  const int s_eff = std::min(s, layout.num_views - v0);
+class TileBuilder {
+ public:
+  TileBuilder(const sparse::CscMatrix<T>& a, const OperatorLayout& layout,
+              const CscvParams& params, const BlockGrid& grid)
+      : a_(a), layout_(layout), params_(params), grid_(grid) {}
 
-  const int px0 = tx * params.s_imgb;
-  const int py0 = ty * params.s_imgb;
-  const int px1 = std::min(px0 + params.s_imgb, layout.image_size);
-  const int py1 = std::min(py0 + params.s_imgb, layout.image_size);
+  /// nnz per tile, tile id = ty * tiles_x + tx: the pass partition weights.
+  [[nodiscard]] std::vector<std::uint64_t> tile_weights() const {
+    std::vector<std::uint64_t> w(static_cast<std::size_t>(grid_.tiles_y * grid_.tiles_x), 0);
+    const auto cp = a_.col_ptr();
+    for (index_t col = 0; col < layout_.num_cols(); ++col) {
+      const int tile = layout_.py_of_col(col) / params_.s_imgb * grid_.tiles_x +
+                       layout_.px_of_col(col) / params_.s_imgb;
+      w[static_cast<std::size_t>(tile)] += static_cast<std::uint64_t>(
+          cp[static_cast<std::size_t>(col) + 1] - cp[static_cast<std::size_t>(col)]);
+    }
+    return w;
+  }
 
-  BlockResult<T> out;
-  out.refs.assign(static_cast<std::size_t>(s), 0);
-
-  // ---- Pass 1: slice each column's entries inside the view window -----
-  // One walk over the block's nonzeros; everything later (envelope,
-  // reference curve, offset bucketing) reuses these slices.
-  struct Entry {
-    std::int32_t vi;
-    std::int32_t bin;
-    T val;
-  };
-  std::vector<Entry> entries;                 // all block entries, column-major
-  std::vector<std::size_t> col_begin;         // per block column, into entries
-  std::vector<index_t> col_ids;
-  const int ncols_blk = (px1 - px0) * (py1 - py0);
-  col_begin.reserve(static_cast<std::size_t>(ncols_blk) + 1);
-  col_ids.reserve(static_cast<std::size_t>(ncols_blk));
-
-  auto rows = a.row_idx();
-  auto vals = a.values();
-  const index_t row_lo = layout.row_of(v0, 0);
-  const index_t row_hi = row_lo + static_cast<index_t>(s_eff) * layout.num_bins;
-
-  for (int py = py0; py < py1; ++py) {
-    for (int px = px0; px < px1; ++px) {
-      const index_t col = layout.col_of_pixel(px, py);
-      col_ids.push_back(col);
-      col_begin.push_back(entries.size());
-      const auto cbegin = a.col_ptr()[static_cast<std::size_t>(col)];
-      const auto cend = a.col_ptr()[static_cast<std::size_t>(col) + 1];
-      auto first = std::lower_bound(rows.begin() + cbegin, rows.begin() + cend, row_lo);
-      for (auto it = first; it != rows.begin() + cend && *it < row_hi; ++it) {
-        const index_t row = *it;
-        entries.push_back({layout.view_of_row(row) - v0, layout.bin_of_row(row),
-                           vals[static_cast<std::size_t>(it - rows.begin())]});
+  /// Calls fn(block, scratch) for every block of `tile`, view group by view
+  /// group, with the block's nonzeros gathered into scratch.entries.
+  template <typename Fn>
+  void for_each_block(int tile, Scratch<T>& s, Fn&& fn) const {
+    const int ty = tile / grid_.tiles_x;
+    const int tx = tile % grid_.tiles_x;
+    const Window w = window(tx, ty);
+    s.cols.clear();
+    s.cursor.clear();
+    for (int py = w.py0; py < w.py1; ++py) {
+      for (int px = w.px0; px < w.px1; ++px) {
+        const index_t col = layout_.col_of_pixel(px, py);
+        s.cols.push_back(col);
+        s.cursor.push_back(a_.col_ptr()[static_cast<std::size_t>(col)]);
       }
     }
-  }
-  col_begin.push_back(entries.size());
-  out.nnz = static_cast<offset_t>(entries.size());
-  if (entries.empty()) return out;
-
-  // ---- Reference trajectory r_k(v) -----------------------------------
-  // The envelope (per-view min bin over the block) doubles as the fallback
-  // when the chosen reference pixel has no nonzero at some view.
-  std::vector<int> envelope(static_cast<std::size_t>(s_eff),
-                            std::numeric_limits<int>::max());
-  for (const Entry& e : entries) {
-    envelope[static_cast<std::size_t>(e.vi)] =
-        std::min(envelope[static_cast<std::size_t>(e.vi)], e.bin);
-  }
-
-  index_t ref_col = -1;
-  switch (params.reference) {
-    case ReferenceStrategy::kBlockCenter:
-      ref_col = layout.col_of_pixel(std::min(px0 + params.s_imgb / 2, px1 - 1),
-                                    std::min(py0 + params.s_imgb / 2, py1 - 1));
-      break;
-    case ReferenceStrategy::kBlockCorner:
-      ref_col = layout.col_of_pixel(px0, py0);
-      break;
-    case ReferenceStrategy::kMinEnvelope:
-      break;  // envelope only
-    case ReferenceStrategy::kConstantBtb:
-      break;  // constant curve, handled below
-  }
-  if (params.reference == ReferenceStrategy::kConstantBtb) {
-    // Block Transpose Buffer layout: one constant reference bin for the
-    // whole block, so offsets are absolute bins and every CSCVE is a
-    // view-major vector at a fixed bin (no trajectory following).
-    int block_min = std::numeric_limits<int>::max();
-    for (int e : envelope) block_min = std::min(block_min, e);
-    if (block_min == std::numeric_limits<int>::max()) block_min = 0;
-    for (int vi = 0; vi < s_eff; ++vi) out.refs[static_cast<std::size_t>(vi)] = block_min;
-    // fall through to bucketing with the constant curve
-  } else {
-  std::vector<int> ref_min(static_cast<std::size_t>(s_eff), -1);
-  if (params.reference != ReferenceStrategy::kConstantBtb && ref_col >= 0) {
-    for (std::size_t c = 0; c < col_ids.size(); ++c) {
-      if (col_ids[c] != ref_col) continue;
-      for (std::size_t k = col_begin[c]; k < col_begin[c + 1]; ++k) {
-        auto& slot = ref_min[static_cast<std::size_t>(entries[k].vi)];
-        if (slot < 0 || entries[k].bin < slot) slot = entries[k].bin;
-      }
-      break;
+    for (int g = 0; g < grid_.view_groups; ++g) {
+      gather(g, s);
+      fn(grid_.block_id(g, ty, tx), s);
     }
   }
-  for (int vi = 0; vi < s_eff; ++vi) {
-    int r = ref_min[static_cast<std::size_t>(vi)];
-    if (r < 0) {
-      r = envelope[static_cast<std::size_t>(vi)];
-      if (r == std::numeric_limits<int>::max()) r = 0;  // view empty in block
+
+  /// r(vi) for the lanes of the block's views (docs/FORMAT.md §3) into
+  /// refs[0, s_eff); the lanes past the last view keep 0.
+  void reference_curve(int block, const Scratch<T>& s, index_t* refs) const {
+    const int s_eff = lanes(grid_.group_of(block));
+    constexpr int kNone = std::numeric_limits<int>::max();
+    // The per-view min bin over the block: the kMinEnvelope curve, and the
+    // fallback where the reference pixel has no nonzero at some view.
+    // (S_VVec <= 16.)
+    std::array<int, 16> envelope;
+    envelope.fill(kNone);
+    for (const Entry<T>& e : s.entries) {
+      envelope[static_cast<std::size_t>(e.vi)] =
+          std::min(envelope[static_cast<std::size_t>(e.vi)], e.o);
     }
-    out.refs[static_cast<std::size_t>(vi)] = r;
-  }
-  }
-
-  // ---- Pass 2: bucket each column's nonzeros by bin offset ------------
-  // A column touches only a handful of offsets (trajectories of block
-  // pixels are piecewise parallel to the reference, property P1/P2).
-  struct Triple {
-    std::int32_t o;
-    std::int32_t vi;
-    T val;
-  };
-  std::vector<Triple> triples;
-  std::vector<std::int32_t> offsets;  // unique offsets of current column
-
-  std::int32_t blk_o_min = std::numeric_limits<std::int32_t>::max();
-  std::int32_t blk_o_max = std::numeric_limits<std::int32_t>::min();
-
-  for (std::size_t c = 0; c < col_ids.size(); ++c) {
-    {
-      const index_t col = col_ids[c];
-      if (col_begin[c] == col_begin[c + 1]) continue;
-      triples.clear();
-      for (std::size_t k = col_begin[c]; k < col_begin[c + 1]; ++k) {
-        const Entry& e = entries[k];
-        triples.push_back(
-            {e.bin - out.refs[static_cast<std::size_t>(e.vi)], e.vi, e.val});
+    if (params_.reference == ReferenceStrategy::kConstantBtb) {
+      // Block Transpose Buffer: one constant bin for the whole block, so
+      // offsets are absolute bins. The block has a nonzero, so some view
+      // has a finite envelope.
+      const int block_min = *std::min_element(envelope.begin(), envelope.begin() + s_eff);
+      std::fill(refs, refs + s_eff, block_min);
+      return;
+    }
+    std::array<int, 16> ref_min;
+    ref_min.fill(kNone);
+    if (params_.reference != ReferenceStrategy::kMinEnvelope) {
+      // The reference pixel's entries are in (lane, bin) order, so the first
+      // one of each lane holds its min bin.
+      const Window w = window(grid_.tile_x_of(block), grid_.tile_y_of(block));
+      int rx = w.px0;
+      int ry = w.py0;
+      if (params_.reference == ReferenceStrategy::kBlockCenter) {
+        rx = std::min(w.px0 + params_.s_imgb / 2, w.px1 - 1);
+        ry = std::min(w.py0 + params_.s_imgb / 2, w.py1 - 1);
       }
-      std::sort(triples.begin(), triples.end(), [](const Triple& x, const Triple& y) {
-        if (x.o != y.o) return x.o < y.o;
-        return x.vi < y.vi;
-      });
-
-      offsets.clear();
-      for (const Triple& t : triples) {
-        if (offsets.empty() || offsets.back() != t.o) offsets.push_back(t.o);
+      const auto k = static_cast<std::size_t>((ry - w.py0) * (w.px1 - w.px0) + (rx - w.px0));
+      for (std::size_t i = s.col_begin[k]; i < s.col_begin[k + 1]; ++i) {
+        auto& slot = ref_min[static_cast<std::size_t>(s.entries[i].vi)];
+        if (slot == kNone) slot = s.entries[i].o;
       }
+    }
+    for (int vi = 0; vi < s_eff; ++vi) {
+      int r = ref_min[static_cast<std::size_t>(vi)];
+      if (r == kNone) r = envelope[static_cast<std::size_t>(vi)];
+      refs[vi] = r == kNone ? 0 : r;  // 0 when the view is empty in the block
+    }
+  }
 
-      // ---- chunk maximal consecutive-offset runs into VxGs ------------
-      std::size_t i = 0;
-      while (i < offsets.size()) {
-        std::size_t j = i;
-        while (j + 1 < offsets.size() && offsets[j + 1] == offsets[j] + 1) ++j;
-        // run of consecutive offsets [offsets[i], offsets[j]]
-        for (std::int32_t start = offsets[i]; start <= offsets[j]; start += vxg) {
-          VxgRec rec;
-          rec.col = col;
-          rec.o_start = start;
-          rec.arena_off = out.arena.size();
-          out.arena.resize(out.arena.size() + static_cast<std::size_t>(vxg) * s, T(0));
-          out.vxgs.push_back(rec);
-          blk_o_min = std::min(blk_o_min, start);
-          blk_o_max = std::max(blk_o_max, start + vxg - 1);
+  /// Turns the block's bins into offsets against `refs` and appends every
+  /// column's VxGs to vxgs; with `place`, also writes each column's
+  /// nonzeros in (offset, lane) order into by_offset, where the VxGs' ranges
+  /// point. Each maximal run of consecutive offsets is cut into S_VxG-offset
+  /// chunks from the run's first offset. A run's tail chunk can reach into
+  /// the column's next run; the next run's VxGs own those offsets, and the
+  /// tail chunk's lanes there stay empty (docs/FORMAT.md §4).
+  void layout_vxgs(const index_t* refs, bool place, Scratch<T>& s) const {
+    const auto vxg = static_cast<std::size_t>(params_.s_vxg);
+    for (Entry<T>& e : s.entries) e.o -= refs[e.vi];
+    if (place) s.by_offset.resize(s.entries.size());
+    s.vxgs.clear();
+    for (std::size_t k = 0; k + 1 < s.col_begin.size(); ++k) {
+      const std::size_t b = s.col_begin[k];
+      const std::size_t e = s.col_begin[k + 1];
+      if (b == e) continue;
+      std::int32_t lo = s.entries[b].o;
+      std::int32_t hi = lo;
+      for (std::size_t i = b; i < e; ++i) {
+        lo = std::min(lo, s.entries[i].o);
+        hi = std::max(hi, s.entries[i].o);
+      }
+      // Counting sort by offset: offset lo + j holds [at[j], at[j + 1]).
+      const auto range = static_cast<std::size_t>(hi - lo + 1);
+      auto& at = s.bucket;
+      at.assign(range + 1, 0);
+      for (std::size_t i = b; i < e; ++i) ++at[static_cast<std::size_t>(s.entries[i].o - lo) + 1];
+      for (std::size_t j = 1; j <= range; ++j) at[j] += at[j - 1];
+      for (std::size_t j = 0; j < range;) {
+        if (at[j + 1] == at[j]) {
+          ++j;
+          continue;
         }
-        i = j + 1;
-      }
-      // Fill the dense arena of the VxGs just created for this column.
-      // VxGs of this column are at the tail of out.vxgs, sorted by o_start.
-      for (const Triple& t : triples) {
-        // Find the owning VxG by scanning the column's fresh records —
-        // there are only a few per column.
-        for (auto rit = out.vxgs.rbegin(); rit != out.vxgs.rend(); ++rit) {
-          if (rit->col != col) break;
-          if (t.o >= rit->o_start && t.o < rit->o_start + vxg) {
-            const std::size_t at = rit->arena_off +
-                                   static_cast<std::size_t>(t.o - rit->o_start) * s +
-                                   static_cast<std::size_t>(t.vi);
-            out.arena[at] = t.val;
-            rit->nnz_count++;
-            break;
-          }
+        std::size_t run_end = j + 1;  // one past the run's last offset
+        while (run_end < range && at[run_end + 1] > at[run_end]) ++run_end;
+        for (; j < run_end; j += vxg) {
+          s.vxgs.push_back({s.cols[k], lo + static_cast<std::int32_t>(j), b + at[j],
+                            b + at[std::min(j + vxg, run_end)]});
         }
+        j = run_end;
+      }
+      if (!place) continue;
+      for (std::size_t i = b; i < e; ++i) {
+        s.by_offset[b + at[static_cast<std::size_t>(s.entries[i].o - lo)]++] = s.entries[i];
       }
     }
   }
 
-  if (out.vxgs.empty()) {
-    out.o_min = 0;
-    out.o_count = 0;
-    return out;
+  /// The block's VxGs in params.order: stable counting sorts, so ties keep
+  /// the natural (column, offset) order.
+  const std::vector<Vxg>& ordered(std::int32_t o_min, std::int32_t o_count,
+                                  Scratch<T>& s) const {
+    switch (params_.order) {
+      case VxgOrder::kNatural:
+        return s.vxgs;
+      case VxgOrder::kByOffset:
+        s.sorted.resize(s.vxgs.size());
+        bucket_sort(s.vxgs.begin(), s.vxgs.end(), s.sorted.begin(), s.bucket,
+                    static_cast<std::size_t>(o_count), [o_min](const Vxg& v) {
+                      return static_cast<std::size_t>(v.o_start - o_min);
+                    });
+        return s.sorted;
+      case VxgOrder::kByCount: {
+        // Descending nonzero count.
+        const auto most = static_cast<std::size_t>(params_.s_vxg * params_.s_vvec);
+        s.sorted.resize(s.vxgs.size());
+        bucket_sort(s.vxgs.begin(), s.vxgs.end(), s.sorted.begin(), s.bucket, most + 1,
+                    [most](const Vxg& v) { return most - (v.last - v.first); });
+        return s.sorted;
+      }
+    }
+    return s.vxgs;
   }
-  out.o_min = blk_o_min;
-  out.o_count = blk_o_max - blk_o_min + 1;
 
-  // ---- VxG processing order (Fig. 6) ----------------------------------
-  switch (params.order) {
-    case VxgOrder::kNatural:
-      break;
-    case VxgOrder::kByOffset:
-      std::stable_sort(out.vxgs.begin(), out.vxgs.end(),
-                       [](const VxgRec& x, const VxgRec& y) { return x.o_start < y.o_start; });
-      break;
-    case VxgOrder::kByCount:
-      std::stable_sort(out.vxgs.begin(), out.vxgs.end(), [](const VxgRec& x, const VxgRec& y) {
-        return x.nnz_count > y.nnz_count;
-      });
-      break;
+ private:
+  /// Pixel window [px0, px1) x [py0, py1) of tile (tx, ty); edge tiles are
+  /// cut at the image border.
+  struct Window {
+    int px0, px1, py0, py1;
+  };
+  [[nodiscard]] Window window(int tx, int ty) const {
+    const int px0 = tx * params_.s_imgb;
+    const int py0 = ty * params_.s_imgb;
+    return {px0, std::min(px0 + params_.s_imgb, layout_.image_size), py0,
+            std::min(py0 + params_.s_imgb, layout_.image_size)};
   }
-  return out;
+
+  /// View lanes of group g that hold a view.
+  [[nodiscard]] int lanes(int g) const {
+    return std::min(params_.s_vvec, layout_.num_views - grid_.first_view(g));
+  }
+
+  /// Gathers view group g's nonzeros of every tile column into s.entries
+  /// (lane, bin), advancing the column cursors past them.
+  void gather(int g, Scratch<T>& s) const {
+    const auto rows = a_.row_idx();
+    const auto vals = a_.values();
+    const auto cp = a_.col_ptr();
+    const int s_eff = lanes(g);
+    const index_t row_lo = layout_.row_of(grid_.first_view(g), 0);
+    s.entries.clear();
+    s.col_begin.clear();
+    for (std::size_t k = 0; k < s.cols.size(); ++k) {
+      s.col_begin.push_back(s.entries.size());
+      const auto end = cp[static_cast<std::size_t>(s.cols[k]) + 1];
+      offset_t at = s.cursor[k];
+      // Rows below the group are not CSCV rows; skipping them (instead of
+      // assigning them a lane) leaves them to the lost-nonzeros check.
+      while (at < end && rows[static_cast<std::size_t>(at)] < row_lo) ++at;
+      for (int vi = 0; vi < s_eff; ++vi) {
+        const index_t view_lo = row_lo + static_cast<index_t>(vi) * layout_.num_bins;
+        const index_t view_hi = view_lo + layout_.num_bins;
+        for (; at < end && rows[static_cast<std::size_t>(at)] < view_hi; ++at) {
+          s.entries.push_back({vi, rows[static_cast<std::size_t>(at)] - view_lo,
+                               vals[static_cast<std::size_t>(at)]});
+        }
+      }
+      s.cursor[k] = at;
+    }
+    s.col_begin.push_back(s.entries.size());
+  }
+
+  const sparse::CscMatrix<T>& a_;
+  const OperatorLayout& layout_;
+  const CscvParams& params_;
+  const BlockGrid& grid_;
+};
+
+/// Runs fn(block, scratch) over every block, the tiles split into
+/// nnz-balanced contiguous ranges, one scratch per thread.
+template <typename T, typename Fn>
+void parallel_blocks(const TileBuilder<T>& tb, const std::vector<std::size_t>& bounds,
+                     Fn&& fn) {
+  const int parts = static_cast<int>(bounds.size()) - 1;
+  util::parallel_region([&](int tid, int nthreads) {
+    Scratch<T> s;
+    for (int p = tid; p < parts; p += nthreads) {
+      for (std::size_t t = bounds[static_cast<std::size_t>(p)];
+           t < bounds[static_cast<std::size_t>(p) + 1]; ++t) {
+        tb.for_each_block(static_cast<int>(t), s, fn);
+      }
+    }
+  });
 }
 
 }  // namespace
@@ -265,83 +323,121 @@ CscvMatrix<T> CscvMatrix<T>::build(const sparse::CscMatrix<T>& a, const Operator
   m.grid_ = BlockGrid(layout, params.s_vvec, params.s_imgb);
   m.nnz_ = a.nnz();
 
-  const int num_blocks = m.grid_.num_blocks();
-  std::vector<BlockResult<T>> results(static_cast<std::size_t>(num_blocks));
-  util::parallel_for(0, static_cast<std::size_t>(num_blocks), [&](std::size_t b) {
-    results[b] = build_block(a, layout, params, m.grid_, static_cast<int>(b));
-  });
-
-  // ---- concatenate into flat arrays -----------------------------------
   const int s = params.s_vvec;
   const int vxg = params.s_vxg;
-  offset_t total_vxgs = 0;
-  offset_t total_nnz = 0;
-  for (const auto& r : results) {
-    total_vxgs += static_cast<offset_t>(r.vxgs.size());
-    total_nnz += r.nnz;
-  }
-  CSCV_CHECK_MSG(total_nnz == m.nnz_, "builder lost nonzeros: " << total_nnz << " of "
-                                                                << m.nnz_);
+  const int num_blocks = m.grid_.num_blocks();
+  const TileBuilder<T> tb(a, layout, params, m.grid_);
+  const auto bounds = util::weighted_boundaries(tb.tile_weights(), util::max_threads());
 
+  // ---- pass 1: reference curves, offset windows and counts -------------
+  struct Count {
+    offset_t nnz = 0;     // CSC nonzeros in the block
+    offset_t vxgs = 0;
+    offset_t values = 0;  // stored: padded (kZ) or nonzero (kM)
+  };
+  std::vector<Count> counts(static_cast<std::size_t>(num_blocks));
   m.blocks_.resize(static_cast<std::size_t>(num_blocks));
   m.refs_.assign(static_cast<std::size_t>(num_blocks) * s, 0);
-  m.vxg_col_.resize(static_cast<std::size_t>(total_vxgs));
-  m.vxg_q_.resize(static_cast<std::size_t>(total_vxgs));
-  if (variant == Variant::kZ) {
-    m.values_.assign(static_cast<std::size_t>(total_vxgs * vxg * s), T(0));
-  } else {
-    // One vector of tail slack keeps branch-free expansion in-bounds.
-    m.values_.assign(static_cast<std::size_t>(m.nnz_) + static_cast<std::size_t>(s), T(0));
-    m.masks_.assign(static_cast<std::size_t>(total_vxgs * vxg), 0);
-  }
+  parallel_blocks(tb, bounds, [&](int b, Scratch<T>& sc) {
+    Count& c = counts[static_cast<std::size_t>(b)];
+    c.nnz = static_cast<offset_t>(sc.entries.size());
+    if (sc.entries.empty()) return;  // no VxGs, o_min = o_count = 0, refs 0
+    if (variant == Variant::kM) {
+      for (const Entry<T>& e : sc.entries) c.values += e.val != T(0) ? 1 : 0;
+    }
+    index_t* refs = m.refs_.data() + static_cast<std::size_t>(b) * s;
+    tb.reference_curve(b, sc, refs);
+    tb.layout_vxgs(refs, /*place=*/false, sc);
+    std::int32_t o_min = std::numeric_limits<std::int32_t>::max();
+    std::int32_t o_max = std::numeric_limits<std::int32_t>::min();
+    for (const Vxg& v : sc.vxgs) {
+      o_min = std::min(o_min, v.o_start);
+      o_max = std::max(o_max, v.o_start + vxg - 1);
+    }
+    BlockInfo& info = m.blocks_[static_cast<std::size_t>(b)];
+    info.o_min = o_min;
+    info.o_count = o_max - o_min + 1;
+    c.vxgs = static_cast<offset_t>(sc.vxgs.size());
+    if (variant == Variant::kZ) c.values = c.vxgs * vxg * s;
+  });
 
+  // ---- place every block: scan in block-id order ------------------------
+  offset_t total_nnz = 0;
   offset_t vxg_cursor = 0;
-  offset_t val_cursor = 0;  // kM packed-value cursor
+  offset_t val_cursor = 0;
   for (int b = 0; b < num_blocks; ++b) {
-    const auto& r = results[static_cast<std::size_t>(b)];
+    const Count& c = counts[static_cast<std::size_t>(b)];
     BlockInfo& info = m.blocks_[static_cast<std::size_t>(b)];
     info.view_group = m.grid_.group_of(b);
     info.tile_y = m.grid_.tile_y_of(b);
     info.tile_x = m.grid_.tile_x_of(b);
-    info.o_min = r.o_min;
-    info.o_count = r.o_count;
     info.vxg_begin = vxg_cursor;
-    info.vxg_end = vxg_cursor + static_cast<offset_t>(r.vxgs.size());
-    info.val_begin = variant == Variant::kZ ? vxg_cursor * vxg * s : val_cursor;
-    for (int vi = 0; vi < s; ++vi) {
-      m.refs_[static_cast<std::size_t>(b) * s + vi] =
-          r.refs[static_cast<std::size_t>(vi)];
-    }
-    for (const VxgRec& rec : r.vxgs) {
-      m.vxg_col_[static_cast<std::size_t>(vxg_cursor)] = rec.col;
-      m.vxg_q_[static_cast<std::size_t>(vxg_cursor)] =
-          (rec.o_start - r.o_min) * s;
-      const T* dense = r.arena.data() + rec.arena_off;
-      if (variant == Variant::kZ) {
-        std::copy_n(dense, static_cast<std::size_t>(vxg) * s,
-                    m.values_.data() + vxg_cursor * vxg * s);
-      } else {
-        for (int e = 0; e < vxg; ++e) {
-          std::uint16_t mask = 0;
-          for (int l = 0; l < s; ++l) {
-            const T v = dense[e * s + l];
-            if (v != T(0)) {
-              mask |= static_cast<std::uint16_t>(1u << l);
-              m.values_[static_cast<std::size_t>(val_cursor++)] = v;
-            }
-          }
-          m.masks_[static_cast<std::size_t>(vxg_cursor * vxg + e)] = mask;
-        }
-      }
-      ++vxg_cursor;
-    }
-    const std::size_t slots = static_cast<std::size_t>(r.o_count) * s;
-    m.ytilde_max_slots_ = std::max(m.ytilde_max_slots_, slots);
+    info.vxg_end = vxg_cursor + c.vxgs;
+    info.val_begin = val_cursor;
+    vxg_cursor = info.vxg_end;
+    val_cursor += c.values;
+    total_nnz += c.nnz;
+    m.ytilde_max_slots_ =
+        std::max(m.ytilde_max_slots_, static_cast<std::size_t>(info.o_count) * s);
   }
+  CSCV_CHECK_MSG(total_nnz == m.nnz_, "builder lost nonzeros: " << total_nnz << " of "
+                                                                << m.nnz_);
   if (variant == Variant::kM) {
     CSCV_CHECK_MSG(val_cursor == m.nnz_,
                    "mask packing mismatch: " << val_cursor << " of " << m.nnz_);
   }
+
+  // ---- pass 2: write every block in place ---------------------------------
+  // The arrays are sized without being value-initialised: the fill writes
+  // every element (padding and mask zeros included), so its writes are the
+  // pages' first touch, spread over the threads.
+  m.vxg_col_.resize(static_cast<std::size_t>(vxg_cursor));
+  m.vxg_q_.resize(static_cast<std::size_t>(vxg_cursor));
+  if (variant == Variant::kZ) {
+    m.values_.resize(static_cast<std::size_t>(val_cursor));
+  } else {
+    // One vector of zero tail slack keeps branch-free expansion in-bounds.
+    m.values_.resize(static_cast<std::size_t>(val_cursor) + static_cast<std::size_t>(s));
+    std::fill(m.values_.begin() + static_cast<std::ptrdiff_t>(val_cursor), m.values_.end(),
+              T(0));
+    m.masks_.resize(static_cast<std::size_t>(vxg_cursor * vxg));
+  }
+  const auto lanes = static_cast<std::size_t>(s);
+  const auto chunk = static_cast<std::size_t>(vxg);
+  index_t* const vxg_col = m.vxg_col_.data();
+  std::int32_t* const vxg_q = m.vxg_q_.data();
+  T* const values = m.values_.data();
+  std::uint16_t* const masks = m.masks_.data();
+  parallel_blocks(tb, bounds, [&](int b, Scratch<T>& sc) {
+    if (sc.entries.empty()) return;
+    const BlockInfo& info = m.blocks_[static_cast<std::size_t>(b)];
+    tb.layout_vxgs(m.refs_.data() + static_cast<std::size_t>(b) * s, /*place=*/true, sc);
+    auto g = static_cast<std::size_t>(info.vxg_begin);
+    auto val = static_cast<std::size_t>(info.val_begin);
+    for (const Vxg& v : tb.ordered(info.o_min, info.o_count, sc)) {
+      vxg_col[g] = v.col;
+      vxg_q[g] = (v.o_start - info.o_min) * s;
+      if (variant == Variant::kZ) {
+        T* dense = values + g * chunk * lanes;
+        std::fill_n(dense, chunk * lanes, T(0));
+        for (std::size_t i = v.first; i < v.last; ++i) {
+          const Entry<T>& e = sc.by_offset[i];
+          dense[static_cast<std::size_t>(e.o - v.o_start) * lanes +
+                static_cast<std::size_t>(e.vi)] = e.val;
+        }
+      } else {
+        std::uint16_t* mask = masks + g * chunk;
+        std::fill_n(mask, chunk, std::uint16_t{0});
+        for (std::size_t i = v.first; i < v.last; ++i) {
+          const Entry<T>& e = sc.by_offset[i];
+          if (e.val == T(0)) continue;
+          mask[e.o - v.o_start] |= static_cast<std::uint16_t>(1u << e.vi);
+          values[val++] = e.val;
+        }
+      }
+      ++g;
+    }
+  });
 #ifndef NDEBUG
   // CSCV_DCHECK tier: exhaustively re-check every structural invariant of
   // the freshly built matrix in debug builds (free in release). A failure
@@ -351,6 +447,7 @@ CscvMatrix<T> CscvMatrix<T>::build(const sparse::CscMatrix<T>& a, const Operator
 #endif
   return m;
 }
+
 
 template <typename T>
 std::size_t CscvMatrix<T>::matrix_bytes() const {

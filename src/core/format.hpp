@@ -287,14 +287,16 @@ class CscvMatrix {
   sparse::offset_t nnz_ = 0;
   std::size_t ytilde_max_slots_ = 0;
 
+  // The VxG-sized arrays skip value-initialisation: the builder's parallel
+  // fill writes every element and so first-touches them.
   std::vector<BlockInfo> blocks_;
-  util::AlignedVector<sparse::index_t> refs_;    // num_blocks * s_vvec
-  util::AlignedVector<sparse::index_t> vxg_col_; // global column per VxG
-  util::AlignedVector<std::int32_t> vxg_q_;      // start slot in block y~
-  util::AlignedVector<T> values_;                // kZ: VxG-major dense; kM: packed
-                                                 //   (kF32 dtype only)
-  util::AlignedVector<std::uint16_t> values16_;  // same layout, bf16/fp16 bits
-  util::AlignedVector<std::uint16_t> masks_;     // kM: per-CSCVE lane masks
+  util::AlignedVector<sparse::index_t> refs_;          // num_blocks * s_vvec
+  util::UninitAlignedVector<sparse::index_t> vxg_col_; // global column per VxG
+  util::UninitAlignedVector<std::int32_t> vxg_q_;      // start slot in block y~
+  util::UninitAlignedVector<T> values_;                // kZ: VxG-major dense; kM: packed
+                                                       //   (kF32 dtype only)
+  util::AlignedVector<std::uint16_t> values16_;        // same layout, bf16/fp16 bits
+  util::UninitAlignedVector<std::uint16_t> masks_;     // kM: per-CSCVE lane masks
   ValueType value_type_ = ValueType::kF32;
   double sparsify_eps_ = 0.0;    // 0 = never sparsified
   double sparsify_bound_ = 0.0;  // certified max per-row l1 error mass

@@ -72,9 +72,11 @@ sparse::CscMatrix<T> build_attenuated_system_matrix_csc(const ParallelGeometry& 
   auto base = build_system_matrix_csc<T>(geometry, model, drop_tolerance);
   const int n = geometry.image_size;
 
-  util::AlignedVector<sparse::offset_t> col_ptr(base.col_ptr().begin(), base.col_ptr().end());
-  util::AlignedVector<sparse::index_t> row_idx(base.row_idx().begin(), base.row_idx().end());
-  util::AlignedVector<T> values(base.values().begin(), base.values().end());
+  util::UninitAlignedVector<sparse::offset_t> col_ptr(base.col_ptr().begin(),
+                                                      base.col_ptr().end());
+  util::UninitAlignedVector<sparse::index_t> row_idx(base.row_idx().begin(),
+                                                     base.row_idx().end());
+  util::UninitAlignedVector<T> values(base.values().begin(), base.values().end());
 
   util::parallel_for(0, static_cast<std::size_t>(geometry.num_cols()), [&](std::size_t c) {
     const int ix = static_cast<int>(c) % n;

@@ -93,7 +93,7 @@ sparse::CscMatrix<T> build_fan_system_matrix_csc(const FanBeamGeometry& geometry
   const auto cols = static_cast<std::size_t>(geometry.num_cols());
   const int n = geometry.image_size;
 
-  util::AlignedVector<sparse::offset_t> col_ptr(cols + 1, 0);
+  util::UninitAlignedVector<sparse::offset_t> col_ptr(cols + 1, 0);
   util::parallel_for(0, cols, [&](std::size_t c) {
     sparse::offset_t count = 0;
     enumerate_fan_column(geometry, cos_b, sin_b, model, static_cast<int>(c) % n,
@@ -104,8 +104,8 @@ sparse::CscMatrix<T> build_fan_system_matrix_csc(const FanBeamGeometry& geometry
   for (std::size_t c = 0; c < cols; ++c) col_ptr[c + 1] += col_ptr[c];
   const auto nnz = static_cast<std::size_t>(col_ptr[cols]);
 
-  util::AlignedVector<sparse::index_t> row_idx(nnz);
-  util::AlignedVector<T> values(nnz);
+  util::UninitAlignedVector<sparse::index_t> row_idx(nnz);
+  util::UninitAlignedVector<T> values(nnz);
   util::parallel_for(0, cols, [&](std::size_t c) {
     std::size_t at = static_cast<std::size_t>(col_ptr[c]);
     enumerate_fan_column(geometry, cos_b, sin_b, model, static_cast<int>(c) % n,

@@ -81,7 +81,7 @@ sparse::CscMatrix<T> build_system_matrix_csc_range(const ParallelGeometry& geome
       static_cast<std::int64_t>(view_end - view_begin) * geometry.num_bins;
 
   // Pass 1: nnz per column (parallel), then prefix-sum into col_ptr.
-  util::AlignedVector<sparse::offset_t> col_ptr(cols + 1, 0);
+  util::UninitAlignedVector<sparse::offset_t> col_ptr(cols + 1, 0);
   util::parallel_for(0, cols, [&](std::size_t c) {
     const int ix = static_cast<int>(c) % n;
     const int iy = static_cast<int>(c) / n;
@@ -93,9 +93,10 @@ sparse::CscMatrix<T> build_system_matrix_csc_range(const ParallelGeometry& geome
   for (std::size_t c = 0; c < cols; ++c) col_ptr[c + 1] += col_ptr[c];
   const auto nnz = static_cast<std::size_t>(col_ptr[cols]);
 
-  // Pass 2: fill (parallel, disjoint ranges per column).
-  util::AlignedVector<sparse::index_t> row_idx(nnz);
-  util::AlignedVector<T> values(nnz);
+  // Pass 2: fill (parallel, disjoint ranges per column). The arrays are not
+  // zeroed first, so these writes are their first touch.
+  util::UninitAlignedVector<sparse::index_t> row_idx(nnz);
+  util::UninitAlignedVector<T> values(nnz);
   util::parallel_for(0, cols, [&](std::size_t c) {
     const int ix = static_cast<int>(c) % n;
     const int iy = static_cast<int>(c) / n;

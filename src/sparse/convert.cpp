@@ -38,12 +38,12 @@ CscMatrix<T> csc_from_csr(const CsrMatrix<T>& a) {
   auto col_idx = a.col_idx();
   auto vals = a.values();
 
-  util::AlignedVector<offset_t> col_ptr(cols + 1, 0);
+  util::UninitAlignedVector<offset_t> col_ptr(cols + 1, 0);
   for (index_t c : col_idx) col_ptr[static_cast<std::size_t>(c) + 1]++;
   for (std::size_t c = 0; c < cols; ++c) col_ptr[c + 1] += col_ptr[c];
 
-  util::AlignedVector<index_t> row_idx(nnz);
-  util::AlignedVector<T> values(nnz);
+  util::UninitAlignedVector<index_t> row_idx(nnz);
+  util::UninitAlignedVector<T> values(nnz);
   util::AlignedVector<offset_t> cursor(col_ptr.begin(), col_ptr.end() - 1);
   for (index_t r = 0; r < a.rows(); ++r) {
     for (offset_t k = row_ptr[static_cast<std::size_t>(r)];

@@ -12,15 +12,15 @@ CscMatrix<T> CscMatrix<T>::from_coo(const CooMatrix<T>& coo) {
   CSCV_CHECK_MSG(coo.normalized(), "CSC build requires a normalized COO");
   const auto cols = coo.cols();
   const auto nnz = coo.nnz();
-  util::AlignedVector<offset_t> col_ptr(static_cast<std::size_t>(cols) + 1, 0);
+  util::UninitAlignedVector<offset_t> col_ptr(static_cast<std::size_t>(cols) + 1, 0);
   for (index_t c : coo.col_indices()) col_ptr[static_cast<std::size_t>(c) + 1]++;
   for (index_t c = 0; c < cols; ++c) {
     col_ptr[static_cast<std::size_t>(c) + 1] += col_ptr[static_cast<std::size_t>(c)];
   }
   // COO is row-major sorted; counting-sort by column keeps rows ascending
   // within each column (stable pass over row-major order).
-  util::AlignedVector<index_t> row_idx(static_cast<std::size_t>(nnz));
-  util::AlignedVector<T> values(static_cast<std::size_t>(nnz));
+  util::UninitAlignedVector<index_t> row_idx(static_cast<std::size_t>(nnz));
+  util::UninitAlignedVector<T> values(static_cast<std::size_t>(nnz));
   util::AlignedVector<offset_t> cursor(col_ptr.begin(), col_ptr.end() - 1);
   auto rows_in = coo.row_indices();
   auto cols_in = coo.col_indices();
@@ -36,8 +36,9 @@ CscMatrix<T> CscMatrix<T>::from_coo(const CooMatrix<T>& coo) {
 }
 
 template <typename T>
-CscMatrix<T>::CscMatrix(index_t rows, index_t cols, util::AlignedVector<offset_t> col_ptr,
-                        util::AlignedVector<index_t> row_idx, util::AlignedVector<T> values)
+CscMatrix<T>::CscMatrix(index_t rows, index_t cols, util::UninitAlignedVector<offset_t> col_ptr,
+                        util::UninitAlignedVector<index_t> row_idx,
+                        util::UninitAlignedVector<T> values)
     : rows_(rows),
       cols_(cols),
       col_ptr_(std::move(col_ptr)),

@@ -21,8 +21,11 @@ class CscMatrix {
 
   static CscMatrix from_coo(const CooMatrix<T>& coo);
 
-  CscMatrix(index_t rows, index_t cols, util::AlignedVector<offset_t> col_ptr,
-            util::AlignedVector<index_t> row_idx, util::AlignedVector<T> values);
+  /// Takes the arrays as built. They are UninitAlignedVectors: a producer
+  /// sizes them without zeroing and writes every element itself (in parallel
+  /// where it fills in parallel, so its writes are the first touch).
+  CscMatrix(index_t rows, index_t cols, util::UninitAlignedVector<offset_t> col_ptr,
+            util::UninitAlignedVector<index_t> row_idx, util::UninitAlignedVector<T> values);
 
   [[nodiscard]] index_t rows() const { return rows_; }
   [[nodiscard]] index_t cols() const { return cols_; }
@@ -55,9 +58,9 @@ class CscMatrix {
  private:
   index_t rows_ = 0;
   index_t cols_ = 0;
-  util::AlignedVector<offset_t> col_ptr_;   // cols_ + 1 entries
-  util::AlignedVector<index_t> row_idx_;    // nnz entries
-  util::AlignedVector<T> values_;           // nnz entries
+  util::UninitAlignedVector<offset_t> col_ptr_;  // cols_ + 1 entries
+  util::UninitAlignedVector<index_t> row_idx_;   // nnz entries
+  util::UninitAlignedVector<T> values_;          // nnz entries
 };
 
 extern template class CscMatrix<float>;

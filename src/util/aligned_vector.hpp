@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace cscv::util {
@@ -50,10 +52,51 @@ class AlignedAllocator {
   friend bool operator!=(const AlignedAllocator&, const AlignedAllocator&) { return false; }
 };
 
+/// AlignedAllocator whose no-argument construct default-initialises, so
+/// `UninitAlignedVector<T>(n)` and `resize(n)` leave arithmetic elements
+/// indeterminate instead of zeroing them on the calling thread. For arrays
+/// that a (parallel) fill then overwrites in full: the fill's writes become
+/// the pages' first touch. Construction from a value (`(n, v)`, `assign`)
+/// still writes it.
+template <typename T, std::size_t Alignment = kCacheLineBytes>
+class DefaultInitAllocator : public AlignedAllocator<T, Alignment> {
+ public:
+  DefaultInitAllocator() noexcept = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U, Alignment>&) noexcept {}
+
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U, Alignment>;
+  };
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
+  friend bool operator==(const DefaultInitAllocator&, const DefaultInitAllocator&) {
+    return true;
+  }
+  friend bool operator!=(const DefaultInitAllocator&, const DefaultInitAllocator&) {
+    return false;
+  }
+};
+
 /// std::vector with 64-byte-aligned storage; the default container for all
 /// numeric arrays in the library (matrix values, index arrays, x/y vectors).
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
+
+/// AlignedVector whose sized construction and resize skip value-initialisation
+/// (see DefaultInitAllocator); only for arrays whose producer writes every
+/// element.
+template <typename T>
+using UninitAlignedVector = std::vector<T, DefaultInitAllocator<T>>;
 
 /// True if `p` is aligned to `alignment` bytes.
 inline bool is_aligned(const void* p, std::size_t alignment) {

@@ -1,10 +1,15 @@
 // Structural invariants of the CSCV builder.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "core/format.hpp"
+#include "sparse/coo.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
 
 namespace cscv::core {
 namespace {
@@ -123,6 +128,132 @@ TEST(CscvBuilder, ByOffsetOrderIsSorted) {
       EXPECT_LE(m.vxg_q()[static_cast<std::size_t>(g - 1)],
                 m.vxg_q()[static_cast<std::size_t>(g)]);
     }
+  }
+}
+
+template <typename U>
+bool same_bytes(std::span<const U> a, std::span<const U> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+/// Every output of two builds, compared byte for byte. The block table is
+/// compared field by field: BlockInfo's padding bytes are not part of it.
+template <typename T>
+void expect_identical(const CscvMatrix<T>& a, const CscvMatrix<T>& b, const std::string& what) {
+  ASSERT_EQ(a.num_blocks(), b.num_blocks()) << what;
+  for (int k = 0; k < a.num_blocks(); ++k) {
+    const auto& x = a.blocks()[static_cast<std::size_t>(k)];
+    const auto& y = b.blocks()[static_cast<std::size_t>(k)];
+    ASSERT_TRUE(x.view_group == y.view_group && x.tile_x == y.tile_x && x.tile_y == y.tile_y &&
+                x.o_min == y.o_min && x.o_count == y.o_count && x.vxg_begin == y.vxg_begin &&
+                x.vxg_end == y.vxg_end && x.val_begin == y.val_begin)
+        << what << ": block " << k;
+  }
+  EXPECT_TRUE(same_bytes(a.reference_bins(), b.reference_bins())) << what << ": refs";
+  EXPECT_TRUE(same_bytes(a.vxg_col(), b.vxg_col())) << what << ": vxg_col";
+  EXPECT_TRUE(same_bytes(a.vxg_q(), b.vxg_q())) << what << ": vxg_q";
+  EXPECT_TRUE(same_bytes(a.values(), b.values())) << what << ": values";
+  EXPECT_TRUE(same_bytes(a.masks(), b.masks())) << what << ": masks";
+  EXPECT_EQ(a.ytilde_max_slots(), b.ytilde_max_slots()) << what;
+}
+
+template <typename T>
+void check_thread_count_independence() {
+  using M = CscvMatrix<T>;
+  // 30 is not a multiple of S_ImgB 8 and 21 views not of S_VVec 8: partial
+  // tiles and a partial last view group.
+  const int image = 30, views = 21;
+  const OperatorLayout layout{image, ct::standard_num_bins(image), views};
+  const auto& csc = cached_ct_csc<T>(image, views);
+  const int saved = util::max_threads();
+  for (auto ref : {ReferenceStrategy::kBlockCenter, ReferenceStrategy::kBlockCorner,
+                   ReferenceStrategy::kMinEnvelope, ReferenceStrategy::kConstantBtb}) {
+    for (auto order : {VxgOrder::kNatural, VxgOrder::kByOffset, VxgOrder::kByCount}) {
+      for (auto variant : {M::Variant::kZ, M::Variant::kM}) {
+        const CscvParams p{.s_vvec = 8, .s_imgb = 8, .s_vxg = 2, .reference = ref, .order = order};
+        util::set_num_threads(1);
+        const M one = M::build(csc, layout, p, variant);
+        for (int threads : {2, 3, 4}) {
+          util::set_num_threads(threads);
+          expect_identical(one, M::build(csc, layout, p, variant),
+                           reference_name(ref) + "/" + vxg_order_name(order) + "/" +
+                               (variant == M::Variant::kZ ? "Z" : "M") + " at " +
+                               std::to_string(threads) + " threads");
+        }
+      }
+    }
+  }
+  util::set_num_threads(saved);
+}
+
+// The builder splits tiles over the ambient OpenMP threads; what it writes
+// must not depend on how many there are.
+TEST(CscvBuilder, OutputIsIndependentOfThreadCount) {
+  check_thread_count_independence<float>();
+  check_thread_count_independence<double>();
+}
+
+// A run's tail VxG can reach into the column's next offset run. The later
+// VxG owns the shared offsets; the tail chunk's lanes there stay zero (kZ)
+// or masked off (kM), so no nonzero is stored twice (docs/FORMAT.md §4).
+TEST(CscvBuilder, LaterVxgOwnsOverlappingOffsets) {
+  using M = CscvMatrix<float>;
+  // One pixel, one view group of S_VVec 4 over 8 bins. With the constant
+  // reference r = 0 (the block's min bin), offsets are bins: view 0 holds
+  // offsets {0..4, 6, 7} and view 1 {1, 6}, so the column's runs are
+  // {0..4} and {6, 7}. At S_VxG 4 they give VxGs at 0, 4 and 6; the one at
+  // 4 covers offsets 4..7 and overlaps the one at 6 on 6 and 7.
+  const OperatorLayout layout{1, 8, 4};
+  sparse::CooMatrix<float> coo(layout.num_rows(), layout.num_cols());
+  const auto value = [](int view, int bin) { return static_cast<float>(10 * view + bin + 1); };
+  for (int bin : {0, 1, 2, 3, 4, 6, 7}) coo.add(layout.row_of(0, bin), 0, value(0, bin));
+  for (int bin : {1, 6}) coo.add(layout.row_of(1, bin), 0, value(1, bin));
+  coo.normalize();
+  const auto csc = sparse::CscMatrix<float>::from_coo(coo);
+  const CscvParams p{.s_vvec = 4, .s_imgb = 8, .s_vxg = 4,
+                     .reference = ReferenceStrategy::kConstantBtb};
+
+  const M z = M::build(csc, layout, p, M::Variant::kZ);
+  ASSERT_EQ(z.num_vxgs(), 3);
+  EXPECT_EQ(z.blocks()[0].o_min, 0);
+  EXPECT_EQ(z.blocks()[0].o_count, 10);
+  EXPECT_EQ(std::vector<std::int32_t>(z.vxg_q().begin(), z.vxg_q().end()),
+            (std::vector<std::int32_t>{0 * 4, 4 * 4, 6 * 4}));
+  // Slot (vxg, offset - o_start, lane) of the VxG-major dense values.
+  const auto at = [&](int g, int e, int lane) {
+    return z.values()[static_cast<std::size_t>((g * 4 + e) * 4 + lane)];
+  };
+  for (int e = 0; e < 4; ++e) EXPECT_EQ(at(0, e, 0), value(0, e));
+  EXPECT_EQ(at(0, 1, 1), value(1, 1));
+  EXPECT_EQ(at(1, 0, 0), value(0, 4));
+  for (int e = 1; e < 4; ++e) {
+    for (int lane = 0; lane < 4; ++lane) {
+      EXPECT_EQ(at(1, e, lane), 0.0F) << "tail VxG must leave offset " << 4 + e << " empty";
+    }
+  }
+  EXPECT_EQ(at(2, 0, 0), value(0, 6));
+  EXPECT_EQ(at(2, 0, 1), value(1, 6));
+  EXPECT_EQ(at(2, 1, 0), value(0, 7));
+
+  const M m = M::build(csc, layout, p, M::Variant::kM);
+  EXPECT_EQ(std::vector<std::uint16_t>(m.masks().begin(), m.masks().end()),
+            (std::vector<std::uint16_t>{0b0001, 0b0011, 0b0001, 0b0001,  // offsets 0..3
+                                        0b0001, 0, 0, 0,                 // 4, then 5..7 empty
+                                        0b0011, 0b0001, 0, 0}));         // 6..9
+  EXPECT_EQ(std::vector<float>(m.values().begin(), m.values().begin() + m.nnz()),
+            (std::vector<float>{value(0, 0), value(0, 1), value(1, 1), value(0, 2), value(0, 3),
+                                value(0, 4), value(0, 6), value(1, 6), value(0, 7)}));
+
+  // Each nonzero is applied once: y = A x matches the CSC exactly (one
+  // product per row).
+  const util::AlignedVector<float> x{2.0F};
+  util::AlignedVector<float> want(static_cast<std::size_t>(layout.num_rows()));
+  csc.spmv_serial(x, want);
+  for (const M* a : {&z, &m}) {
+    util::AlignedVector<float> y(want.size());
+    a->spmv(x, y);
+    EXPECT_EQ(y, want);
   }
 }
 

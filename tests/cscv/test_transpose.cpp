@@ -169,12 +169,14 @@ std::vector<float> ordered_transpose(const CscvMatrix<float>& m, std::span<const
 TEST(CscvTranspose, SummationOrderIsPinned) {
   const int image = 32, views = 24;
   const auto& pattern = cached_ct_csc<float>(image, views);
-  util::AlignedVector<float> vals(pattern.values().begin(), pattern.values().end());
+  util::UninitAlignedVector<float> vals(pattern.values().begin(), pattern.values().end());
   for (float& a : vals) a = std::exp2(std::floor(std::log2(a)));
   const sparse::CscMatrix<float> csc(
       pattern.rows(), pattern.cols(),
-      util::AlignedVector<sparse::offset_t>(pattern.col_ptr().begin(), pattern.col_ptr().end()),
-      util::AlignedVector<sparse::index_t>(pattern.row_idx().begin(), pattern.row_idx().end()),
+      util::UninitAlignedVector<sparse::offset_t>(pattern.col_ptr().begin(),
+                                                  pattern.col_ptr().end()),
+      util::UninitAlignedVector<sparse::index_t>(pattern.row_idx().begin(),
+                                                 pattern.row_idx().end()),
       std::move(vals));
   util::AlignedVector<float> y(static_cast<std::size_t>(csc.rows()));
   for (std::size_t i = 0; i < y.size(); ++i) {
@@ -261,12 +263,14 @@ std::vector<float> ordered_forward(const CscvMatrix<float>& m, std::span<const f
 TEST(CscvForward, SummationOrderIsPinned) {
   const int image = 32, views = 24;
   const auto& pattern = cached_ct_csc<float>(image, views);
-  util::AlignedVector<float> vals(pattern.values().begin(), pattern.values().end());
+  util::UninitAlignedVector<float> vals(pattern.values().begin(), pattern.values().end());
   for (float& a : vals) a = std::exp2(std::floor(std::log2(a)));
   const sparse::CscMatrix<float> csc(
       pattern.rows(), pattern.cols(),
-      util::AlignedVector<sparse::offset_t>(pattern.col_ptr().begin(), pattern.col_ptr().end()),
-      util::AlignedVector<sparse::index_t>(pattern.row_idx().begin(), pattern.row_idx().end()),
+      util::UninitAlignedVector<sparse::offset_t>(pattern.col_ptr().begin(),
+                                                  pattern.col_ptr().end()),
+      util::UninitAlignedVector<sparse::index_t>(pattern.row_idx().begin(),
+                                                 pattern.row_idx().end()),
       std::move(vals));
   util::AlignedVector<float> x(static_cast<std::size_t>(csc.cols()));
   for (std::size_t i = 0; i < x.size(); ++i) {
