@@ -545,7 +545,7 @@ double CscvMatrix<T>::convert_values(ValueType vt) {
       for (std::size_t i = 0; i < values16_.size(); ++i) {
         values_[i] = widen_from(value_type_, values16_[i]);
       }
-      values16_ = {};
+      decltype(values16_)().swap(values16_);  // frees; `= {}` keeps the capacity
     } else {
       const ValueType from = value_type_;
       const auto load = [&](std::size_t i) {
@@ -567,7 +567,7 @@ double CscvMatrix<T>::convert_values(ValueType vt) {
       });
       for (double rm : row_mass) max_row_mass = std::max(max_row_mass, rm);
       values16_ = std::move(out);
-      values_ = {};
+      decltype(values_)().swap(values_);  // frees; `= {}` keeps the capacity
       sparsify_bound_ += max_row_mass;
     }
     value_type_ = vt;

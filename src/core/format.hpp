@@ -96,10 +96,15 @@ class CscvMatrix {
     std::int32_t tile_y = 0;
     std::int32_t o_min = 0;
     std::int32_t o_count = 0;
+    // Always 0. Fills what would be padding before the 8-byte fields, so
+    // the table serializes to the same bytes for equal matrices.
+    std::int32_t reserved = 0;
     sparse::offset_t vxg_begin = 0;
     sparse::offset_t vxg_end = 0;
     sparse::offset_t val_begin = 0;  // into values_ (packed cursor for kM)
   };
+  static_assert(std::has_unique_object_representations_v<BlockInfo>,
+                "BlockInfo is written raw to .cscv files: it must have no padding");
 
   CscvMatrix() = default;
 

@@ -300,13 +300,16 @@ void SpmvPlan<T>::transpose_groups(const GroupSubset& subset, const T* y, T* x) 
   // Slots own image tiles: the same tile across the view groups touches a
   // private x slice, so writes need no synchronization. y is read-only, and
   // each tile sums its groups in ascending order at any thread count.
+  // Blocks are stored group-major, so walking the groups outermost reads a
+  // slot's tile range as one contiguous run of blocks per group, in storage
+  // order like the forward, instead of jumping a whole group between blocks.
   util::parallel_for(0, x_size, [&](std::size_t i) { x[i] = T(0); });
   util::parallel_region([&](int tid, int nthreads) {
     for (int slot = tid; slot < threads_; slot += nthreads) {
       T* ytilde = ytilde_slot(slot);
-      for (std::size_t tile = tile_bounds_[static_cast<std::size_t>(slot)];
-           tile < tile_bounds_[static_cast<std::size_t>(slot) + 1]; ++tile) {
-        for (int g = subset.first_local(); g < a_->grid_.view_groups; g += subset.count) {
+      for (int g = subset.first_local(); g < a_->grid_.view_groups; g += subset.count) {
+        for (std::size_t tile = tile_bounds_[static_cast<std::size_t>(slot)];
+             tile < tile_bounds_[static_cast<std::size_t>(slot) + 1]; ++tile) {
           const int b = g * tiles_per_group + static_cast<int>(tile);
           const auto& info = a_->blocks_[static_cast<std::size_t>(b)];
           if (info.vxg_begin == info.vxg_end) continue;

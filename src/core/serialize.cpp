@@ -197,7 +197,8 @@ CscvMatrix<T> CscvBuilderAccess<T>::read(std::istream& in) {
                      "reference bins");
   std::uint64_t num_vxgs = 0;
   for (std::size_t b = 0; b < m.blocks_.size(); ++b) {
-    const auto& info = m.blocks_[b];
+    auto& info = m.blocks_[b];
+    info.reserved = 0;  // unspecified padding in files of earlier builds
     CSCV_CHECK_MSG(info.vxg_begin == static_cast<sparse::offset_t>(num_vxgs) &&
                        info.vxg_end >= info.vxg_begin,
                    "cscv.block_table.vxg_contiguous: block "

@@ -223,12 +223,14 @@ RunStats cgls(const LinearOperator<T>& a, std::span<const T> b, std::span<T> x,
     colmath::axpy(x.data(), static_cast<T>(alpha), p.data(), n);
     colmath::axmy(r.data(), static_cast<T>(alpha), q.data(), m);
     stats.residual_norms.push_back(colmath::norm2(r.data(), m));
+    ++stats.iterations_run;
+    // The next search direction only serves a next iteration.
+    if (it + 1 == options.iterations) break;
     a.adjoint(r, s);
     const double gamma_new = colmath::dot_self(s.data(), n);
     const double beta = gamma_new / gamma;
     gamma = gamma_new;
     colmath::xpay(p.data(), s.data(), static_cast<T>(beta), n);
-    ++stats.iterations_run;
   }
   clamp_nonneg(x, options);
   return stats;
@@ -296,6 +298,7 @@ std::vector<RunStats> cgls_batch(const LinearOperator<T>& a, std::span<const T> 
       colmath::scatter_column(pc[c].data(), n, k, c, multi_n.data());
     }
     a.forward_batch(multi_n, multi_m, num_rhs);
+    bool any_next = false;
     for (std::size_t c = 0; c < k; ++c) {
       if (done[c] || it >= options[c].iterations) continue;
       colmath::gather_column(multi_m.data(), m, k, c, qc[c].data());
@@ -308,7 +311,12 @@ std::vector<RunStats> cgls_batch(const LinearOperator<T>& a, std::span<const T> 
       colmath::axpy(xc[c].data(), static_cast<T>(alpha), pc[c].data(), n);
       colmath::axmy(rc[c].data(), static_cast<T>(alpha), qc[c].data(), m);
       stats[c].residual_norms.push_back(colmath::norm2(rc[c].data(), m));
+      ++stats[c].iterations_run;
+      if (it + 1 < options[c].iterations) any_next = true;
     }
+    // As in serial cgls, the next search directions only serve a next
+    // iteration; columns that end here ride along when others go on.
+    if (!any_next) break;
     for (std::size_t c = 0; c < k; ++c) {
       colmath::scatter_column(rc[c].data(), m, k, c, multi_m.data());
     }
@@ -320,7 +328,6 @@ std::vector<RunStats> cgls_batch(const LinearOperator<T>& a, std::span<const T> 
       const double beta = gamma_new / gamma[c];
       gamma[c] = gamma_new;
       colmath::xpay(pc[c].data(), sc[c].data(), static_cast<T>(beta), n);
-      ++stats[c].iterations_run;
     }
   }
   for (std::size_t c = 0; c < k; ++c) {

@@ -51,7 +51,9 @@ RunStats art(const sparse::CsrMatrix<T>& a, std::span<const T> b, std::span<T> x
              const SolveOptions& options = {});
 
 /// CGLS on min ||Ax - b||_2. Ignores relaxation; nonnegativity is applied
-/// only to the final iterate (projecting inside CG breaks conjugacy).
+/// only to the final iterate (projecting inside CG breaks conjugacy). The
+/// last iteration skips A^T r, which only feeds a next search direction, so
+/// n iterations from zero make n forwards and n adjoints.
 template <typename T>
 RunStats cgls(const LinearOperator<T>& a, std::span<const T> b, std::span<T> x,
               const SolveOptions& options = {});
@@ -73,7 +75,8 @@ std::vector<RunStats> sirt_batch(const LinearOperator<T>& a, std::span<const T> 
 /// Batched CGLS; same interleaved layout and per-column dropout contract as
 /// sirt_batch. A column that hits its CG breakdown condition (gamma == 0 or
 /// q == 0) finishes early exactly as serial cgls() would break, without
-/// stalling the other columns.
+/// stalling the other columns. The final adjoint is skipped once no
+/// column has another iteration.
 template <typename T>
 std::vector<RunStats> cgls_batch(const LinearOperator<T>& a, std::span<const T> b,
                                  std::span<T> x, int num_rhs,

@@ -9,6 +9,9 @@
 // values, on every registered tier, for every variant, expand path,
 // direction, and RHS width.
 #include <gtest/gtest.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <cstdint>
 #include <cstring>
@@ -288,6 +291,45 @@ TEST(MixedPrecisionPlan, ConvertInvalidatesCachedPlan) {
   m.convert_values(ValueType::kBf16);
   EXPECT_EQ(m.plan().stats().value_type, ValueType::kBf16);
   EXPECT_EQ(m.plan().stats().bytes_per_value, 2u);
+}
+
+#if defined(__GLIBC__)
+/// Bytes the process holds from malloc: chunks in use plus mapped blocks.
+std::size_t malloc_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+#endif
+
+// convert_values frees the array it replaces, so a 16-bit matrix holds no
+// fp32 values and widening back holds no 16-bit ones: the bytes glibc
+// counts as in use change by the new array's bytes less the old array's.
+TEST(MixedPrecisionStorage, ConvertReleasesTheReplacedArray) {
+#if defined(__GLIBC__)
+  constexpr std::size_t kSlack = 2 * 4096;  // chunk headers, page rounding
+  auto m = build_f32(FVariant::kM, 64, 48);
+  const std::size_t f32_bytes = m.values().size() * sizeof(float);
+  const std::size_t u16_bytes = m.values().size() * sizeof(std::uint16_t);
+  ASSERT_GT(u16_bytes, 16 * kSlack);
+  {
+    const std::size_t before = malloc_in_use();
+    const util::AlignedVector<float> probe(f32_bytes / sizeof(float));
+    if (malloc_in_use() < before + f32_bytes) {
+      GTEST_SKIP() << "the allocator does not report through mallinfo2";
+    }
+  }
+
+  const std::size_t at_f32 = malloc_in_use();
+  m.convert_values(ValueType::kBf16);
+  const std::size_t at_bf16 = malloc_in_use();
+  EXPECT_LE(at_bf16 + f32_bytes, at_f32 + u16_bytes + kSlack);
+
+  m.convert_values(ValueType::kF32);
+  const std::size_t back_at_f32 = malloc_in_use();
+  EXPECT_LE(back_at_f32 + u16_bytes, at_bf16 + f32_bytes + kSlack);
+#else
+  GTEST_SKIP() << "needs glibc's mallinfo2";
+#endif
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "core/serialize.hpp"
 #include "sparse/random.hpp"
@@ -83,6 +87,54 @@ TEST(CscvSerialize, FileRoundTrip) {
   auto back = load_cscv_file<float>(path);
   EXPECT_EQ(back.nnz(), m.nnz());
   std::remove(path.c_str());
+}
+
+template <typename T>
+std::string bytes_of(const CscvMatrix<T>& m) {
+  std::ostringstream out(std::ios::out | std::ios::binary);
+  save_cscv(out, m);
+  return out.str();
+}
+
+template <typename T>
+CscvMatrix<T> from_bytes(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::in | std::ios::binary);
+  return load_cscv<T>(in);
+}
+
+// Equal matrices serialize to equal bytes: save -> load -> save gives the
+// same file. Files from earlier builds could carry any bytes where
+// BlockInfo::reserved now sits (unnamed struct padding then); they still
+// load, and re-save to the canonical bytes.
+template <typename T>
+void check_save_load_save(typename CscvMatrix<T>::Variant variant) {
+  using BlockInfo = typename CscvMatrix<T>::BlockInfo;
+  const auto m = make<T>(variant);
+  const std::string first = bytes_of(m);
+  EXPECT_EQ(bytes_of(from_bytes<T>(first)), first);
+
+  // The v2 header is 84 bytes, then the block table's u64 count.
+  constexpr std::size_t kBlockCount = 84;
+  constexpr std::size_t kBlockData = kBlockCount + sizeof(std::uint64_t);
+  std::uint64_t stored_blocks = 0;
+  std::memcpy(&stored_blocks, first.data() + kBlockCount, sizeof(stored_blocks));
+  ASSERT_EQ(stored_blocks, static_cast<std::uint64_t>(m.num_blocks()));
+  std::string dirty = first;
+  for (std::size_t b = 0; b < stored_blocks; ++b) {
+    const std::int32_t junk = static_cast<std::int32_t>(0x5A000001 + b);
+    std::memcpy(dirty.data() + kBlockData + b * sizeof(BlockInfo) + offsetof(BlockInfo, reserved),
+                &junk, sizeof(junk));
+  }
+  ASSERT_NE(dirty, first);
+  const auto loaded = from_bytes<T>(dirty);
+  for (const BlockInfo& info : loaded.blocks()) ASSERT_EQ(info.reserved, 0);
+  EXPECT_EQ(bytes_of(loaded), first);
+}
+
+TEST(CscvSerialize, SaveLoadSaveIsByteIdentical) {
+  check_save_load_save<float>(CscvMatrix<float>::Variant::kZ);
+  check_save_load_save<float>(CscvMatrix<float>::Variant::kM);
+  check_save_load_save<double>(CscvMatrix<double>::Variant::kM);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 //   * a subset forward writes exactly its groups' rows, each bitwise that
 //     row of a row-partition full forward, and leaves every other row as it
 //     was (also on a private-y plan);
-//   * a subset transpose is the same at 1 and 2 threads;
+//   * a subset transpose is the same at 1, 2, 3 and 4 threads (the 16
+//     tiles split into slot ranges of several tiles each);
 //   * the memoized A_s^T 1 is bitwise a fresh subset transpose of ones;
 //   * the subsets of a matrix holding a contiguous group range (a dist
 //     shard, first_group != 0) are the global strata restricted to it.
@@ -123,7 +124,7 @@ TEST(SubsetApply, TransposeIsTheSameAtOneAndTwoThreads) {
                                                     52, -1.0, 1.0);
         std::vector<util::AlignedVector<float>> at_one;
         const int saved = util::max_threads();
-        for (const int threads : {1, 2}) {
+        for (const int threads : {1, 2, 3, 4}) {
           util::set_num_threads(threads);
           const SpmvPlan<float> plan(
               m, {.path = path.expand, .num_rhs = k, .threads = threads, .isa = tier});
@@ -136,7 +137,7 @@ TEST(SubsetApply, TransposeIsTheSameAtOneAndTwoThreads) {
               EXPECT_TRUE(same_bytes(x.data(), at_one[static_cast<std::size_t>(index)].data(),
                                      cols))
                   << simd::isa_tier_name(tier) << " " << path.name << " K=" << k
-                  << " subset " << index;
+                  << " subset " << index << " at " << threads << " threads";
             }
           }
         }

@@ -1,10 +1,13 @@
 // Operator-only solver set-up done once: the zero-start skip of the first
-// forward (sirt/cgls and their batches), and OS-SART over a plan — stratum
-// weights memoized on the plan and reused by every solve, bit for bit what
-// a fresh plan computes, with per-pass norms of the stacked strata.
+// forward (sirt/cgls and their batches), CGLS's skip of its last adjoint,
+// and OS-SART over a plan — stratum weights memoized on the plan and reused
+// by every solve, bit for bit what a fresh plan computes, with per-pass
+// norms of the stacked strata.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/plan.hpp"
@@ -86,6 +89,81 @@ TEST(ZeroStart, SolversStartedFromZeroMakeOneForwardFewer) {
       EXPECT_EQ(from_zero.forwards, from_x.forwards - 1);
       EXPECT_EQ(from_neg_zero.forwards, from_x.forwards - 1);
       EXPECT_EQ(from_zero.adjoints, from_x.adjoints);
+    }
+  }
+}
+
+/// CGLS from x == 0 as it ran while every iteration, the last one too,
+/// ended with s = A^T r and a new search direction.
+RunStats cgls_with_final_adjoint(const LinearOperator<float>& a, std::span<const float> b,
+                                 std::span<float> x, const SolveOptions& options) {
+  const std::size_t m = b.size();
+  const std::size_t n = x.size();
+  util::AlignedVector<float> r(m, 0.0F);
+  util::AlignedVector<float> s(n);
+  util::AlignedVector<float> q(m);
+  colmath::residual_from(b.data(), r.data(), m);
+  a.adjoint(r, s);
+  util::AlignedVector<float> p(s.begin(), s.end());
+  double gamma = colmath::dot_self(s.data(), n);
+  RunStats stats;
+  for (int it = 0; it < options.iterations; ++it) {
+    if (gamma == 0.0) break;
+    a.forward(p, q);
+    const double qq = colmath::dot_self(q.data(), m);
+    if (qq == 0.0) break;
+    const double alpha = gamma / qq;
+    colmath::axpy(x.data(), static_cast<float>(alpha), p.data(), n);
+    colmath::axmy(r.data(), static_cast<float>(alpha), q.data(), m);
+    stats.residual_norms.push_back(colmath::norm2(r.data(), m));
+    a.adjoint(r, s);
+    const double gamma_new = colmath::dot_self(s.data(), n);
+    const double beta = gamma_new / gamma;
+    gamma = gamma_new;
+    colmath::xpay(p.data(), s.data(), static_cast<float>(beta), n);
+    ++stats.iterations_run;
+  }
+  colmath::clamp_floor(x.data(), static_cast<float>(options.nonneg_floor), n);
+  return stats;
+}
+
+// CGLS from zero makes n forwards and n adjoints for n iterations: the
+// first forward is skipped, and so is the last iteration's adjoint, which
+// would only feed a next search direction. x and the norms keep the bits
+// of the loop that still makes it, serial and per batch column, also when
+// one column stops before the others.
+TEST(ZeroStart, CglsMakesNForwardsAndNAdjoints) {
+  const auto& csr = cached_ct_csr<float>(16, 12);
+  const CsrOperator<float> inner(csr);
+  const auto m = static_cast<std::size_t>(csr.rows());
+  const auto n = static_cast<std::size_t>(csr.cols());
+  for (const int iters : {1, 4}) {
+    for (const int k : {1, 3}) {
+      SCOPED_TRACE("n=" + std::to_string(iters) + " k=" + std::to_string(k));
+      const auto kk = static_cast<std::size_t>(k);
+      std::vector<SolveOptions> opts(kk, SolveOptions{.iterations = iters});
+      if (k > 1) opts[1].iterations = (iters + 1) / 2;  // ends first when n > 1
+      const auto b = sparse::random_vector<float>(m * kk, 25, 0.0, 1.0);
+      util::AlignedVector<float> x(n * kk, 0.0F);
+      const CountingOperator<float> op(inner);
+      const auto stats = k == 1 ? std::vector<RunStats>{cgls<float>(op, b, x, opts[0])}
+                                : cgls_batch<float>(op, b, x, k, opts);
+      EXPECT_EQ(op.forwards, iters);
+      EXPECT_EQ(op.adjoints, iters);
+
+      util::AlignedVector<float> b_col(m);
+      util::AlignedVector<float> x_col(n);
+      util::AlignedVector<float> want(n);
+      for (std::size_t c = 0; c < kk; ++c) {
+        colmath::gather_column(b.data(), m, kk, c, b_col.data());
+        colmath::gather_column(x.data(), n, kk, c, x_col.data());
+        std::fill(want.begin(), want.end(), 0.0F);
+        const RunStats ref = cgls_with_final_adjoint(inner, b_col, want, opts[c]);
+        EXPECT_EQ(0, std::memcmp(x_col.data(), want.data(), n * sizeof(float)))
+            << "column " << c;
+        EXPECT_EQ(stats[c].residual_norms, ref.residual_norms) << "column " << c;
+        EXPECT_EQ(stats[c].iterations_run, ref.iterations_run) << "column " << c;
+      }
     }
   }
 }

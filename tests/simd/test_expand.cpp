@@ -1,8 +1,10 @@
-// Expansion primitives: every path (soft, unrolled, hardware, chunked,
-// fused-FMA) must agree with the obvious scalar definition for every mask.
+// Expansion primitives: every path (soft, hardware, chunked, and the
+// register expand + FMA of the CSCV-M kernels) must agree with the obvious
+// scalar definition for every mask.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -34,11 +36,6 @@ void check_all_masks_soft() {
     const int used = expand_soft<T, W>(packed.data(), mask, out);
     EXPECT_EQ(used, std::popcount(mask & limit));
     for (int l = 0; l < W; ++l) EXPECT_EQ(out[l], want[static_cast<std::size_t>(l)]);
-
-    T out2[W];
-    const int used2 = expand_soft_unrolled<T, W>(packed.data(), mask, out2);
-    EXPECT_EQ(used2, used);
-    for (int l = 0; l < W; ++l) EXPECT_EQ(out2[l], want[static_cast<std::size_t>(l)]);
   }
 }
 
@@ -75,54 +72,42 @@ TEST(ExpandHardware, Double8) { check_hardware_agrees<double, 8>(); }
 TEST(ExpandHardware, Double4) { check_hardware_agrees<double, 4>(); }
 TEST(ExpandHardware, Double16Chunked) { check_hardware_agrees<double, 16>(); }
 
-template <typename T, int W, bool Hw>
-void run_expand_fma_check();
-
-template <typename T, int W, bool Hw>
+/// acc += xv * expand(packed, mask) in registers, as the hardware CSCV-M
+/// forward kernels run it (simd::expand_lanes, then simd::fma_lanes).
+template <typename T, int W>
 void check_expand_fma() {
-  if constexpr (Hw && !has_chunked_hardware_expand<T, W>()) {
+  if constexpr (!has_chunked_hardware_expand<T, W>()) {
     GTEST_SKIP() << "no hardware path compiled in";
   } else {
-    if (Hw && !cpu_isa().avx512f) {
-      GTEST_SKIP() << "no AVX-512 at runtime";
-      return;
-    }
-    run_expand_fma_check<T, W, Hw>();
-  }
-}
-
-/// Body split out so the hardware instantiation only happens under the
-/// constexpr guard above (a generic build has no hardware expand_fma).
-template <typename T, int W, bool Hw>
-void run_expand_fma_check() {
-  std::vector<T> packed(W + 1);
-  std::iota(packed.begin(), packed.end(), T(1));
-  const std::uint32_t limit = W >= 16 ? 0xFFFFu : (1u << W) - 1u;
-  const T xv = T(3);
-  for (std::uint32_t mask = 0; mask <= limit; mask += (W >= 16 ? 193 : 1)) {
-    std::vector<T> y(static_cast<std::size_t>(W));
-    std::iota(y.begin(), y.end(), T(10));
-    std::vector<T> want = y;
-    auto expanded = expand_reference(packed, mask, W);
-    for (int l = 0; l < W; ++l) want[static_cast<std::size_t>(l)] += xv * expanded[static_cast<std::size_t>(l)];
-    const int used = expand_fma<T, W, Hw>(packed.data(), mask, xv, y.data());
-    EXPECT_EQ(used, std::popcount(mask & limit));
-    for (int l = 0; l < W; ++l) {
-      EXPECT_EQ(y[static_cast<std::size_t>(l)], want[static_cast<std::size_t>(l)])
-          << "mask " << mask << " lane " << l;
+    if (!cpu_isa().avx512f) GTEST_SKIP() << "no AVX-512 at runtime";
+    std::vector<T> packed(W + 1);
+    std::iota(packed.begin(), packed.end(), T(1));
+    const std::uint32_t limit = W >= 16 ? 0xFFFFu : (1u << W) - 1u;
+    const T xv = T(3);
+    for (std::uint32_t mask = 0; mask <= limit; mask += (W >= 16 ? 193 : 1)) {
+      std::vector<T> y(static_cast<std::size_t>(W));
+      std::iota(y.begin(), y.end(), T(10));
+      std::vector<T> want = y;
+      const auto expanded = expand_reference(packed, mask, W);
+      for (std::size_t l = 0; l < y.size(); ++l) want[l] += xv * expanded[l];
+      lanes_t<T, W> v, acc;
+      std::memcpy(&acc, y.data(), sizeof acc);
+      expand_lanes<T>(packed.data(), mask, v);
+      fma_lanes(xv, v, acc);
+      std::memcpy(y.data(), &acc, sizeof acc);
+      for (std::size_t l = 0; l < y.size(); ++l) {
+        EXPECT_EQ(y[l], want[l]) << "mask " << mask << " lane " << l;
+      }
     }
   }
 }
 
-TEST(ExpandFma, SoftFloat8) { check_expand_fma<float, 8, false>(); }
-TEST(ExpandFma, SoftFloat16) { check_expand_fma<float, 16, false>(); }
-TEST(ExpandFma, SoftDouble4) { check_expand_fma<double, 4, false>(); }
-TEST(ExpandFma, HwFloat16) { check_expand_fma<float, 16, true>(); }
-TEST(ExpandFma, HwFloat8) { check_expand_fma<float, 8, true>(); }
-TEST(ExpandFma, HwFloat4) { check_expand_fma<float, 4, true>(); }
-TEST(ExpandFma, HwDouble8) { check_expand_fma<double, 8, true>(); }
-TEST(ExpandFma, HwDouble4) { check_expand_fma<double, 4, true>(); }
-TEST(ExpandFma, HwDouble16Chunked) { check_expand_fma<double, 16, true>(); }
+TEST(ExpandFma, HwFloat16) { check_expand_fma<float, 16>(); }
+TEST(ExpandFma, HwFloat8) { check_expand_fma<float, 8>(); }
+TEST(ExpandFma, HwFloat4) { check_expand_fma<float, 4>(); }
+TEST(ExpandFma, HwDouble8) { check_expand_fma<double, 8>(); }
+TEST(ExpandFma, HwDouble4) { check_expand_fma<double, 4>(); }
+TEST(ExpandFma, HwDouble16Chunked) { check_expand_fma<double, 16>(); }
 
 TEST(Expand, EmptyMaskConsumesNothing) {
   float packed[4] = {1, 2, 3, 4};

@@ -473,7 +473,9 @@ void run_pipeline_batched(const SuiteFlags& flags, benchlib::BenchReport& report
 // operator (the service worker's path), read off the plan's telemetry
 // counters. Warm means the plan has served a solve already, so its memoized
 // normalizers are in place; SIRT and CGLS start from zero and skip that
-// forward. OS-SART counts its stratum applies: per pass one subset forward
+// forward, so 4 iterations take SIRT 3 forwards and 4 adjoints and CGLS 4
+// and 4 (its last iteration computes no next search direction, so no
+// adjoint). OS-SART counts its stratum applies: per pass one subset forward
 // and adjoint per stratum plus the residual's subset forwards, less the
 // first stratum's forward after pass one (reused from the residual) — no
 // weight transposes once warm. The counts change only when a solver's
