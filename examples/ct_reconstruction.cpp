@@ -5,9 +5,9 @@
 //                       [--dose=I0]   (transmission Poisson noise; 0 = off)
 //
 // Pipeline: Shepp-Logan phantom -> analytic sinogram (so the inverse
-// problem has genuine discretization mismatch) -> SIRT/CGLS with the CSCV
-// forward projector and CSC backprojector -> RMSE vs ground truth + PGM
-// images of phantom and reconstruction.
+// problem has genuine discretization mismatch) -> SIRT/CGLS/OS-SART/FBP
+// with the CSCV forward projector and CSCV backprojector (ICD on CSC) ->
+// RMSE vs ground truth + PGM images of phantom and reconstruction.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
     std::cout << "added transmission Poisson noise at I0 = " << dose << "\n";
   }
 
-  recon::CscvOperator<double> op(cscv, csc);
-  op.warm_up();  // build the SpMV execution plan outside the solve timer
+  // Builds the matrix's cached execution plan outside the solve timer.
+  const recon::PlanOperator<double> op(cscv.plan());
   util::AlignedVector<double> x(static_cast<std::size_t>(csc.cols()), 0.0);
   std::cout << "reconstructing with " << solver << " (" << iters << " iterations)...\n";
   util::WallTimer solve_timer;

@@ -34,11 +34,6 @@
 
 namespace cscv::core {
 
-namespace dispatch {
-template <typename T>
-struct KernelSet;
-}  // namespace dispatch
-
 /// Thread-level scheduling of the block loop (Section IV-E).
 enum class ThreadScheme {
   kAuto,          // row partition when view groups >= threads, else copies
@@ -167,11 +162,6 @@ class CscvMatrix {
             ThreadScheme scheme = ThreadScheme::kAuto,
             simd::ExpandPath path = simd::ExpandPath::kAuto) const;
 
-  /// y += A x, serial, with the full gather -> compute -> scatter of
-  /// Algorithm 3 (mapping iota_k applied and inverted per block).
-  void apply_accumulate(std::span<const T> x, std::span<T> y,
-                        simd::ExpandPath path = simd::ExpandPath::kAuto) const;
-
   /// Y = A X for K right-hand sides stored interleaved (X[col * K + k],
   /// Y[row * K + k]) — the multi-slice CT case: one system matrix forward-
   /// projects K slices while its values stream through the cache once.
@@ -280,11 +270,6 @@ class CscvMatrix {
   [[nodiscard]] sparse::index_t row_of_slot(int block, int o_idx, int vi) const;
 
  private:
-  void scatter_add_block(int block, const T* ytilde, T* y) const;
-  void gather_block(int block, const T* y, T* ytilde) const;
-  void run_block(int block, std::span<const T> x, T* ytilde,
-                 const dispatch::KernelSet<T>& kernels) const;
-
   Variant variant_ = Variant::kZ;
   CscvParams params_;
   OperatorLayout layout_;

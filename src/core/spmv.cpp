@@ -1,70 +1,15 @@
-// CSCV one-shot apply entry points and the serial Algorithm-3 path.
+// CSCV one-shot apply entry points.
 //
 // The parallel drivers (block scheduling, weighted partitions, private-y
 // reduction, kernel dispatch) live in the plan layer (plan.cpp /
 // dispatch.hpp); spmv / spmv_multi / spmv_transpose are conveniences that
 // route through the matrix's cached SpmvPlan, so repeated calls on one
 // matrix hit a fully warmed execution context.
-#include <algorithm>
-#include <type_traits>
-
-#include "core/dispatch.hpp"
 #include "core/format.hpp"
 #include "core/plan.hpp"
-#include "simd/isa.hpp"
 #include "util/assertx.hpp"
-#include "util/parallel.hpp"
 
 namespace cscv::core {
-
-using sparse::index_t;
-using sparse::offset_t;
-
-template <typename T>
-void CscvMatrix<T>::scatter_add_block(int block, const T* ytilde, T* y) const {
-  const BlockInfo& info = blocks_[static_cast<std::size_t>(block)];
-  const int s = params_.s_vvec;
-  const int v0 = grid_.first_view(info.view_group);
-  const int s_eff = std::min(s, layout_.num_views - v0);
-  for (int vi = 0; vi < s_eff; ++vi) {
-    const int ref = refs_[static_cast<std::size_t>(block) * s + vi];
-    // Valid offset indices keep the bin ref + o_min + o_idx on the detector.
-    const int lo = std::max(0, -(ref + info.o_min));
-    const int hi = std::min(info.o_count, layout_.num_bins - ref - info.o_min);
-    T* yrow = y + static_cast<std::size_t>(layout_.row_of(v0 + vi, 0));
-    const int bin0 = ref + info.o_min;
-    for (int o = lo; o < hi; ++o) {
-      yrow[bin0 + o] += ytilde[static_cast<std::size_t>(o) * s + vi];
-    }
-  }
-}
-
-template <typename T>
-void CscvMatrix<T>::gather_block(int block, const T* y, T* ytilde) const {
-  const BlockInfo& info = blocks_[static_cast<std::size_t>(block)];
-  const int s = params_.s_vvec;
-  const int v0 = grid_.first_view(info.view_group);
-  const int s_eff = std::min(s, layout_.num_views - v0);
-  std::fill_n(ytilde, static_cast<std::size_t>(info.o_count) * s, T(0));
-  for (int vi = 0; vi < s_eff; ++vi) {
-    const int ref = refs_[static_cast<std::size_t>(block) * s + vi];
-    const int lo = std::max(0, -(ref + info.o_min));
-    const int hi = std::min(info.o_count, layout_.num_bins - ref - info.o_min);
-    const T* yrow = y + static_cast<std::size_t>(layout_.row_of(v0 + vi, 0));
-    const int bin0 = ref + info.o_min;
-    for (int o = lo; o < hi; ++o) {
-      ytilde[static_cast<std::size_t>(o) * s + vi] = yrow[bin0 + o];
-    }
-  }
-}
-
-template <typename T>
-void CscvMatrix<T>::run_block(int block, std::span<const T> x, T* ytilde,
-                              const dispatch::KernelSet<T>& kernels) const {
-  const BlockInfo& info = blocks_[static_cast<std::size_t>(block)];
-  kernels.forward(info.vxg_begin, info.vxg_end, vxg_col_.data(), vxg_q_.data(),
-                  value_ptr(info.val_begin), masks_.data(), x.data(), ytilde);
-}
 
 template <typename T>
 void CscvMatrix<T>::spmv(std::span<const T> x, std::span<T> y, ThreadScheme scheme,
@@ -100,40 +45,6 @@ void CscvMatrix<T>::spmv_transpose_multi(std::span<const T> y, std::span<T> x,
   plan({.num_rhs = num_rhs}).execute_transpose(y, x);
 }
 
-template <typename T>
-void CscvMatrix<T>::apply_accumulate(std::span<const T> x, std::span<T> y,
-                                     simd::ExpandPath path) const {
-  CSCV_CHECK(static_cast<index_t>(x.size()) == cols());
-  CSCV_CHECK(static_cast<index_t>(y.size()) == rows());
-  // Both dispatch levels resolve once per apply, not once per block: pick
-  // the ISA tier (honoring CSCV_FORCE_ISA), resolve the expand path against
-  // it, and fetch the kernel set the block loop will reuse.
-  const simd::IsaTier tier =
-      dispatch::select_tier_for_dtype(simd::IsaTier::kAuto, value_type_).tier;
-  const bool use_hw =
-      variant_ == Variant::kM &&
-      dispatch::resolve_expand_path(path, std::is_same_v<T, double>, params_.s_vvec, tier);
-  const dispatch::KernelSet<T> kernels = dispatch::resolve_kernels<T>(
-      variant_, params_.s_vvec, params_.s_vxg, use_hw, 1, tier, value_type_);
-  // Algorithm 3 verbatim: per block, reorder y into y~ with iota_k, run the
-  // vectorized kernel, reorder back with the inverse mapping. Serial: blocks
-  // of one view group overlap in y, so they must not run concurrently here.
-  util::AlignedVector<T> ytilde(std::max<std::size_t>(ytilde_max_slots_, 1));
-  util::AlignedVector<T> before(std::max<std::size_t>(ytilde_max_slots_, 1));
-  for (int b = 0; b < num_blocks(); ++b) {
-    const BlockInfo& info = blocks_[static_cast<std::size_t>(b)];
-    if (info.vxg_begin == info.vxg_end) continue;
-    gather_block(b, y.data(), ytilde.data());
-    const std::size_t slots = static_cast<std::size_t>(info.o_count) * params_.s_vvec;
-    std::copy_n(ytilde.data(), slots, before.data());
-    run_block(b, x, ytilde.data(), kernels);
-    // Scatter-add the delta: live slots were gathered, so adding
-    // (after - before) is the inverse reorder without double counting.
-    for (std::size_t i = 0; i < slots; ++i) ytilde[i] -= before[i];
-    scatter_add_block(b, ytilde.data(), y.data());
-  }
-}
-
 template void CscvMatrix<float>::spmv_multi(std::span<const float>, std::span<float>, int,
                                             ThreadScheme) const;
 template void CscvMatrix<double>::spmv_multi(std::span<const double>, std::span<double>, int,
@@ -154,18 +65,5 @@ template void CscvMatrix<float>::spmv(std::span<const float>, std::span<float>, 
                                       simd::ExpandPath) const;
 template void CscvMatrix<double>::spmv(std::span<const double>, std::span<double>,
                                        ThreadScheme, simd::ExpandPath) const;
-template void CscvMatrix<float>::apply_accumulate(std::span<const float>, std::span<float>,
-                                                  simd::ExpandPath) const;
-template void CscvMatrix<double>::apply_accumulate(std::span<const double>,
-                                                   std::span<double>,
-                                                   simd::ExpandPath) const;
-template void CscvMatrix<float>::gather_block(int, const float*, float*) const;
-template void CscvMatrix<double>::gather_block(int, const double*, double*) const;
-template void CscvMatrix<float>::scatter_add_block(int, const float*, float*) const;
-template void CscvMatrix<double>::scatter_add_block(int, const double*, double*) const;
-template void CscvMatrix<float>::run_block(int, std::span<const float>, float*,
-                                           const dispatch::KernelSet<float>&) const;
-template void CscvMatrix<double>::run_block(int, std::span<const double>, double*,
-                                            const dispatch::KernelSet<double>&) const;
 
 }  // namespace cscv::core

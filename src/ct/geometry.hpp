@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 
 #include "sparse/types.hpp"
@@ -70,9 +72,18 @@ struct ParallelGeometry {
     return static_cast<sparse::index_t>(iy) * image_size + ix;
   }
 
+  /// Positive dimensions and step, and row and column ids that fit
+  /// sparse::index_t (num_rows()/num_cols() would overflow otherwise).
   void validate() const {
     CSCV_CHECK(image_size > 0 && num_bins > 0 && num_views > 0);
     CSCV_CHECK(delta_angle_deg > 0.0);
+    constexpr auto kMaxIndex =
+        static_cast<std::int64_t>(std::numeric_limits<sparse::index_t>::max());
+    CSCV_CHECK_MSG(std::int64_t{image_size} * image_size <= kMaxIndex,
+                   "geometry: image_size " << image_size << " overflows the column index space");
+    CSCV_CHECK_MSG(std::int64_t{num_views} * num_bins <= kMaxIndex,
+                   "geometry: num_views " << num_views << " x num_bins " << num_bins
+                                          << " overflows the row index space");
   }
 
   /// Exact field-wise equality — the cache-key identity used by
@@ -83,9 +94,12 @@ struct ParallelGeometry {
 
 /// Bin count that covers the image diagonal with a small safety margin —
 /// the rule behind Table II's 512 -> 730, 1024 -> 1460, 2048 -> 2920.
+/// Defined for every int: an image too large for validate() gets a
+/// wrapped count, not an out-of-range float-to-int conversion.
 inline int standard_num_bins(int image_size) {
   const double diagonal = image_size * std::numbers::sqrt2;
-  return static_cast<int>(std::ceil(diagonal)) + (image_size >= 1024 ? 12 : 6);
+  return static_cast<int>(static_cast<std::int64_t>(std::ceil(diagonal)) +
+                          (image_size >= 1024 ? 12 : 6));
 }
 
 /// Geometry mirroring the paper's Table II datasets, scaled by image size:

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <initializer_list>
-#include <limits>
 
 namespace cscv::dist {
 
@@ -37,44 +35,6 @@ std::uint32_t get_u32(const char* p) {
 std::uint64_t get_u64(const char* p) {
   return static_cast<std::uint64_t>(get_u32(p)) |
          (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
-
-/// Strict-key guard, same contract as the job-spec parser's: a payload with
-/// an unknown key is rejected loudly instead of silently ignored.
-void check_keys(const util::Json& obj, std::initializer_list<const char*> allowed,
-                const char* where) {
-  for (const auto& [key, value] : obj.items()) {
-    (void)value;
-    bool known = false;
-    for (const char* name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
-      }
-    }
-    CSCV_CHECK_MSG(known, "shard spec: unknown key \"" << key << "\" in " << where);
-  }
-}
-
-int get_int_field(const util::Json& obj, const char* key, int def) {
-  const util::Json* v = obj.find(key);
-  return v == nullptr ? def : static_cast<int>(v->as_int());
-}
-
-double get_double_field(const util::Json& obj, const char* key, double def) {
-  const util::Json* v = obj.find(key);
-  return v == nullptr ? def : v->as_double();
-}
-
-bool get_bool_field(const util::Json& obj, const char* key, bool def) {
-  const util::Json* v = obj.find(key);
-  return v == nullptr ? def : v->as_bool();
-}
-
-std::string get_string_field(const util::Json& obj, const char* key,
-                             const std::string& def) {
-  const util::Json* v = obj.find(key);
-  return v == nullptr ? def : v->as_string();
 }
 
 }  // namespace
@@ -196,62 +156,51 @@ util::Json ShardSpec::to_json() const {
 
 ShardSpec ShardSpec::from_json(const util::Json& spec) {
   CSCV_CHECK_MSG(spec.is_object(), "shard spec must be a JSON object");
-  check_keys(spec,
-             {"shard_id", "num_shards", "view_begin", "view_end", "geometry", "cscv",
-              "variant", "algorithm", "os_sart_subsets"},
-             "shard spec");
+  util::check_keys(spec,
+                   {"shard_id", "num_shards", "view_begin", "view_end", "geometry", "cscv",
+                    "variant", "algorithm", "os_sart_subsets"},
+                   "shard spec");
   ShardSpec s;
-  s.shard_id = static_cast<std::uint32_t>(get_int_field(spec, "shard_id", 0));
-  s.num_shards = static_cast<std::uint32_t>(get_int_field(spec, "num_shards", 1));
-  s.view_begin = get_int_field(spec, "view_begin", 0);
-  s.view_end = get_int_field(spec, "view_end", 0);
+  s.shard_id = static_cast<std::uint32_t>(util::get_int_field(spec, "shard_id", 0));
+  s.num_shards = static_cast<std::uint32_t>(util::get_int_field(spec, "num_shards", 1));
+  s.view_begin = util::get_int_field(spec, "view_begin", 0);
+  s.view_end = util::get_int_field(spec, "view_end", 0);
 
   const util::Json* g = spec.find("geometry");
   CSCV_CHECK_MSG(g != nullptr && g->is_object(),
                  "shard spec: \"geometry\" object is required");
-  check_keys(*g, {"image_size", "num_bins", "num_views", "start_angle_deg",
-                  "delta_angle_deg"},
-             "geometry");
-  s.geometry.image_size = get_int_field(*g, "image_size", 0);
-  s.geometry.num_bins = get_int_field(*g, "num_bins", 0);
-  s.geometry.num_views = get_int_field(*g, "num_views", 0);
-  s.geometry.start_angle_deg = get_double_field(*g, "start_angle_deg", 0.0);
-  s.geometry.delta_angle_deg = get_double_field(*g, "delta_angle_deg", 0.0);
+  util::check_keys(*g,
+                   {"image_size", "num_bins", "num_views", "start_angle_deg", "delta_angle_deg"},
+                   "shard spec geometry");
+  s.geometry.image_size = util::get_int_field(*g, "image_size", 0);
+  s.geometry.num_bins = util::get_int_field(*g, "num_bins", 0);
+  s.geometry.num_views = util::get_int_field(*g, "num_views", 0);
+  s.geometry.start_angle_deg = util::get_double_field(*g, "start_angle_deg", 0.0);
+  s.geometry.delta_angle_deg = util::get_double_field(*g, "delta_angle_deg", 0.0);
+  // validate() also bounds the int32 row/col index spaces, so a hostile
+  // spec gets a structured rejection instead of driving build_shard into
+  // overflowed ids or multi-terabyte allocations.
   s.geometry.validate();
-  // The wire is untrusted and validate() only checks positivity: also bound
-  // the dimensions so the int32 row/col ids cannot overflow (UB) and a
-  // hostile spec gets a structured rejection instead of driving build_shard
-  // into multi-terabyte allocations.
-  constexpr auto kMaxIndex =
-      static_cast<std::int64_t>(std::numeric_limits<sparse::index_t>::max());
-  CSCV_CHECK_MSG(static_cast<std::int64_t>(s.geometry.image_size) *
-                         s.geometry.image_size <= kMaxIndex,
-                 "shard spec: image_size " << s.geometry.image_size
-                                           << " overflows the column index space");
-  CSCV_CHECK_MSG(static_cast<std::int64_t>(s.geometry.num_views) *
-                         s.geometry.num_bins <= kMaxIndex,
-                 "shard spec: num_views " << s.geometry.num_views << " x num_bins "
-                                          << s.geometry.num_bins
-                                          << " overflows the row index space");
 
   if (const util::Json* c = spec.find("cscv")) {
     CSCV_CHECK_MSG(c->is_object(), "shard spec: \"cscv\" must be an object");
-    check_keys(*c, {"s_vvec", "s_imgb", "s_vxg", "reference", "order"}, "cscv");
-    s.cscv.s_vvec = get_int_field(*c, "s_vvec", s.cscv.s_vvec);
-    s.cscv.s_imgb = get_int_field(*c, "s_imgb", s.cscv.s_imgb);
-    s.cscv.s_vxg = get_int_field(*c, "s_vxg", s.cscv.s_vxg);
+    util::check_keys(*c, {"s_vvec", "s_imgb", "s_vxg", "reference", "order"},
+                     "shard spec cscv");
+    s.cscv.s_vvec = util::get_int_field(*c, "s_vvec", s.cscv.s_vvec);
+    s.cscv.s_imgb = util::get_int_field(*c, "s_imgb", s.cscv.s_imgb);
+    s.cscv.s_vxg = util::get_int_field(*c, "s_vxg", s.cscv.s_vxg);
     s.cscv.reference =
-        core::reference_from_name(get_string_field(*c, "reference",
-                                                   core::reference_name(s.cscv.reference)));
+        core::reference_from_name(util::get_string_field(
+            *c, "reference", core::reference_name(s.cscv.reference)));
     s.cscv.order = core::vxg_order_from_name(
-        get_string_field(*c, "order", core::vxg_order_name(s.cscv.order)));
+        util::get_string_field(*c, "order", core::vxg_order_name(s.cscv.order)));
     s.cscv.validate();
   }
   s.variant = pipeline::variant_from_name(
-      get_string_field(spec, "variant", pipeline::variant_name(s.variant)));
+      util::get_string_field(spec, "variant", pipeline::variant_name(s.variant)));
   s.algorithm = pipeline::algorithm_from_name(
-      get_string_field(spec, "algorithm", pipeline::algorithm_name(s.algorithm)));
-  s.os_sart_subsets = get_int_field(spec, "os_sart_subsets", s.os_sart_subsets);
+      util::get_string_field(spec, "algorithm", pipeline::algorithm_name(s.algorithm)));
+  s.os_sart_subsets = util::get_int_field(spec, "os_sart_subsets", s.os_sart_subsets);
 
   CSCV_CHECK_MSG(s.num_shards >= 1, "shard spec: num_shards must be >= 1");
   CSCV_CHECK_MSG(s.shard_id < s.num_shards,
@@ -292,12 +241,12 @@ util::Json ShardReady::to_json() const {
 ShardReady ShardReady::from_json(const util::Json& j) {
   CSCV_CHECK_MSG(j.is_object(), "shard ready must be a JSON object");
   ShardReady r;
-  r.shard_id = static_cast<std::uint32_t>(get_int_field(j, "shard_id", 0));
+  r.shard_id = static_cast<std::uint32_t>(util::get_int_field(j, "shard_id", 0));
   r.rows = j.at("rows").as_int();
   r.cols = j.at("cols").as_int();
   r.nnz = static_cast<std::uint64_t>(j.at("nnz").as_int());
-  r.restored_from_spill = get_bool_field(j, "restored_from_spill", false);
-  r.build_seconds = get_double_field(j, "build_seconds", 0.0);
+  r.restored_from_spill = util::get_bool_field(j, "restored_from_spill", false);
+  r.build_seconds = util::get_double_field(j, "build_seconds", 0.0);
   return r;
 }
 

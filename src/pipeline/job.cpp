@@ -2,55 +2,12 @@
 
 #include <cmath>
 #include <cstring>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "util/base64.hpp"
 
 namespace cscv::pipeline {
-
-namespace {
-
-/// Strict-key guard: a spec with a key outside `allowed` is rejected, so a
-/// typo ("iteratons") fails loudly instead of silently running defaults.
-void check_keys(const util::Json& obj, std::initializer_list<const char*> allowed,
-                const char* where) {
-  for (const auto& [key, value] : obj.items()) {
-    (void)value;
-    bool known = false;
-    for (const char* name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
-      }
-    }
-    CSCV_CHECK_MSG(known, "job spec: unknown key \"" << key << "\" in " << where);
-  }
-}
-
-int get_int_field(const util::Json& obj, const char* key, int def) {
-  const util::Json* v = obj.find(key);
-  return v == nullptr ? def : static_cast<int>(v->as_int());
-}
-
-double get_double_field(const util::Json& obj, const char* key, double def) {
-  const util::Json* v = obj.find(key);
-  return v == nullptr ? def : v->as_double();
-}
-
-bool get_bool_field(const util::Json& obj, const char* key, bool def) {
-  const util::Json* v = obj.find(key);
-  return v == nullptr ? def : v->as_bool();
-}
-
-std::string get_string_field(const util::Json& obj, const char* key,
-                             const std::string& def) {
-  const util::Json* v = obj.find(key);
-  return v == nullptr ? def : v->as_string();
-}
-
-}  // namespace
 
 const char* qos_class_name(QosClass q) {
   return q == QosClass::kInteractive ? "interactive" : "batch";
@@ -115,68 +72,70 @@ util::Json ReconJob::to_json() const {
 
 ReconJob ReconJob::from_json(const util::Json& spec) {
   CSCV_CHECK_MSG(spec.is_object(), "job spec must be a JSON object");
-  check_keys(spec,
-             {"geometry", "cscv", "variant", "algorithm", "value_type", "sparsify_eps",
-              "solve", "os_sart_subsets", "deadline_seconds", "tag", "tenant", "qos",
-              "sinogram_b64", "sinogram"},
-             "job spec");
+  util::check_keys(spec,
+                   {"geometry", "cscv", "variant", "algorithm", "value_type", "sparsify_eps",
+                    "solve", "os_sart_subsets", "deadline_seconds", "tag", "tenant", "qos",
+                    "sinogram_b64", "sinogram"},
+                   "job spec");
   ReconJob job;
 
   const util::Json* g = spec.find("geometry");
   CSCV_CHECK_MSG(g != nullptr && g->is_object(),
                  "job spec: \"geometry\" object is required");
-  check_keys(*g, {"image_size", "num_bins", "num_views", "start_angle_deg",
-                  "delta_angle_deg"},
-             "geometry");
-  job.geometry.image_size = get_int_field(*g, "image_size", 0);
-  job.geometry.num_bins = get_int_field(*g, "num_bins",
-                                        ct::standard_num_bins(job.geometry.image_size));
-  job.geometry.num_views = get_int_field(*g, "num_views", 0);
-  job.geometry.start_angle_deg = get_double_field(*g, "start_angle_deg", 0.0);
-  job.geometry.delta_angle_deg = get_double_field(
+  util::check_keys(*g,
+                   {"image_size", "num_bins", "num_views", "start_angle_deg", "delta_angle_deg"},
+                   "job spec geometry");
+  job.geometry.image_size = util::get_int_field(*g, "image_size", 0);
+  job.geometry.num_bins =
+      util::get_int_field(*g, "num_bins", ct::standard_num_bins(job.geometry.image_size));
+  job.geometry.num_views = util::get_int_field(*g, "num_views", 0);
+  job.geometry.start_angle_deg = util::get_double_field(*g, "start_angle_deg", 0.0);
+  job.geometry.delta_angle_deg = util::get_double_field(
       *g, "delta_angle_deg",
       job.geometry.num_views > 0 ? 180.0 / job.geometry.num_views : 0.0);
   job.geometry.validate();  // CheckError on bad geometry -> 400
 
   if (const util::Json* c = spec.find("cscv")) {
     CSCV_CHECK_MSG(c->is_object(), "job spec: \"cscv\" must be an object");
-    check_keys(*c, {"s_vvec", "s_imgb", "s_vxg", "reference", "order"}, "cscv");
-    job.cscv.s_vvec = get_int_field(*c, "s_vvec", job.cscv.s_vvec);
-    job.cscv.s_imgb = get_int_field(*c, "s_imgb", job.cscv.s_imgb);
-    job.cscv.s_vxg = get_int_field(*c, "s_vxg", job.cscv.s_vxg);
+    util::check_keys(*c, {"s_vvec", "s_imgb", "s_vxg", "reference", "order"},
+                     "job spec cscv");
+    job.cscv.s_vvec = util::get_int_field(*c, "s_vvec", job.cscv.s_vvec);
+    job.cscv.s_imgb = util::get_int_field(*c, "s_imgb", job.cscv.s_imgb);
+    job.cscv.s_vxg = util::get_int_field(*c, "s_vxg", job.cscv.s_vxg);
     job.cscv.reference = core::reference_from_name(
-        get_string_field(*c, "reference", core::reference_name(job.cscv.reference)));
+        util::get_string_field(*c, "reference", core::reference_name(job.cscv.reference)));
     job.cscv.order = core::vxg_order_from_name(
-        get_string_field(*c, "order", core::vxg_order_name(job.cscv.order)));
+        util::get_string_field(*c, "order", core::vxg_order_name(job.cscv.order)));
     job.cscv.validate();
   }
 
-  job.variant = variant_from_name(get_string_field(spec, "variant", "m"));
-  job.algorithm = algorithm_from_name(get_string_field(spec, "algorithm", "sirt"));
+  job.variant = variant_from_name(util::get_string_field(spec, "variant", "m"));
+  job.algorithm = algorithm_from_name(util::get_string_field(spec, "algorithm", "sirt"));
 
   job.value_type = core::value_type_from_name(
-      get_string_field(spec, "value_type", core::value_type_name(job.value_type)));
+      util::get_string_field(spec, "value_type", core::value_type_name(job.value_type)));
   // kAuto means "match the matrix" in PlanOptions; a job spec names the
   // matrix dtype itself, so "auto" has nothing to resolve against.
   CSCV_CHECK_MSG(job.value_type != core::ValueType::kAuto,
                  "job spec: value_type must be fp32|bf16|fp16");
-  job.sparsify_eps = get_double_field(spec, "sparsify_eps", 0.0);
+  job.sparsify_eps = util::get_double_field(spec, "sparsify_eps", 0.0);
   CSCV_CHECK_MSG(std::isfinite(job.sparsify_eps) && job.sparsify_eps >= 0.0,
                  "job spec: sparsify_eps must be finite and >= 0");
 
   if (const util::Json* s = spec.find("solve")) {
     CSCV_CHECK_MSG(s->is_object(), "job spec: \"solve\" must be an object");
-    check_keys(*s, {"iterations", "relaxation", "nonneg_floor", "enforce_nonneg"},
-               "solve");
-    job.solve.iterations = get_int_field(*s, "iterations", job.solve.iterations);
-    job.solve.relaxation = get_double_field(*s, "relaxation", job.solve.relaxation);
-    job.solve.nonneg_floor = get_double_field(*s, "nonneg_floor", job.solve.nonneg_floor);
+    util::check_keys(*s, {"iterations", "relaxation", "nonneg_floor", "enforce_nonneg"},
+                     "job spec solve");
+    job.solve.iterations = util::get_int_field(*s, "iterations", job.solve.iterations);
+    job.solve.relaxation = util::get_double_field(*s, "relaxation", job.solve.relaxation);
+    job.solve.nonneg_floor =
+        util::get_double_field(*s, "nonneg_floor", job.solve.nonneg_floor);
     job.solve.enforce_nonneg =
-        get_bool_field(*s, "enforce_nonneg", job.solve.enforce_nonneg);
+        util::get_bool_field(*s, "enforce_nonneg", job.solve.enforce_nonneg);
     CSCV_CHECK_MSG(job.solve.iterations >= 1, "job spec: iterations must be >= 1");
   }
 
-  job.os_sart_subsets = get_int_field(spec, "os_sart_subsets", job.os_sart_subsets);
+  job.os_sart_subsets = util::get_int_field(spec, "os_sart_subsets", job.os_sart_subsets);
   CSCV_CHECK_MSG(job.os_sart_subsets >= 1, "job spec: os_sart_subsets must be >= 1");
   // The same bound ShardSpec::from_json enforces; the solve further clamps
   // the count to the operator's view groups (recon::os_sart_strata).
@@ -185,12 +144,12 @@ ReconJob ReconJob::from_json(const util::Json& spec) {
                    "job spec: os_sart_subsets " << job.os_sart_subsets << " out of [1, "
                                                 << job.geometry.num_views << "]");
   }
-  job.deadline_seconds = get_double_field(spec, "deadline_seconds", 0.0);
+  job.deadline_seconds = util::get_double_field(spec, "deadline_seconds", 0.0);
   CSCV_CHECK_MSG(job.deadline_seconds >= 0.0,
                  "job spec: deadline_seconds must be >= 0");
-  job.tag = get_string_field(spec, "tag", "");
-  job.tenant = get_string_field(spec, "tenant", "");
-  job.qos = qos_class_from_name(get_string_field(spec, "qos", "batch"));
+  job.tag = util::get_string_field(spec, "tag", "");
+  job.tenant = util::get_string_field(spec, "tenant", "");
+  job.qos = qos_class_from_name(util::get_string_field(spec, "qos", "batch"));
 
   const util::Json* b64 = spec.find("sinogram_b64");
   const util::Json* arr = spec.find("sinogram");

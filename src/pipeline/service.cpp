@@ -78,59 +78,15 @@ const core::SpmvPlan<float>& plan_or_local(const SystemMatrixEntry& entry,
 
 ReconResult execute_job(const ReconJob& job, const SystemMatrixEntry& entry,
                         const core::SpmvPlan<float>* plan) {
-  job.geometry.validate();
-  const auto rows = static_cast<std::size_t>(job.geometry.num_rows());
-  const auto cols = static_cast<std::size_t>(job.geometry.num_cols());
-  CSCV_CHECK_MSG(job.sinogram.size() == rows, "sinogram has " << job.sinogram.size()
-                                                              << " elements, geometry wants "
-                                                              << rows);
-  std::unique_ptr<core::SpmvPlan<float>> local;
-  const core::SpmvPlan<float>& p = plan_or_local(entry, plan, 1, local);
-  ReconResult r;
-  r.tag = job.tag;
-  util::WallTimer timer;
-  r.volume.assign(cols, 0.0F);
-  recon::RunStats stats;
-  switch (job.algorithm) {
-    case Algorithm::kFbp: {
-      const recon::PlanOperator<float> op(p);
-      r.volume = recon::fbp<float>(job.geometry, op, job.sinogram);
-      stats.iterations_run = 1;
-      break;
-    }
-    case Algorithm::kSirt:
-    case Algorithm::kCgls: {
-      const recon::PlanOperator<float> op(p);
-      stats = job.algorithm == Algorithm::kSirt
-                  ? recon::sirt<float>(op, job.sinogram, r.volume, job.solve)
-                  : recon::cgls<float>(op, job.sinogram, r.volume, job.solve);
-      break;
-    }
-    case Algorithm::kOsSart:
-      stats = recon::os_sart<float>(p, job.sinogram, r.volume, os_sart_options(job));
-      r.os_sart_subsets =
-          recon::os_sart_strata(entry.cscv->grid().view_groups, job.os_sart_subsets);
-      break;
-  }
-  r.solve_seconds = timer.seconds();
-  r.iterations_run = stats.iterations_run;
-  if (!stats.residual_norms.empty()) r.final_residual = stats.residual_norms.back();
-  r.plan_stats = p.stats();
-  r.status = JobStatus::kOk;
-  return r;
+  return std::move(execute_job_batch(std::span<const ReconJob>(&job, 1), entry, plan).front());
 }
 
 std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
                                            const SystemMatrixEntry& entry,
                                            const core::SpmvPlan<float>* plan) {
   CSCV_CHECK_MSG(!jobs.empty(), "execute_job_batch needs at least one job");
-  if (jobs.size() == 1) {
-    std::vector<ReconResult> out;
-    out.push_back(execute_job(jobs[0], entry, plan));
-    return out;
-  }
   const Algorithm algo = jobs[0].algorithm;
-  CSCV_CHECK_MSG(algo != Algorithm::kFbp, "kFbp jobs are never batched");
+  CSCV_CHECK_MSG(algo != Algorithm::kFbp || jobs.size() == 1, "kFbp jobs are never batched");
   const auto rows = static_cast<std::size_t>(jobs[0].geometry.num_rows());
   const auto cols = static_cast<std::size_t>(jobs[0].geometry.num_cols());
   for (const ReconJob& j : jobs) {
@@ -147,17 +103,31 @@ std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
   std::unique_ptr<core::SpmvPlan<float>> local;
   const core::SpmvPlan<float>& p = plan_or_local(entry, plan, num_rhs, local);
 
-  // Interleave the sinograms into one multi-RHS B and solve all columns in
-  // lockstep over a single matrix traversal per iteration.
-  util::AlignedVector<float> b(rows * k);
-  for (std::size_t c = 0; c < k; ++c) {
-    for (std::size_t i = 0; i < rows; ++i) b[i * k + c] = jobs[c].sinogram[i];
+  // One job reads its sinogram in place and solves into its result's
+  // volume; k jobs are interleaved into one multi-RHS B and X, solved in
+  // lockstep over a single matrix traversal per apply.
+  std::vector<ReconResult> out(k);
+  util::AlignedVector<float> b_multi;
+  util::AlignedVector<float> x_multi;
+  if (k == 1) {
+    out[0].volume.assign(cols, 0.0F);
+  } else {
+    b_multi.resize(rows * k);
+    for (std::size_t c = 0; c < k; ++c) {
+      for (std::size_t i = 0; i < rows; ++i) b_multi[i * k + c] = jobs[c].sinogram[i];
+    }
+    x_multi.assign(cols * k, 0.0F);
   }
-  util::AlignedVector<float> x(cols * k, 0.0F);
+  const std::span<const float> b = k == 1 ? std::span<const float>(jobs[0].sinogram) : b_multi;
+  const std::span<float> x = k == 1 ? std::span<float>(out[0].volume) : x_multi;
 
   util::WallTimer timer;
-  std::vector<recon::RunStats> stats;
+  std::vector<recon::RunStats> stats(k);
   switch (algo) {
+    case Algorithm::kFbp:
+      out[0].volume = recon::fbp<float>(jobs[0].geometry, recon::PlanOperator<float>(p), b);
+      stats[0].iterations_run = 1;
+      break;
     case Algorithm::kSirt:
     case Algorithm::kCgls: {
       const recon::PlanOperator<float> op(p);
@@ -175,16 +145,16 @@ std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
       stats = recon::os_sart_batch<float>(p, b, x, opts);
       break;
     }
-    case Algorithm::kFbp: break;  // unreachable, checked above
   }
   const double solve_seconds = timer.seconds();
 
-  std::vector<ReconResult> out(k);
   for (std::size_t c = 0; c < k; ++c) {
     ReconResult& r = out[c];
     r.tag = jobs[c].tag;
-    r.volume.resize(cols);
-    for (std::size_t i = 0; i < cols; ++i) r.volume[i] = x[i * k + c];
+    if (k > 1) {
+      r.volume.resize(cols);
+      for (std::size_t i = 0; i < cols; ++i) r.volume[i] = x_multi[i * k + c];
+    }
     r.iterations_run = stats[c].iterations_run;
     if (!stats[c].residual_norms.empty()) r.final_residual = stats[c].residual_norms.back();
     if (algo == Algorithm::kOsSart) {
@@ -463,36 +433,24 @@ void ReconService::worker_main(int worker_index) {
       const core::SpmvPlan<float>* plan =
           acquire_plan(acquired.entry, static_cast<int>(batch.size()));
 
-      if (batch.size() == 1) {
-        Member& m = batch.front();
-        ReconResult r = execute_job(m.p.job, *acquired.entry, plan);
-        r.job_id = m.meta.job_id;
-        r.worker = m.meta.worker;
-        r.cache_hit = m.meta.cache_hit;
-        r.queue_wait_seconds = m.meta.queue_wait_seconds;
-        r.acquire_seconds = m.meta.acquire_seconds;
+      std::vector<ReconJob> jobs;
+      jobs.reserve(batch.size());
+      for (Member& m : batch) jobs.push_back(std::move(m.p.job));
+      std::vector<ReconResult> results = execute_job_batch(jobs, *acquired.entry, plan);
+      if (batch.size() > 1) {
+        util::MutexLock lock(mu_);
+        ++stats_.batches;
+        stats_.batched_jobs += batch.size();
+      }
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        ReconResult& r = results[i];
+        r.job_id = batch[i].meta.job_id;
+        r.worker = batch[i].meta.worker;
+        r.cache_hit = batch[i].meta.cache_hit;
+        r.queue_wait_seconds = batch[i].meta.queue_wait_seconds;
+        r.acquire_seconds = batch[i].meta.acquire_seconds;
         count_status(r.status);
-        m.p.promise.set_value(std::move(r));
-      } else {
-        std::vector<ReconJob> jobs;
-        jobs.reserve(batch.size());
-        for (Member& m : batch) jobs.push_back(std::move(m.p.job));
-        std::vector<ReconResult> results = execute_job_batch(jobs, *acquired.entry, plan);
-        {
-          util::MutexLock lock(mu_);
-          ++stats_.batches;
-          stats_.batched_jobs += batch.size();
-        }
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          ReconResult& r = results[i];
-          r.job_id = batch[i].meta.job_id;
-          r.worker = batch[i].meta.worker;
-          r.cache_hit = batch[i].meta.cache_hit;
-          r.queue_wait_seconds = batch[i].meta.queue_wait_seconds;
-          r.acquire_seconds = batch[i].meta.acquire_seconds;
-          count_status(r.status);
-          batch[i].p.promise.set_value(std::move(r));
-        }
+        batch[i].p.promise.set_value(std::move(r));
       }
     } catch (const std::exception& e) {
       // Nothing in the try block resolves a promise before the point that

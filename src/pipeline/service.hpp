@@ -105,29 +105,28 @@ struct ServiceStats {
   static ServiceStats from_json(const util::Json& j);
 };
 
-/// Runs one job against an acquired operator entry, synchronously on the
-/// calling thread. `plan` must be a single-RHS plan over *entry.cscv; null
-/// runs the job on a call-local plan at the ambient thread count. Every
-/// algorithm runs on it. Fills the solve half of the result
-/// (status/volume/iterations/residual/solve_seconds/plan_stats, and the
-/// stratum count of an OS-SART job); the service half (ids, waits, cache
-/// flags) belongs to the caller.
-///
-/// Exposed so tests and benches can produce the serial reference volumes
-/// the service's outputs are compared against — same code path, no queue.
-ReconResult execute_job(const ReconJob& job, const SystemMatrixEntry& entry,
-                        const core::SpmvPlan<float>* plan);
-
-/// Runs `jobs` — all sharing `entry`'s matrix key and one iterative
-/// algorithm (kFbp never batches; OS-SART jobs also share a subset count)
-/// — as one fused multi-RHS solve with num_rhs == jobs.size(). `plan` must
-/// be a plan over *entry.cscv built with num_rhs == jobs.size(), or null
-/// for a call-local one. Returns one result per job, in order. Each job's
+/// Runs `jobs` — all sharing `entry`'s matrix key and one algorithm (a
+/// kFbp job runs alone; OS-SART jobs also share a subset count) — against
+/// the acquired operator entry as one solve with num_rhs == jobs.size(),
+/// synchronously on the calling thread. `plan` must be a plan over
+/// *entry.cscv built with num_rhs == jobs.size(), or null for a call-local
+/// one at the ambient thread count. One job reads its sinogram in place and
+/// solves straight into its result's volume; k jobs are interleaved into
+/// one fused multi-RHS solve. Returns one result per job, in order, with
+/// the solve half filled (status/volume/iterations/residual/solve_seconds/
+/// plan_stats/batch position, and the stratum count of an OS-SART job); the
+/// service half (ids, waits, cache flags) belongs to the caller. Each job's
 /// volume is bitwise identical to execute_job() on that job alone — the
 /// contract that lets ReconService fuse queued jobs transparently.
 std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
                                            const SystemMatrixEntry& entry,
                                            const core::SpmvPlan<float>* plan);
+
+/// execute_job_batch of one job (`plan` single-RHS or null). Exposed so
+/// tests and benches can produce the serial reference volumes the service's
+/// outputs are compared against — same code path, no queue.
+ReconResult execute_job(const ReconJob& job, const SystemMatrixEntry& entry,
+                        const core::SpmvPlan<float>* plan);
 
 class ReconService {
  public:

@@ -1,4 +1,4 @@
-// Column update primitives shared by the serial and batched solvers.
+// Column update primitives shared by every solver body.
 //
 // The batched solvers promise: column k of a fused multi-RHS solve is
 // bitwise identical to the serial solver run alone on that column. The
@@ -6,16 +6,19 @@
 // column; this header holds up the solver half. Every per-element update
 // the solvers perform (SIRT/SART steps, CGLS axpy family, norm and dot
 // reductions, clamps) lives here as ONE noinline function instantiation
-// over contiguous arrays. The serial solver calls these directly; the
-// batched solver gathers a column into contiguous scratch and calls the
-// very same code.
+// over contiguous arrays. Each solver is one body over k columns, and the
+// serial solve is its column 0 at k = 1: that column works in place on the
+// caller's arrays, while k columns are gathered into contiguous scratch,
+// and both call the very same code.
 //
 // Why this indirection matters: open-coding "the same" update twice —
-// contiguous in the serial solver, strided in the batched one — lets the
-// compiler make different contraction/vectorization choices per site
-// (fused scalar FMA here, unfused vector mul+add there), which diverges
-// in the last ulp and breaks the bitwise contract. A single noinline
-// instantiation can only be compiled one way.
+// contiguous in place, strided in a batch — lets the compiler make
+// different contraction/vectorization choices per site (fused scalar FMA
+// here, unfused vector mul+add there), which diverges in the last ulp and
+// breaks the bitwise contract. The rule still holds with one body: the
+// in-place and gathered call sites (os_sart's two branches, the shard
+// coordinator's reduce and its in-process reference) all call these, and a
+// single noinline instantiation can only be compiled one way.
 #pragma once
 
 #include <algorithm>

@@ -135,66 +135,13 @@ class CscOperator final : public LinearOperator<T> {
   mutable util::AlignedVector<T> forward_scratch_;
 };
 
-/// CSCV forward projection + CSC backprojection. The paper implements CSCV
-/// for y = Ax and treats x = A^T y as future work; we provide both — the
-/// CSC transpose (a plain row gather) and the CSCV transpose (block-local
-/// contiguous dot products). `use_cscv_adjoint` selects between them.
-///
-/// Both CSCV applies go through the matrix's cached SpmvPlan, so after the
-/// first iteration (or an explicit warm_up()) every solver step runs on a
-/// fully resolved execution context: no dispatch, no partitioning, no heap
-/// allocation.
-template <typename T>
-class CscvOperator final : public LinearOperator<T> {
- public:
-  CscvOperator(const core::CscvMatrix<T>& forward_engine, const sparse::CscMatrix<T>& csc,
-               bool use_cscv_adjoint = false)
-      : fwd_(&forward_engine), csc_(&csc), use_cscv_adjoint_(use_cscv_adjoint) {}
-  [[nodiscard]] sparse::index_t rows() const override { return fwd_->rows(); }
-  [[nodiscard]] sparse::index_t cols() const override { return fwd_->cols(); }
-  void forward(std::span<const T> x, std::span<T> y) const override {
-    fwd_->plan().execute(x, y);
-  }
-  void adjoint(std::span<const T> y, std::span<T> x) const override {
-    if (use_cscv_adjoint_) {
-      fwd_->plan().execute_transpose(y, x);
-    } else {
-      csc_->spmv_transpose(y, x);
-    }
-  }
-  void forward_batch(std::span<const T> x, std::span<T> y, int num_rhs) const override {
-    if (num_rhs == 1) {
-      forward(x, y);
-      return;
-    }
-    fwd_->plan({.num_rhs = num_rhs}).execute(x, y);
-  }
-  void adjoint_batch(std::span<const T> y, std::span<T> x, int num_rhs) const override {
-    if (num_rhs > 1 && use_cscv_adjoint_) {
-      fwd_->plan({.num_rhs = num_rhs}).execute_transpose(y, x);
-    } else {
-      // CSC has no fused transpose SpMM; the column-wise base fallback keeps
-      // the per-column bitwise guarantee.
-      LinearOperator<T>::adjoint_batch(y, x, num_rhs);
-    }
-  }
-
-  /// Builds the cached plan up front so the first solver iteration is
-  /// already warm (useful before timing loops).
-  void warm_up() const { (void)fwd_->plan(); }
-
- private:
-  const core::CscvMatrix<T>* fwd_;
-  const sparse::CscMatrix<T>* csc_;
-  bool use_cscv_adjoint_;
-};
-
-/// Operator over a caller-owned SpmvPlan: forward via execute, adjoint via
-/// execute_transpose. Unlike CscvOperator (which routes through the
-/// matrix's shared cached plan), the caller decides which plan instance
-/// serves which thread — the building block pipeline::ReconService uses to
-/// give every worker its own plan, since a plan's scratch forbids
-/// concurrent execute() calls on one instance.
+/// The CSCV operator: forward via the plan's execute, adjoint via its
+/// execute_transpose (the CSCV transpose, the paper's future work). The
+/// caller owns the plan, so it decides which plan instance serves which
+/// thread: `cscv.plan()` (the matrix's cached plan) in one-thread-at-a-time
+/// code, one plan per worker in pipeline::ReconService, since a plan's
+/// scratch forbids concurrent execute() calls on one instance. A plan built
+/// with num_rhs == K serves K-column batched solves.
 template <typename T>
 class PlanOperator final : public LinearOperator<T> {
  public:

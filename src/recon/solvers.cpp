@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
+#include <vector>
 
 #include "recon/colmath.hpp"
 #include "util/assertx.hpp"
@@ -10,9 +12,8 @@ namespace cscv::recon {
 
 namespace {
 
-// All per-element arithmetic routes through colmath so the serial and
-// batched solvers execute the same instantiations (see colmath.hpp for
-// why that is what makes the batch bitwise-equal to serial).
+// All per-element arithmetic routes through colmath, so every column of a
+// solve, in place or gathered, runs the same instantiations (colmath.hpp).
 template <typename T>
 double norm2(std::span<const T> v) {
   return colmath::norm2(v.data(), v.size());
@@ -33,115 +34,174 @@ bool all_zero(std::span<const T> x) {
   return std::all_of(x.begin(), x.end(), [](T v) { return v == T(0); });
 }
 
-/// y = A X over num_rhs interleaved columns, or +0 when `zero_x` (above).
+/// SIRT weights of row or column sums: 1/sum, zero sums give zero weights.
 template <typename T>
-void forward_or_zero(const LinearOperator<T>& a, std::span<const T> x, std::span<T> y,
-                     int num_rhs, bool zero_x) {
-  if (zero_x) {
-    std::fill(y.begin(), y.end(), T(0));
-  } else if (num_rhs == 1) {
-    a.forward(x, y);
-  } else {
-    a.forward_batch(x, y, num_rhs);
+util::AlignedVector<T> inverted(util::AlignedVector<T> sums) {
+  for (auto& v : sums) v = v > T(0) ? T(1) / v : T(0);
+  return sums;
+}
+
+/// One vector per column of a k-column solve, each contiguous, so every
+/// update runs on a plain array. Built fresh (`len` elements per column)
+/// or over an interleaved caller array: one column is that array itself,
+/// in place; k columns are gathered copies, written back by scatter_to.
+template <typename T>
+class Columns {
+  using V = std::remove_const_t<T>;
+
+ public:
+  Columns(std::size_t k, std::size_t len) : len_(len), store_(k) {
+    for (auto& s : store_) {
+      s.resize(len);
+      col_.push_back(s.data());
+    }
   }
+  Columns(std::span<T> multi, std::size_t k) : len_(multi.size() / k) {
+    if (k == 1) {
+      col_.push_back(multi.data());
+      return;
+    }
+    store_.resize(k);
+    for (std::size_t c = 0; c < k; ++c) {
+      store_[c].resize(len_);
+      colmath::gather_column(multi.data(), len_, k, c, store_[c].data());
+      col_.push_back(store_[c].data());
+    }
+  }
+
+  T* operator[](std::size_t c) const { return col_[c]; }
+  [[nodiscard]] std::size_t len() const { return len_; }
+  void fill_zero() const {
+    for (T* c : col_) std::fill_n(c, len_, V(0));
+  }
+  /// Writes gathered columns back into `multi`; nothing to do in place.
+  void scatter_to(std::span<V> multi) const {
+    for (std::size_t c = 0; c < store_.size(); ++c) {
+      colmath::scatter_column(col_[c], len_, store_.size(), c, multi.data());
+    }
+  }
+
+ private:
+  std::size_t len_;
+  std::vector<util::AlignedVector<V>> store_;
+  std::vector<T*> col_;
+};
+
+/// out[c] = A in[c] (A^T in[c] when `transpose`) for every column, as one
+/// apply: the plain forward or adjoint for one column, one fused batch
+/// apply through interleaved staging for k.
+template <typename T>
+class FusedApply {
+ public:
+  FusedApply(const LinearOperator<T>& a, std::size_t k)
+      : a_(a),
+        k_(k),
+        stage_m_(k > 1 ? k * static_cast<std::size_t>(a.rows()) : 0),
+        stage_n_(k > 1 ? k * static_cast<std::size_t>(a.cols()) : 0) {}
+
+  void forward(const Columns<T>& in, const Columns<T>& out) { apply(in, out, false); }
+  void adjoint(const Columns<T>& in, const Columns<T>& out) { apply(in, out, true); }
+
+ private:
+  void apply(const Columns<T>& in, const Columns<T>& out, bool transpose) {
+    if (k_ == 1) {
+      const std::span<const T> x(in[0], in.len());
+      const std::span<T> y(out[0], out.len());
+      transpose ? a_.adjoint(x, y) : a_.forward(x, y);
+      return;
+    }
+    util::AlignedVector<T>& stage_in = transpose ? stage_m_ : stage_n_;
+    util::AlignedVector<T>& stage_out = transpose ? stage_n_ : stage_m_;
+    for (std::size_t c = 0; c < k_; ++c) {
+      colmath::scatter_column(in[c], in.len(), k_, c, stage_in.data());
+    }
+    const int num_rhs = static_cast<int>(k_);
+    transpose ? a_.adjoint_batch(stage_in, stage_out, num_rhs)
+              : a_.forward_batch(stage_in, stage_out, num_rhs);
+    for (std::size_t c = 0; c < k_; ++c) {
+      colmath::gather_column(stage_out.data(), out.len(), k_, c, out[c]);
+    }
+  }
+
+  const LinearOperator<T>& a_;
+  std::size_t k_;
+  util::AlignedVector<T> stage_m_;
+  util::AlignedVector<T> stage_n_;
+};
+
+/// Checks a k-column solve's arguments and returns k.
+template <typename T>
+std::size_t check_batch(const LinearOperator<T>& a, std::span<const T> b, std::span<T> x,
+                        int num_rhs, std::span<const SolveOptions> options) {
+  CSCV_CHECK(num_rhs >= 1);
+  CSCV_CHECK(options.size() == static_cast<std::size_t>(num_rhs));
+  const auto k = static_cast<std::size_t>(num_rhs);
+  CSCV_CHECK(b.size() == static_cast<std::size_t>(a.rows()) * k);
+  CSCV_CHECK(x.size() == static_cast<std::size_t>(a.cols()) * k);
+  return k;
+}
+
+int max_iterations(std::span<const SolveOptions> options) {
+  int max_iters = 0;
+  for (const SolveOptions& o : options) max_iters = std::max(max_iters, o.iterations);
+  return max_iters;
 }
 
 }  // namespace
 
+// One body per solver: one column (sirt/cgls) works in place on the
+// caller's x and b with the plain applies; k columns run the very same
+// per-column calls on gathered columns around fused applies, which is what
+// makes column c of a batch bitwise the one-column solve.
 template <typename T>
 RunStats sirt(const LinearOperator<T>& a, std::span<const T> b, std::span<T> x,
               const SolveOptions& options) {
-  CSCV_CHECK(static_cast<sparse::index_t>(b.size()) == a.rows());
-  CSCV_CHECK(static_cast<sparse::index_t>(x.size()) == a.cols());
-  const std::size_t m = b.size();
-  const std::size_t n = x.size();
-
-  util::AlignedVector<T> inv_row = a.row_sums();
-  util::AlignedVector<T> inv_col = a.col_sums();
-  for (auto& v : inv_row) v = v > T(0) ? T(1) / v : T(0);
-  for (auto& v : inv_col) v = v > T(0) ? T(1) / v : T(0);
-
-  util::AlignedVector<T> residual(m);
-  util::AlignedVector<T> back(n);
-  RunStats stats;
-  const T lambda = static_cast<T>(options.relaxation);
-
-  const bool zero_start = all_zero<T>(x);
-  for (int it = 0; it < options.iterations; ++it) {
-    forward_or_zero<T>(a, x, residual, 1, it == 0 && zero_start);
-    colmath::residual_from(b.data(), residual.data(), m);
-    stats.residual_norms.push_back(colmath::norm2(residual.data(), m));
-    colmath::scale_by(residual.data(), inv_row.data(), m);
-    a.adjoint(residual, back);
-    colmath::sirt_step(x.data(), inv_col.data(), back.data(), lambda, n);
-    clamp_nonneg(x, options);
-    ++stats.iterations_run;
-  }
-  return stats;
+  return sirt_batch(a, b, x, 1, std::span<const SolveOptions>(&options, 1)).front();
 }
 
 template <typename T>
 std::vector<RunStats> sirt_batch(const LinearOperator<T>& a, std::span<const T> b,
                                  std::span<T> x, int num_rhs,
                                  std::span<const SolveOptions> options) {
-  CSCV_CHECK(num_rhs >= 1);
-  CSCV_CHECK(options.size() == static_cast<std::size_t>(num_rhs));
-  if (num_rhs == 1) return {sirt(a, b, x, options[0])};
-  const std::size_t k = static_cast<std::size_t>(num_rhs);
+  const std::size_t k = check_batch(a, b, x, num_rhs, options);
   const std::size_t m = static_cast<std::size_t>(a.rows());
   const std::size_t n = static_cast<std::size_t>(a.cols());
-  CSCV_CHECK(b.size() == m * k);
-  CSCV_CHECK(x.size() == n * k);
 
-  // The normalizers depend only on the matrix, so one single-RHS pass
-  // serves every column — bitwise what each serial sirt() would compute.
-  util::AlignedVector<T> inv_row = a.row_sums();
-  util::AlignedVector<T> inv_col = a.col_sums();
-  for (auto& v : inv_row) v = v > T(0) ? T(1) / v : T(0);
-  for (auto& v : inv_col) v = v > T(0) ? T(1) / v : T(0);
+  // The normalizers depend only on the matrix: one pass serves every column.
+  const util::AlignedVector<T> inv_row = inverted(a.row_sums());
+  const util::AlignedVector<T> inv_col = inverted(a.col_sums());
 
-  util::AlignedVector<T> residual(m * k);
-  util::AlignedVector<T> back(n * k);
-  // Contiguous per-column scratch: every update runs on a gathered column
-  // through the same colmath instantiation the serial solver uses, then
-  // scatters back. The gathers are O(m+n) against the O(nnz) applies.
-  util::AlignedVector<T> col_m(m);
-  util::AlignedVector<T> col_n(n);
-  util::AlignedVector<T> col_x(n);
-  std::vector<util::AlignedVector<T>> b_cols(k);
-  for (std::size_t c = 0; c < k; ++c) {
-    b_cols[c].resize(m);
-    colmath::gather_column(b.data(), m, k, c, b_cols[c].data());
-  }
+  const Columns<const T> bc(b, k);
+  Columns<T> xc(x, k);
+  Columns<T> residual(k, m);
+  Columns<T> back(k, n);
+  FusedApply<T> apply(a, k);
   std::vector<RunStats> stats(k);
-  int max_iters = 0;
-  for (const SolveOptions& o : options) max_iters = std::max(max_iters, o.iterations);
 
   const bool zero_start = all_zero<T>(x);
+  const int max_iters = max_iterations(options);
   for (int it = 0; it < max_iters; ++it) {
-    forward_or_zero<T>(a, x, residual, num_rhs, it == 0 && zero_start);
+    if (it == 0 && zero_start) {
+      residual.fill_zero();
+    } else {
+      apply.forward(xc, residual);
+    }
     for (std::size_t c = 0; c < k; ++c) {
       if (it >= options[c].iterations) continue;  // finished column: x frozen
-      colmath::gather_column(residual.data(), m, k, c, col_m.data());
-      colmath::residual_from(b_cols[c].data(), col_m.data(), m);
-      stats[c].residual_norms.push_back(colmath::norm2(col_m.data(), m));
-      colmath::scale_by(col_m.data(), inv_row.data(), m);
-      colmath::scatter_column(col_m.data(), m, k, c, residual.data());
+      colmath::residual_from(bc[c], residual[c], m);
+      stats[c].residual_norms.push_back(colmath::norm2(residual[c], m));
+      colmath::scale_by(residual[c], inv_row.data(), m);
     }
-    a.adjoint_batch(residual, back, num_rhs);
+    apply.adjoint(residual, back);
     for (std::size_t c = 0; c < k; ++c) {
       if (it >= options[c].iterations) continue;
-      colmath::gather_column(back.data(), n, k, c, col_n.data());
-      colmath::gather_column(x.data(), n, k, c, col_x.data());
-      colmath::sirt_step(col_x.data(), inv_col.data(), col_n.data(),
+      colmath::sirt_step(xc[c], inv_col.data(), back[c],
                          static_cast<T>(options[c].relaxation), n);
-      if (options[c].enforce_nonneg) {
-        colmath::clamp_floor(col_x.data(), static_cast<T>(options[c].nonneg_floor), n);
-      }
-      colmath::scatter_column(col_x.data(), n, k, c, x.data());
+      clamp_nonneg(std::span<T>(xc[c], n), options[c]);
       ++stats[c].iterations_run;
     }
   }
+  xc.scatter_to(x);
   return stats;
 }
 
@@ -197,145 +257,83 @@ RunStats art(const sparse::CsrMatrix<T>& a, std::span<const T> b, std::span<T> x
 template <typename T>
 RunStats cgls(const LinearOperator<T>& a, std::span<const T> b, std::span<T> x,
               const SolveOptions& options) {
-  CSCV_CHECK(static_cast<sparse::index_t>(b.size()) == a.rows());
-  CSCV_CHECK(static_cast<sparse::index_t>(x.size()) == a.cols());
-  const std::size_t m = b.size();
-  const std::size_t n = x.size();
-
-  util::AlignedVector<T> r(m);   // b - A x
-  util::AlignedVector<T> s(n);   // A^T r
-  util::AlignedVector<T> p(n);
-  util::AlignedVector<T> q(m);   // A p
-
-  forward_or_zero<T>(a, x, r, 1, all_zero<T>(x));
-  colmath::residual_from(b.data(), r.data(), m);
-  a.adjoint(r, s);
-  p.assign(s.begin(), s.end());
-  double gamma = colmath::dot_self(s.data(), n);
-
-  RunStats stats;
-  for (int it = 0; it < options.iterations; ++it) {
-    if (gamma == 0.0) break;
-    a.forward(p, q);
-    const double qq = colmath::dot_self(q.data(), m);
-    if (qq == 0.0) break;
-    const double alpha = gamma / qq;
-    colmath::axpy(x.data(), static_cast<T>(alpha), p.data(), n);
-    colmath::axmy(r.data(), static_cast<T>(alpha), q.data(), m);
-    stats.residual_norms.push_back(colmath::norm2(r.data(), m));
-    ++stats.iterations_run;
-    // The next search direction only serves a next iteration.
-    if (it + 1 == options.iterations) break;
-    a.adjoint(r, s);
-    const double gamma_new = colmath::dot_self(s.data(), n);
-    const double beta = gamma_new / gamma;
-    gamma = gamma_new;
-    colmath::xpay(p.data(), s.data(), static_cast<T>(beta), n);
-  }
-  clamp_nonneg(x, options);
-  return stats;
+  return cgls_batch(a, b, x, 1, std::span<const SolveOptions>(&options, 1)).front();
 }
 
 template <typename T>
 std::vector<RunStats> cgls_batch(const LinearOperator<T>& a, std::span<const T> b,
                                  std::span<T> x, int num_rhs,
                                  std::span<const SolveOptions> options) {
-  CSCV_CHECK(num_rhs >= 1);
-  CSCV_CHECK(options.size() == static_cast<std::size_t>(num_rhs));
-  if (num_rhs == 1) return {cgls(a, b, x, options[0])};
-  const std::size_t k = static_cast<std::size_t>(num_rhs);
+  const std::size_t k = check_batch(a, b, x, num_rhs, options);
   const std::size_t m = static_cast<std::size_t>(a.rows());
   const std::size_t n = static_cast<std::size_t>(a.cols());
-  CSCV_CHECK(b.size() == m * k);
-  CSCV_CHECK(x.size() == n * k);
 
-  // Interleaved staging used only at the fused applies; all solver state
-  // lives in contiguous per-column vectors so every vector update and
-  // reduction runs through the exact colmath instantiation serial cgls
-  // uses (the bitwise contract — see colmath.hpp).
-  util::AlignedVector<T> multi_m(m * k);
-  util::AlignedVector<T> multi_n(n * k);
-  std::vector<util::AlignedVector<T>> bc(k), xc(k), rc(k), sc(k), pc(k), qc(k);
-  for (std::size_t c = 0; c < k; ++c) {
-    bc[c].resize(m);
-    colmath::gather_column(b.data(), m, k, c, bc[c].data());
-    xc[c].resize(n);
-    colmath::gather_column(x.data(), n, k, c, xc[c].data());
-    rc[c].resize(m);
-    sc[c].resize(n);
-    qc[c].resize(m);
-  }
+  const Columns<const T> bc(b, k);
+  Columns<T> xc(x, k);
+  Columns<T> r(k, m);  // b - A x
+  Columns<T> s(k, n);  // A^T r
+  Columns<T> p(k, n);
+  Columns<T> q(k, m);  // A p
+  FusedApply<T> apply(a, k);
 
-  forward_or_zero<T>(a, x, multi_m, num_rhs, all_zero<T>(x));
-  for (std::size_t c = 0; c < k; ++c) {
-    colmath::gather_column(multi_m.data(), m, k, c, rc[c].data());
-    colmath::residual_from(bc[c].data(), rc[c].data(), m);
-    colmath::scatter_column(rc[c].data(), m, k, c, multi_m.data());
+  if (all_zero<T>(x)) {
+    r.fill_zero();
+  } else {
+    apply.forward(xc, r);
   }
-  a.adjoint_batch(multi_m, multi_n, num_rhs);
-  std::vector<double> gamma(k, 0.0);
+  for (std::size_t c = 0; c < k; ++c) colmath::residual_from(bc[c], r[c], m);
+  apply.adjoint(r, s);
+  std::vector<double> gamma(k);
   for (std::size_t c = 0; c < k; ++c) {
-    colmath::gather_column(multi_n.data(), n, k, c, sc[c].data());
-    pc[c].assign(sc[c].begin(), sc[c].end());
-    gamma[c] = colmath::dot_self(sc[c].data(), n);
+    std::copy_n(s[c], n, p[c]);
+    gamma[c] = colmath::dot_self(s[c], n);
   }
 
   std::vector<RunStats> stats(k);
-  // A column is done once serial cgls would have broken out (gamma or qq
-  // hit zero); done columns freeze while the rest share the fused applies.
+  // A column is done once CG breaks down (gamma or qq hits zero); done
+  // columns freeze while the rest share the fused applies.
   std::vector<char> done(k, 0);
-  int max_iters = 0;
-  for (const SolveOptions& o : options) max_iters = std::max(max_iters, o.iterations);
-
+  const auto active = [&](std::size_t c, int it) {
+    return !done[c] && it < options[c].iterations;
+  };
+  const int max_iters = max_iterations(options);
   for (int it = 0; it < max_iters; ++it) {
     bool any_active = false;
     for (std::size_t c = 0; c < k; ++c) {
-      if (!done[c] && it < options[c].iterations && gamma[c] == 0.0) done[c] = 1;
-      if (!done[c] && it < options[c].iterations) any_active = true;
+      if (active(c, it) && gamma[c] == 0.0) done[c] = 1;
+      any_active = any_active || active(c, it);
     }
     if (!any_active) break;
-    for (std::size_t c = 0; c < k; ++c) {
-      colmath::scatter_column(pc[c].data(), n, k, c, multi_n.data());
-    }
-    a.forward_batch(multi_n, multi_m, num_rhs);
+    apply.forward(p, q);
     bool any_next = false;
     for (std::size_t c = 0; c < k; ++c) {
-      if (done[c] || it >= options[c].iterations) continue;
-      colmath::gather_column(multi_m.data(), m, k, c, qc[c].data());
-      const double qq = colmath::dot_self(qc[c].data(), m);
+      if (!active(c, it)) continue;
+      const double qq = colmath::dot_self(q[c], m);
       if (qq == 0.0) {
         done[c] = 1;
         continue;
       }
       const double alpha = gamma[c] / qq;
-      colmath::axpy(xc[c].data(), static_cast<T>(alpha), pc[c].data(), n);
-      colmath::axmy(rc[c].data(), static_cast<T>(alpha), qc[c].data(), m);
-      stats[c].residual_norms.push_back(colmath::norm2(rc[c].data(), m));
+      colmath::axpy(xc[c], static_cast<T>(alpha), p[c], n);
+      colmath::axmy(r[c], static_cast<T>(alpha), q[c], m);
+      stats[c].residual_norms.push_back(colmath::norm2(r[c], m));
       ++stats[c].iterations_run;
-      if (it + 1 < options[c].iterations) any_next = true;
+      any_next = any_next || it + 1 < options[c].iterations;
     }
-    // As in serial cgls, the next search directions only serve a next
-    // iteration; columns that end here ride along when others go on.
+    // The next search directions only serve a next iteration; columns that
+    // end here ride along when others go on.
     if (!any_next) break;
+    apply.adjoint(r, s);
     for (std::size_t c = 0; c < k; ++c) {
-      colmath::scatter_column(rc[c].data(), m, k, c, multi_m.data());
-    }
-    a.adjoint_batch(multi_m, multi_n, num_rhs);
-    for (std::size_t c = 0; c < k; ++c) {
-      if (done[c] || it >= options[c].iterations) continue;
-      colmath::gather_column(multi_n.data(), n, k, c, sc[c].data());
-      const double gamma_new = colmath::dot_self(sc[c].data(), n);
+      if (!active(c, it)) continue;
+      const double gamma_new = colmath::dot_self(s[c], n);
       const double beta = gamma_new / gamma[c];
       gamma[c] = gamma_new;
-      colmath::xpay(pc[c].data(), sc[c].data(), static_cast<T>(beta), n);
+      colmath::xpay(p[c], s[c], static_cast<T>(beta), n);
     }
   }
-  for (std::size_t c = 0; c < k; ++c) {
-    if (options[c].enforce_nonneg) {
-      colmath::clamp_floor(xc[c].data(), static_cast<T>(options[c].nonneg_floor), n);
-    }
-    colmath::scatter_column(xc[c].data(), n, k, c, x.data());
-  }
+  for (std::size_t c = 0; c < k; ++c) clamp_nonneg(std::span<T>(xc[c], n), options[c]);
+  xc.scatter_to(x);
   return stats;
 }
 

@@ -40,7 +40,8 @@ struct RunStats {
 };
 
 /// SIRT: x_{k+1} = x_k + lambda * C A^T R (b - A x_k), C/R inverse col/row
-/// sums (zero sums leave the entry untouched).
+/// sums (zero sums leave the entry untouched). The one-column case of
+/// sirt_batch: it runs in place on x and b with the plain forward/adjoint.
 template <typename T>
 RunStats sirt(const LinearOperator<T>& a, std::span<const T> b, std::span<T> x,
               const SolveOptions& options = {});
@@ -53,7 +54,8 @@ RunStats art(const sparse::CsrMatrix<T>& a, std::span<const T> b, std::span<T> x
 /// CGLS on min ||Ax - b||_2. Ignores relaxation; nonnegativity is applied
 /// only to the final iterate (projecting inside CG breaks conjugacy). The
 /// last iteration skips A^T r, which only feeds a next search direction, so
-/// n iterations from zero make n forwards and n adjoints.
+/// n iterations from zero make n forwards and n adjoints. The one-column
+/// case of cgls_batch, in place like sirt.
 template <typename T>
 RunStats cgls(const LinearOperator<T>& a, std::span<const T> b, std::span<T> x,
               const SolveOptions& options = {});

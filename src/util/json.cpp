@@ -1,11 +1,13 @@
 // Json implementation: recursive-descent parser + stable serializer.
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/assertx.hpp"
@@ -26,6 +28,9 @@ double Json::as_double() const {
 
 std::int64_t Json::as_int() const {
   CSCV_CHECK_MSG(type_ == Type::kNumber, "json: not a number");
+  // The cast is only defined inside int64: [-2^63, 2^63), both bounds exact.
+  CSCV_CHECK_MSG(number_ >= -0x1p63 && number_ < 0x1p63,
+                 "json: number " << number_ << " is outside int64");
   const auto i = static_cast<std::int64_t>(number_);
   CSCV_CHECK_MSG(static_cast<double>(i) == number_, "json: number " << number_
                                                     << " is not integral");
@@ -407,6 +412,49 @@ void write_json_file(const std::string& path, const Json& value, int indent) {
   CSCV_CHECK_MSG(out.good(), "json: cannot write " << path);
   out << value.dump(indent) << '\n';
   CSCV_CHECK_MSG(out.good(), "json: write failed for " << path);
+}
+
+// ---- strict readers ------------------------------------------------------
+
+void check_keys(const Json& obj, std::initializer_list<std::string_view> allowed,
+                std::string_view where) {
+  for (const auto& [key, value] : obj.items()) {
+    (void)value;
+    CSCV_CHECK_MSG(std::find(allowed.begin(), allowed.end(), key) != allowed.end(),
+                   where << ": unknown key \"" << key << "\"");
+  }
+}
+
+int get_int_field(const Json& obj, std::string_view key, int def) {
+  const Json* v = obj.find(key);
+  if (v == nullptr) return def;
+  CSCV_CHECK_MSG(v->is_number(), "\"" << key << "\" must be a number");
+  const double d = v->as_double();
+  CSCV_CHECK_MSG(std::trunc(d) == d && d >= std::numeric_limits<int>::min() &&
+                     d <= std::numeric_limits<int>::max(),
+                 "\"" << key << "\" = " << d << " is not an integer in int range");
+  return static_cast<int>(d);
+}
+
+double get_double_field(const Json& obj, std::string_view key, double def) {
+  const Json* v = obj.find(key);
+  if (v == nullptr) return def;
+  CSCV_CHECK_MSG(v->is_number(), "\"" << key << "\" must be a number");
+  return v->as_double();
+}
+
+bool get_bool_field(const Json& obj, std::string_view key, bool def) {
+  const Json* v = obj.find(key);
+  if (v == nullptr) return def;
+  CSCV_CHECK_MSG(v->type() == Json::Type::kBool, "\"" << key << "\" must be a bool");
+  return v->as_bool();
+}
+
+std::string get_string_field(const Json& obj, std::string_view key, const std::string& def) {
+  const Json* v = obj.find(key);
+  if (v == nullptr) return def;
+  CSCV_CHECK_MSG(v->is_string(), "\"" << key << "\" must be a string");
+  return v->as_string();
 }
 
 }  // namespace cscv::util

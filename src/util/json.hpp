@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -93,5 +94,19 @@ class Json {
 /// Reads/writes a whole JSON file; CheckError on I/O or parse failure.
 Json read_json_file(const std::string& path);
 void write_json_file(const std::string& path, const Json& value, int indent = 2);
+
+// ---- strict readers for wire specs (job specs, shard specs) --------------
+/// Rejects a key of `obj` outside `allowed`, so a typo ("iteratons") fails
+/// loudly instead of silently running defaults. `where` names the object
+/// in the CheckError ("job spec", "geometry", ...).
+void check_keys(const Json& obj, std::initializer_list<std::string_view> allowed,
+                std::string_view where);
+/// Optional fields: `def` when `key` is absent, otherwise the value, with a
+/// CheckError naming the key on a wrong type. get_int_field also rejects a
+/// non-integral value or one outside int.
+int get_int_field(const Json& obj, std::string_view key, int def);
+double get_double_field(const Json& obj, std::string_view key, double def);
+bool get_bool_field(const Json& obj, std::string_view key, bool def);
+std::string get_string_field(const Json& obj, std::string_view key, const std::string& def);
 
 }  // namespace cscv::util

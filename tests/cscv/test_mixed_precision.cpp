@@ -508,12 +508,14 @@ TEST(MixedPrecisionSolvers, BatchedSirtKeepsBitwiseColumnsAndBoundedError) {
   auto cscv32 = CscvMatrix<float>::build(csc, layout, {.s_vvec = 8, .s_imgb = 8, .s_vxg = 2},
                                          FVariant::kM);
   cscv16.convert_values(ValueType::kBf16);
-  const recon::CscvOperator<float> op16(cscv16, csc, /*use_cscv_adjoint=*/true);
-  const recon::CscvOperator<float> op32(cscv32, csc, /*use_cscv_adjoint=*/true);
+  constexpr std::size_t kBatch = 3;
+  const SpmvPlan<float> fused16(cscv16, {.num_rhs = kBatch});
+  const recon::PlanOperator<float> batch16(fused16);
+  const recon::PlanOperator<float> op16(cscv16.plan());
+  const recon::PlanOperator<float> op32(cscv32.plan());
 
   const auto rows = static_cast<std::size_t>(csc.rows());
   const auto cols = static_cast<std::size_t>(csc.cols());
-  constexpr std::size_t kBatch = 3;
   std::vector<util::AlignedVector<float>> bs;
   for (std::size_t c = 0; c < kBatch; ++c) {
     bs.push_back(sparse::random_vector<float>(rows, 50 + static_cast<unsigned>(c), 0.0, 1.0));
@@ -525,7 +527,7 @@ TEST(MixedPrecisionSolvers, BatchedSirtKeepsBitwiseColumnsAndBoundedError) {
 
   const std::vector<recon::SolveOptions> opts(kBatch, recon::SolveOptions{.iterations = 8});
   util::AlignedVector<float> x(cols * kBatch, 0.0f);
-  const auto stats = recon::sirt_batch<float>(op16, b, x, kBatch, opts);
+  const auto stats = recon::sirt_batch<float>(batch16, b, x, kBatch, opts);
   ASSERT_EQ(stats.size(), kBatch);
 
   for (std::size_t c = 0; c < kBatch; ++c) {

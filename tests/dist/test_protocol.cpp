@@ -209,6 +209,20 @@ TEST(ShardSpecJson, RejectsUnknownKeysAndBadRanges) {
   tail["view_begin"] = util::Json(16);
   tail["view_end"] = util::Json(24);
   EXPECT_NO_THROW((void)ShardSpec::from_json(tail));
+
+  // Integers beyond int are rejected naming the field, not wrapped: these
+  // once read as the sample's own valid 16 and 3.
+  for (const auto& [field, value] :
+       {std::pair{"view_end", 4294967312LL}, std::pair{"num_shards", 4294967299LL}}) {
+    util::Json wide = spec.to_json();
+    wide[field] = util::Json(value);
+    try {
+      (void)ShardSpec::from_json(wide);
+      ADD_FAILURE() << "accepted " << field << " = " << value;
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(ShardSpecJson, RejectsGeometryThatOverflowsIndexSpace) {

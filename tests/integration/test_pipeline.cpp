@@ -81,7 +81,7 @@ TEST(Pipeline, CscvReconstructionMatchesCsrReconstruction) {
                                                 {.s_vvec = 8, .s_imgb = 8, .s_vxg = 2},
                                                 core::CscvMatrix<double>::Variant::kM);
   recon::CsrOperator<double> op_csr(csr);
-  recon::CscvOperator<double> op_cscv(cscv_m, csc);
+  const recon::PlanOperator<double> op_cscv(cscv_m.plan());
 
   auto x_true = ct::rasterize<double>(ct::shepp_logan_modified(), image);
   util::AlignedVector<double> b(static_cast<std::size_t>(csr.rows()));

@@ -16,6 +16,16 @@
 namespace cscv::pipeline {
 namespace {
 
+/// `spec` is rejected with a CheckError whose message names `field`.
+void expect_rejected_naming(const util::Json& spec, const char* field) {
+  try {
+    (void)ReconJob::from_json(spec);
+    ADD_FAILURE() << "accepted a spec with a bad " << field;
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
 ReconJob small_job() {
   ReconJob job;
   job.geometry = ct::standard_geometry(16, 12);
@@ -167,6 +177,25 @@ TEST(JobJson, RejectsMalformedSpecs) {
     EXPECT_THROW(ReconJob::from_json(spec), util::CheckError);
     spec["os_sart_subsets"] = util::Json(spec["geometry"]["num_views"].as_int());
     EXPECT_NO_THROW(ReconJob::from_json(spec));
+  }
+  {  // integers beyond int: 2^32 + 16 / 2^32 + 2 / -(2^32) + 2 once wrapped to
+     // the valid 16 / 2 / 2
+    util::Json spec = good;
+    spec["geometry"]["image_size"] = util::Json(4294967312LL);
+    expect_rejected_naming(spec, "image_size");
+    spec = good;
+    spec["solve"]["iterations"] = util::Json(4294967298LL);
+    expect_rejected_naming(spec, "iterations");
+    spec = good;
+    spec["algorithm"] = util::Json("ossart");
+    spec["os_sart_subsets"] = util::Json(-4294967294LL);
+    expect_rejected_naming(spec, "os_sart_subsets");
+  }
+  {  // an image whose pixel ids overflow int32 (50000^2 > 2^31 - 1)
+    util::Json spec = good;
+    spec["geometry"]["image_size"] = util::Json(50000);
+    spec["geometry"]["num_bins"] = util::Json(16);
+    expect_rejected_naming(spec, "image_size");
   }
 }
 

@@ -112,18 +112,20 @@ TEST(SirtBatch, FinishedColumnFreezesWithoutStallingTheBatch) {
 
 TEST(SirtBatch, ColumnsBitwiseMatchSerialOnCscv) {
   // Same contract through the CSCV engine: the batch goes through a
-  // num_rhs-keyed plan (fused SpMM kernels), the serial reference through
-  // the ordinary single-RHS plan.
+  // four-wide plan (fused SpMM kernels), the serial reference through the
+  // matrix's single-RHS plan.
   const int image = 16, views = 12;
   const auto& csc = cached_ct_csc<float>(image, views);
   const core::OperatorLayout layout{image, ct::standard_num_bins(image), views};
   const auto cscv = core::CscvMatrix<float>::build(
       csc, layout, {.s_vvec = 4, .s_imgb = 4, .s_vxg = 1},
       core::CscvMatrix<float>::Variant::kM);
-  CscvOperator<float> op(cscv, csc, /*use_cscv_adjoint=*/true);
+  constexpr std::size_t kBatch = 4;
+  const core::SpmvPlan<float> fused(cscv, {.num_rhs = kBatch});
+  const PlanOperator<float> op(fused);
+  const PlanOperator<float> serial(cscv.plan());
   const auto m = static_cast<std::size_t>(cscv.rows());
   const auto n = static_cast<std::size_t>(cscv.cols());
-  constexpr std::size_t kBatch = 4;
 
   std::vector<util::AlignedVector<float>> bs;
   for (std::size_t c = 0; c < kBatch; ++c) {
@@ -136,7 +138,7 @@ TEST(SirtBatch, ColumnsBitwiseMatchSerialOnCscv) {
 
   for (std::size_t c = 0; c < kBatch; ++c) {
     util::AlignedVector<float> x_ref(n, 0.0f);
-    sirt<float>(op, bs[c], x_ref, opts[c]);
+    sirt<float>(serial, bs[c], x_ref, opts[c]);
     expect_bitwise(extract_column(x, kBatch, c), x_ref, "sirt(cscv)", c);
   }
 }

@@ -27,14 +27,16 @@ TEST(Operators, CsrAndCscAgree) {
   expect_vectors_close<double>(ac, ar, 1e-12);
 }
 
-TEST(Operators, CscvOperatorForwardUsesAdjointFromCsc) {
+TEST(Operators, PlanOperatorMatchesCsc) {
+  // The CSCV operator over the matrix's cached plan: forward and adjoint
+  // (the CSCV transpose) agree with CSC.
   const int image = 16, views = 12;
   const auto& csc = cached_ct_csc<double>(image, views);
   const core::OperatorLayout layout{image, ct::standard_num_bins(image), views};
-  auto cscv_m = core::CscvMatrix<double>::build(csc, layout,
+  auto cscv_z = core::CscvMatrix<double>::build(csc, layout,
                                                 {.s_vvec = 4, .s_imgb = 4, .s_vxg = 2},
                                                 core::CscvMatrix<double>::Variant::kZ);
-  CscvOperator<double> op(cscv_m, csc);
+  const PlanOperator<double> op(cscv_z.plan());
   CscOperator<double> ref(csc);
   auto x = sparse::random_vector<double>(static_cast<std::size_t>(csc.cols()), 3);
   auto y = sparse::random_vector<double>(static_cast<std::size_t>(csc.rows()), 4);

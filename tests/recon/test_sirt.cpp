@@ -55,7 +55,7 @@ TEST(Sirt, CscvForwardEngineGivesSameReconstruction) {
   auto cscv_m = core::CscvMatrix<double>::build(csc, layout,
                                                 {.s_vvec = 4, .s_imgb = 4, .s_vxg = 1},
                                                 core::CscvMatrix<double>::Variant::kM);
-  CscvOperator<double> op_cscv(cscv_m, csc);
+  const PlanOperator<double> op_cscv(cscv_m.plan());
   CscOperator<double> op_csc(csc);
 
   auto x_true = ct::rasterize<double>(ct::shepp_logan_modified(), image);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "util/assertx.hpp"
@@ -117,6 +118,12 @@ TEST(Json, TypeMismatchesThrow) {
   const Json j = Json::parse("{\"n\": 1.5}");
   EXPECT_THROW((void)j.at("n").as_string(), CheckError);
   EXPECT_THROW((void)j.at("n").as_int(), CheckError);  // non-integral
+  // Outside int64 the cast has no defined result: rejected before it.
+  EXPECT_THROW((void)Json::parse("9223372036854775808").as_int(), CheckError);
+  EXPECT_THROW((void)Json::parse("-1e19").as_int(), CheckError);
+  EXPECT_THROW((void)Json::parse("1e400").as_int(), CheckError);
+  EXPECT_EQ(Json::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
   EXPECT_THROW((void)j.at("missing"), CheckError);
   EXPECT_EQ(j.find("missing"), nullptr);
   EXPECT_EQ(Json(1).find("anything"), nullptr);  // chains safely off scalars
