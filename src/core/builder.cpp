@@ -10,9 +10,16 @@
 // places every block in the flat arrays; pass 2 lays the same VxGs out again
 // and writes them in place. What a block writes depends on that block's
 // nonzeros alone, so the arrays are the same bytes at any thread count.
+//
+// A matrix that folds (docs/FORMAT.md §9) is first checked entry for entry
+// against the scan's symmetry; then the same two passes build views
+// 0..V/4 only, with the tile-column cursors stopping at the quarter's last
+// row, so the CSC is never copied.
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -79,15 +86,21 @@ class TileBuilder {
               const CscvParams& params, const BlockGrid& grid)
       : a_(a), layout_(layout), params_(params), grid_(grid) {}
 
-  /// nnz per tile, tile id = ty * tiles_x + tx: the pass partition weights.
+  /// Stored nnz per tile, tile id = ty * tiles_x + tx: the pass partition
+  /// weights. Only rows of the layout's views count (all of a column unless
+  /// the layout is a folded quarter).
   [[nodiscard]] std::vector<std::uint64_t> tile_weights() const {
     std::vector<std::uint64_t> w(static_cast<std::size_t>(grid_.tiles_y * grid_.tiles_x), 0);
     const auto cp = a_.col_ptr();
+    const auto rows = a_.row_idx();
+    const index_t row_end = layout_.num_rows();
     for (index_t col = 0; col < layout_.num_cols(); ++col) {
       const int tile = layout_.py_of_col(col) / params_.s_imgb * grid_.tiles_x +
                        layout_.px_of_col(col) / params_.s_imgb;
-      w[static_cast<std::size_t>(tile)] += static_cast<std::uint64_t>(
-          cp[static_cast<std::size_t>(col) + 1] - cp[static_cast<std::size_t>(col)]);
+      const auto first = rows.begin() + cp[static_cast<std::size_t>(col)];
+      auto last = rows.begin() + cp[static_cast<std::size_t>(col) + 1];
+      if (row_end < a_.rows()) last = std::lower_bound(first, last, row_end);
+      w[static_cast<std::size_t>(tile)] += static_cast<std::uint64_t>(last - first);
     }
     return w;
   }
@@ -289,6 +302,75 @@ class TileBuilder {
   const BlockGrid& grid_;
 };
 
+/// out[u] = first position of CSC column `col` at a row of view >= u, for
+/// u in [0, views]: each view's entries of the column are [out[u], out[u+1]).
+template <typename T>
+void view_runs(const sparse::CscMatrix<T>& a, index_t col, index_t bins, int views,
+               std::vector<offset_t>& out) {
+  const auto rows = a.row_idx();
+  offset_t p = a.col_ptr()[static_cast<std::size_t>(col)];
+  const offset_t end = a.col_ptr()[static_cast<std::size_t>(col) + 1];
+  out.resize(static_cast<std::size_t>(views) + 1);
+  for (int u = 0; u <= views; ++u) {
+    const index_t lo = static_cast<index_t>(u) * bins;
+    while (p < end && rows[static_cast<std::size_t>(p)] < lo) ++p;
+    out[static_cast<std::size_t>(u)] = p;
+  }
+}
+
+/// Whether `a` folds: V % 4 == 0 and every view w outside [0, V/4] holds,
+/// bin for bin and bit for bit, the entries of its canonical view v at the
+/// pixel its owning image maps the column to (ct::ViewFold), with none
+/// missing. One parallel pass over the columns; every thread stops at the
+/// first mismatch any of them finds.
+template <typename T>
+bool folds(const sparse::CscMatrix<T>& a, const OperatorLayout& layout) {
+  const int views = layout.num_views;
+  if (views % 4 != 0) return false;
+  const ct::ViewFold fold{views};
+  const int quarter = fold.quarter_views();
+  const int n = layout.image_size;
+  const index_t bins = layout.num_bins;
+  const auto rows = a.row_idx();
+  const auto vals = a.values();
+  std::atomic<bool> mismatch{false};
+  util::parallel_region([&](int tid, int nthreads) {
+    std::vector<offset_t> own;
+    std::array<std::vector<offset_t>, ct::ViewFold::kImages> canon;
+    const auto [c0, c1] =
+        util::static_partition(static_cast<std::size_t>(layout.num_cols()), nthreads, tid);
+    for (std::size_t c = c0; c < c1 && !mismatch.load(std::memory_order_relaxed); ++c) {
+      const auto col = static_cast<index_t>(c);
+      view_runs(a, col, bins, views, own);
+      for (int f = ct::ViewFold::kT; f < ct::ViewFold::kImages; ++f) {
+        const auto [jx, jy] =
+            ct::ViewFold::image_pixel(f, n, layout.px_of_col(col), layout.py_of_col(col));
+        view_runs(a, layout.col_of_pixel(jx, jy), bins, quarter,
+                  canon[static_cast<std::size_t>(f)]);
+      }
+      for (int w = quarter; w < views; ++w) {
+        const ct::ViewFold::Owner o = fold.owner(w);
+        const auto& cr = canon[static_cast<std::size_t>(o.image)];
+        const auto b = static_cast<std::size_t>(own[static_cast<std::size_t>(w)]);
+        const auto len = static_cast<std::size_t>(own[static_cast<std::size_t>(w) + 1]) - b;
+        const auto cb = static_cast<std::size_t>(cr[static_cast<std::size_t>(o.view)]);
+        bool same =
+            len == static_cast<std::size_t>(cr[static_cast<std::size_t>(o.view) + 1]) - cb;
+        const index_t shift = static_cast<index_t>(w - o.view) * bins;
+        for (std::size_t i = 0; same && i < len; ++i) {
+          same = rows[b + i] - shift == rows[cb + i] &&
+                 std::memcmp(&vals[b + i], &vals[cb + i], sizeof(T)) == 0;
+        }
+        if (!same) {
+          mismatch.store(true, std::memory_order_relaxed);
+          break;
+        }
+      }
+    }
+  });
+  return !mismatch.load();
+}
+
 /// Runs fn(block, scratch) over every block, the tiles split into
 /// nnz-balanced contiguous ranges, one scratch per thread.
 template <typename T, typename Fn>
@@ -320,14 +402,18 @@ CscvMatrix<T> CscvMatrix<T>::build(const sparse::CscMatrix<T>& a, const Operator
   m.variant_ = variant;
   m.params_ = params;
   m.layout_ = layout;
-  m.grid_ = BlockGrid(layout, params.s_vvec, params.s_imgb);
+  m.folded_ = folds(a, layout);
+  const OperatorLayout stored = m.stored_layout();
+  m.grid_ = BlockGrid(stored, params.s_vvec, params.s_imgb);
   m.nnz_ = a.nnz();
 
   const int s = params.s_vvec;
   const int vxg = params.s_vxg;
   const int num_blocks = m.grid_.num_blocks();
-  const TileBuilder<T> tb(a, layout, params, m.grid_);
-  const auto bounds = util::weighted_boundaries(tb.tile_weights(), util::max_threads());
+  const TileBuilder<T> tb(a, stored, params, m.grid_);
+  const auto weights = tb.tile_weights();
+  for (std::uint64_t w : weights) m.stored_nnz_ += static_cast<offset_t>(w);
+  const auto bounds = util::weighted_boundaries(weights, util::max_threads());
 
   // ---- pass 1: reference curves, offset windows and counts -------------
   struct Count {
@@ -380,11 +466,11 @@ CscvMatrix<T> CscvMatrix<T>::build(const sparse::CscMatrix<T>& a, const Operator
     m.ytilde_max_slots_ =
         std::max(m.ytilde_max_slots_, static_cast<std::size_t>(info.o_count) * s);
   }
-  CSCV_CHECK_MSG(total_nnz == m.nnz_, "builder lost nonzeros: " << total_nnz << " of "
-                                                                << m.nnz_);
+  CSCV_CHECK_MSG(total_nnz == m.stored_nnz_, "builder lost nonzeros: " << total_nnz << " of "
+                                                                       << m.stored_nnz_);
   if (variant == Variant::kM) {
-    CSCV_CHECK_MSG(val_cursor == m.nnz_,
-                   "mask packing mismatch: " << val_cursor << " of " << m.nnz_);
+    CSCV_CHECK_MSG(val_cursor == m.stored_nnz_,
+                   "mask packing mismatch: " << val_cursor << " of " << m.stored_nnz_);
   }
 
   // ---- pass 2: write every block in place ---------------------------------
@@ -455,7 +541,7 @@ std::size_t CscvMatrix<T>::matrix_bytes() const {
   if (variant_ == Variant::kZ) {
     bytes += static_cast<std::size_t>(padded_values()) * value_bytes();
   } else {
-    bytes += static_cast<std::size_t>(nnz_) * value_bytes();
+    bytes += static_cast<std::size_t>(stored_nnz_) * value_bytes();
     bytes += masks_.size() * sizeof(std::uint16_t);
   }
   bytes += vxg_col_.size() * sizeof(sparse::index_t);
@@ -470,12 +556,13 @@ sparse::index_t CscvMatrix<T>::row_of_slot(int block, int o_idx, int vi) const {
   CSCV_DCHECK(block >= 0 && block < num_blocks());
   const BlockInfo& info = blocks_[static_cast<std::size_t>(block)];
   CSCV_DCHECK(o_idx >= 0 && o_idx < info.o_count && vi >= 0 && vi < params_.s_vvec);
+  const OperatorLayout stored = stored_layout();
   const int v = grid_.first_view(info.view_group) + vi;
-  if (v >= layout_.num_views) return -1;
+  if (v >= stored.num_views) return -1;
   const int bin = refs_[static_cast<std::size_t>(block) * params_.s_vvec + vi] +
                   info.o_min + o_idx;
-  if (bin < 0 || bin >= layout_.num_bins) return -1;
-  return layout_.row_of(v, bin);
+  if (bin < 0 || bin >= stored.num_bins) return -1;
+  return stored.row_of(v, bin);
 }
 
 
@@ -586,6 +673,14 @@ SparsifyReport CscvMatrix<T>::sparsify(double eps) {
   CSCV_CHECK_MSG(std::isfinite(eps) && eps >= 0.0, "sparsify eps must be finite and >= 0");
   SparsifyReport rep;
   rep.eps = eps;
+  // The report counts operator entries: a stored entry of a folded matrix
+  // stands for one entry per full view its canonical view fills. A row's
+  // dropped mass is the same in every copy of it.
+  const ct::ViewFold fold{layout_.num_views};
+  const auto copies = [&](index_t row) -> std::uint64_t {
+    return folded_ ? static_cast<std::uint64_t>(fold.owners(row / layout_.num_bins)) : 1;
+  };
+  offset_t stored_kept = 0;
   std::vector<double> row_mass(static_cast<std::size_t>(rows()), 0.0);
   if (variant_ == Variant::kZ) {
     // Drop in place: the slot stays (padding layout is immutable), its
@@ -593,14 +688,16 @@ SparsifyReport CscvMatrix<T>::sparsify(double eps) {
     for_each_stored_slot(*this, [&](offset_t i, index_t row) {
       T& v = values_[static_cast<std::size_t>(i)];
       if (v == T(0)) return;
+      const std::uint64_t n = copies(row);
       if (std::abs(static_cast<double>(v)) < eps) {
-        rep.dropped_mass += std::abs(static_cast<double>(v));
+        rep.dropped_mass += static_cast<double>(n) * std::abs(static_cast<double>(v));
         if (row >= 0) row_mass[static_cast<std::size_t>(row)] +=
             std::abs(static_cast<double>(v));
         v = T(0);
-        ++rep.dropped;
+        rep.dropped += n;
       } else {
-        ++rep.kept;
+        rep.kept += n;
+        ++stored_kept;
       }
     });
   } else {
@@ -610,6 +707,7 @@ SparsifyReport CscvMatrix<T>::sparsify(double eps) {
     const int vxg = params_.s_vxg;
     offset_t w = 0;
     for (auto& info : blocks_) {
+      const int b = static_cast<int>(&info - blocks_.data());
       offset_t r = info.val_begin;
       info.val_begin = w;
       for (offset_t g = info.vxg_begin; g < info.vxg_end; ++g) {
@@ -621,17 +719,19 @@ SparsifyReport CscvMatrix<T>::sparsify(double eps) {
           for (int l = 0; l < s; ++l) {
             if ((mask & (1u << l)) == 0) continue;
             const T v = values_[static_cast<std::size_t>(r++)];
-            if (std::abs(static_cast<double>(v)) < eps) {
-              rep.dropped_mass += std::abs(static_cast<double>(v));
-              const index_t row = row_of_slot(static_cast<int>(&info - blocks_.data()),
-                                              o0 + e, l);
+            const bool drop = std::abs(static_cast<double>(v)) < eps;
+            const index_t row = drop || folded_ ? row_of_slot(b, o0 + e, l) : -1;
+            const std::uint64_t n = copies(row);
+            if (drop) {
+              rep.dropped_mass += static_cast<double>(n) * std::abs(static_cast<double>(v));
               if (row >= 0) row_mass[static_cast<std::size_t>(row)] +=
                   std::abs(static_cast<double>(v));
-              ++rep.dropped;
+              rep.dropped += n;
             } else {
               new_mask |= static_cast<std::uint16_t>(1u << l);
               values_[static_cast<std::size_t>(w++)] = v;
-              ++rep.kept;
+              rep.kept += n;
+              ++stored_kept;
             }
           }
           mask = new_mask;
@@ -644,6 +744,7 @@ SparsifyReport CscvMatrix<T>::sparsify(double eps) {
   }
   for (double rm : row_mass) rep.max_row_l1 = std::max(rep.max_row_l1, rm);
   nnz_ = static_cast<offset_t>(rep.kept);
+  stored_nnz_ = stored_kept;
   sparsify_eps_ = std::max(sparsify_eps_, eps);
   sparsify_bound_ += rep.max_row_l1;  // row-wise error masses add
   {

@@ -15,6 +15,13 @@
 //   * kZ — padding zeros stored in-line; lowest instruction count.
 //   * kM — padding removed; values packed, one S_VVec-bit mask per CSCVE,
 //     re-expanded in the kernel via vexpand / soft-vexpand; lowest traffic.
+//
+// Folding: when the source matrix is exactly symmetric under a foldable
+// scan's 90-degree rotation and 45-degree reflection (ct::ViewFold), only
+// views 0..V/4 are stored, and SpmvPlan applies them to four permuted
+// images of x at once. The operator's shape, layout, nnz and subsets are
+// unchanged; grid, blocks, reference bins and slot rows describe the
+// stored quarter (docs/FORMAT.md §9).
 #pragma once
 
 #include <cstdint>
@@ -104,27 +111,49 @@ class CscvMatrix {
   CscvMatrix() = default;
 
   /// Converts a CSC matrix with integral-operator row/column semantics.
+  /// Folds when layout.num_views % 4 == 0 and every entry of a view outside
+  /// [0, V/4] equals, bit for bit, the canonical entry at its mapped pixel
+  /// (ct::ViewFold) — which ct::build_system_matrix_csc guarantees for a
+  /// foldable geometry. Any other matrix builds in full.
   static CscvMatrix build(const sparse::CscMatrix<T>& a, const OperatorLayout& layout,
                           const CscvParams& params, Variant variant);
 
   // ---- shape and format statistics ------------------------------------
   [[nodiscard]] Variant variant() const { return variant_; }
   [[nodiscard]] const CscvParams& params() const { return params_; }
+  /// The operator's layout: rows() x cols() whether folded or not.
   [[nodiscard]] const OperatorLayout& layout() const { return layout_; }
+  /// Block grid of the stored views (the quarter when folded).
   [[nodiscard]] const BlockGrid& grid() const { return grid_; }
   [[nodiscard]] sparse::index_t rows() const { return layout_.num_rows(); }
   [[nodiscard]] sparse::index_t cols() const { return layout_.num_cols(); }
+  /// View groups of the operator, ceil(num_views / S_VVec): the unit a
+  /// GroupSubset names. Equals grid().view_groups unless folded.
+  [[nodiscard]] int view_groups() const {
+    return (layout_.num_views + params_.s_vvec - 1) / params_.s_vvec;
+  }
 
-  /// Original nonzeros of the source matrix.
+  /// True when only views 0..V/4 are stored (see the file comment).
+  [[nodiscard]] bool folded() const { return folded_; }
+  /// Layout of the stored views: the operator's, or views 0..V/4 of it.
+  [[nodiscard]] OperatorLayout stored_layout() const {
+    return folded_ ? OperatorLayout{layout_.image_size, layout_.num_bins,
+                                    ct::ViewFold{layout_.num_views}.quarter_views()}
+                   : layout_;
+  }
+
+  /// Nonzeros of the operator (the source matrix).
   [[nodiscard]] sparse::offset_t nnz() const { return nnz_; }
+  /// Nonzeros of the stored views: nnz() unless folded.
+  [[nodiscard]] sparse::offset_t stored_nnz() const { return stored_nnz_; }
   /// Logical CSCVE slots = num_vxgs * S_VxG * S_VVec (the nnz(A~) of the
   /// paper's zero-padding rate).
   [[nodiscard]] sparse::offset_t padded_values() const {
     return num_vxgs() * params_.s_vxg * params_.s_vvec;
   }
-  /// Values physically stored: padded for kZ, exactly nnz for kM.
+  /// Values physically stored: padded for kZ, exactly stored_nnz for kM.
   [[nodiscard]] sparse::offset_t stored_values() const {
-    return variant_ == Variant::kZ ? padded_values() : nnz_;
+    return variant_ == Variant::kZ ? padded_values() : stored_nnz_;
   }
   /// Storage dtype of the value array (docs/PRECISION.md). Always kF32 for
   /// double matrices; float matrices may hold bf16/fp16 after
@@ -139,17 +168,20 @@ class CscvMatrix {
   /// rounding: |(A~ x)_i - (A x)_i| <= sparsify_error_bound() * max_j|x_j|.
   [[nodiscard]] double sparsify_eps() const { return sparsify_eps_; }
   [[nodiscard]] double sparsify_error_bound() const { return sparsify_bound_; }
-  /// The paper's R_nnzE = nnz(A~)/nnz(A) - 1.
+  /// The paper's R_nnzE = nnz(A~)/nnz(A) - 1, over the stored views.
   [[nodiscard]] double r_nnze() const {
-    return nnz_ == 0 ? 0.0
-                     : static_cast<double>(padded_values()) / static_cast<double>(nnz_) - 1.0;
+    return stored_nnz_ == 0 ? 0.0
+                            : static_cast<double>(padded_values()) /
+                                      static_cast<double>(stored_nnz_) -
+                                  1.0;
   }
   [[nodiscard]] sparse::offset_t num_vxgs() const {
     return static_cast<sparse::offset_t>(vxg_col_.size());
   }
   [[nodiscard]] int num_blocks() const { return static_cast<int>(blocks_.size()); }
   /// Matrix bytes read per SpMV iteration (values + masks + VxG index +
-  /// block table + reference curves) — M(A) in the bandwidth model.
+  /// block table + reference curves) — M(A) in the bandwidth model. A
+  /// folded matrix streams its stored quarter once per apply.
   [[nodiscard]] std::size_t matrix_bytes() const;
   /// Largest per-block y~ scratch requirement, in elements.
   [[nodiscard]] std::size_t ytilde_max_slots() const { return ytilde_max_slots_; }
@@ -265,8 +297,9 @@ class CscvMatrix {
     return values16_.data() + static_cast<std::size_t>(val_begin);
   }
 
-  /// Matrix row addressed by y~ slot (o_idx, vi) of `block`, or -1 when the
-  /// slot is dead (bin off the detector / view past the last one).
+  /// Row of the stored views addressed by y~ slot (o_idx, vi) of `block`,
+  /// or -1 when the slot is dead (bin off the detector / view past the last
+  /// one). Folded, that is a row of views 0..V/4.
   [[nodiscard]] sparse::index_t row_of_slot(int block, int o_idx, int vi) const;
 
  private:
@@ -274,7 +307,9 @@ class CscvMatrix {
   CscvParams params_;
   OperatorLayout layout_;
   BlockGrid grid_;
+  bool folded_ = false;
   sparse::offset_t nnz_ = 0;
+  sparse::offset_t stored_nnz_ = 0;
   std::size_t ytilde_max_slots_ = 0;
 
   // The VxG-sized arrays skip value-initialisation: the builder's parallel

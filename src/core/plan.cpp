@@ -20,6 +20,9 @@ SpmvPlan<T>::SpmvPlan(const CscvMatrix<T>& a, const PlanOptions& opts)
   num_rhs_ = opts.num_rhs;
   threads_ = opts.threads > 0 ? opts.threads : util::max_threads();
   CSCV_CHECK(threads_ >= 1);
+  folded_ = a.folded();
+  k_stored_ = folded_ ? ct::ViewFold::kImages * num_rhs_ : num_rhs_;
+  stored_ = a.stored_layout();
 
   // Resolve once what the one-shot paths used to resolve per call.
   scheme_ = opts.scheme;
@@ -39,7 +42,12 @@ SpmvPlan<T>::SpmvPlan(const CscvMatrix<T>& a, const PlanOptions& opts)
             dispatch::resolve_expand_path(opts.path, std::is_same_v<T, double>,
                                           a.params_.s_vvec, tier_.tier);
   kernels_ = dispatch::resolve_kernels<T>(a.variant_, a.params_.s_vvec, a.params_.s_vxg,
-                                          use_hw_, num_rhs_, tier_.tier, value_type_);
+                                          use_hw_, k_stored_, tier_.tier, value_type_);
+  if (folded_) {
+    image_kernels_ = dispatch::resolve_kernels<T>(a.variant_, a.params_.s_vvec,
+                                                  a.params_.s_vxg, use_hw_, num_rhs_,
+                                                  tier_.tier, value_type_);
+  }
 
   // Weighted partitions: a block's work is its VxG count, so prefix-sum
   // splits balance actual FMA work, not block counts (corner tiles of a CT
@@ -73,11 +81,13 @@ SpmvPlan<T>::SpmvPlan(const CscvMatrix<T>& a, const PlanOptions& opts)
 
   // Per-thread y~ scratch, one cache-line-aligned stripe per slot.
   const std::size_t slots =
-      std::max<std::size_t>(a.ytilde_max_slots_, 1) * static_cast<std::size_t>(num_rhs_);
+      std::max<std::size_t>(a.ytilde_max_slots_, 1) * static_cast<std::size_t>(k_stored_);
   const std::size_t align_elems = 64 / sizeof(T);
   ytilde_stride_ = (slots + align_elems - 1) / align_elems * align_elems;
   ytilde_pool_.resize(static_cast<std::size_t>(threads_) * ytilde_stride_);
 
+  const std::size_t stored_elems =
+      static_cast<std::size_t>(stored_.num_rows()) * static_cast<std::size_t>(k_stored_);
   if (scheme_ == ThreadScheme::kPrivateY) {
     // Private-copy pool plus, per slot, the contiguous y interval its
     // contiguous block range can touch: blocks are view-group-major and a
@@ -85,10 +95,8 @@ SpmvPlan<T>::SpmvPlan(const CscvMatrix<T>& a, const PlanOptions& opts)
     // only ever writes rows of view groups [group(first block), group(last
     // block)]. Re-zeroing and reducing just these intervals is what keeps
     // the warm path free of the full threads x m fill.
-    const std::size_t m_total =
-        static_cast<std::size_t>(a.rows()) * static_cast<std::size_t>(num_rhs_);
     const std::size_t row_elems =
-        static_cast<std::size_t>(a.layout_.num_bins) * static_cast<std::size_t>(num_rhs_);
+        static_cast<std::size_t>(stored_.num_bins) * static_cast<std::size_t>(k_stored_);
     row_interval_.assign(static_cast<std::size_t>(threads_), {0, 0});
     for (int t = 0; t < threads_; ++t) {
       const std::size_t b0 = block_bounds_[static_cast<std::size_t>(t)];
@@ -98,43 +106,47 @@ SpmvPlan<T>::SpmvPlan(const CscvMatrix<T>& a, const PlanOptions& opts)
       const int g_hi = a.blocks_[b1 - 1].view_group;
       const auto v_lo = static_cast<std::size_t>(a.grid_.first_view(g_lo));
       const auto v_hi = std::min<std::size_t>(
-          static_cast<std::size_t>(a.layout_.num_views),
+          static_cast<std::size_t>(stored_.num_views),
           static_cast<std::size_t>(a.grid_.first_view(g_hi)) +
               static_cast<std::size_t>(a.grid_.s_vvec));
       row_interval_[static_cast<std::size_t>(t)] = {v_lo * row_elems, v_hi * row_elems};
     }
-    copies_.resize(static_cast<std::size_t>(threads_) * m_total);
+    copies_.resize(static_cast<std::size_t>(threads_) * stored_elems);
+  }
+  if (folded_) {
+    images_.resize(static_cast<std::size_t>(a.cols()) * static_cast<std::size_t>(k_stored_));
+    image_rows_.resize(stored_elems);
   }
   counters_.record_plan_build(build_timer.seconds());
 }
 
 template <typename T>
-void SpmvPlan<T>::run_forward(int block, const T* x, T* ytilde) const {
+void SpmvPlan<T>::run_forward(int block, const T* x, T* ytilde, int k) const {
   const auto& info = a_->blocks_[static_cast<std::size_t>(block)];
   const void* values = a_->value_ptr(info.val_begin);
-  if (num_rhs_ == 1) {
-    kernels_.forward(info.vxg_begin, info.vxg_end, a_->vxg_col_.data(), a_->vxg_q_.data(),
-                     values, a_->masks_.data(), x, ytilde);
+  const dispatch::KernelSet<T>& ks = k == k_stored_ ? kernels_ : image_kernels_;
+  if (k == 1) {
+    ks.forward(info.vxg_begin, info.vxg_end, a_->vxg_col_.data(), a_->vxg_q_.data(), values,
+               a_->masks_.data(), x, ytilde);
   } else {
-    kernels_.multi(info.vxg_begin, info.vxg_end, a_->vxg_col_.data(), a_->vxg_q_.data(),
-                   values, a_->masks_.data(), x, num_rhs_, ytilde);
+    ks.multi(info.vxg_begin, info.vxg_end, a_->vxg_col_.data(), a_->vxg_q_.data(), values,
+             a_->masks_.data(), x, k, ytilde);
   }
 }
 
 template <typename T>
-void SpmvPlan<T>::scatter_add(int block, const T* ytilde, T* dst) const {
+void SpmvPlan<T>::scatter_add(int block, const T* ytilde, T* dst, int k) const {
   const auto& info = a_->blocks_[static_cast<std::size_t>(block)];
   const int s = a_->params_.s_vvec;
   const int v0 = a_->grid_.first_view(info.view_group);
-  const int s_eff = std::min(s, a_->layout_.num_views - v0);
-  const int k = num_rhs_;
+  const int s_eff = std::min(s, stored_.num_views - v0);
   for (int vi = 0; vi < s_eff; ++vi) {
     const int ref = a_->refs_[static_cast<std::size_t>(block) * s + vi];
     // Valid offset indices keep the bin ref + o_min + o_idx on the detector.
     const int lo = std::max(0, -(ref + info.o_min));
-    const int hi = std::min(info.o_count, a_->layout_.num_bins - ref - info.o_min);
+    const int hi = std::min(info.o_count, stored_.num_bins - ref - info.o_min);
     const int bin0 = ref + info.o_min;
-    T* yrow = dst + static_cast<std::size_t>(a_->layout_.row_of(v0 + vi, 0)) * k;
+    T* yrow = dst + static_cast<std::size_t>(stored_.row_of(v0 + vi, 0)) * k;
     if (k == 1) {
       for (int o = lo; o < hi; ++o) {
         yrow[bin0 + o] += ytilde[static_cast<std::size_t>(o) * s + vi];
@@ -150,18 +162,17 @@ void SpmvPlan<T>::scatter_add(int block, const T* ytilde, T* dst) const {
 }
 
 template <typename T>
-void SpmvPlan<T>::gather(int block, const T* src, T* ytilde) const {
+void SpmvPlan<T>::gather(int block, const T* src, T* ytilde, int k) const {
   const auto& info = a_->blocks_[static_cast<std::size_t>(block)];
   const int s = a_->params_.s_vvec;
   const int v0 = a_->grid_.first_view(info.view_group);
-  const int s_eff = std::min(s, a_->layout_.num_views - v0);
-  const int k = num_rhs_;
+  const int s_eff = std::min(s, stored_.num_views - v0);
   std::fill_n(ytilde, static_cast<std::size_t>(info.o_count) * s * k, T(0));
   for (int vi = 0; vi < s_eff; ++vi) {
     const int ref = a_->refs_[static_cast<std::size_t>(block) * s + vi];
     const int lo = std::max(0, -(ref + info.o_min));
-    const int hi = std::min(info.o_count, a_->layout_.num_bins - ref - info.o_min);
-    const T* yrow = src + static_cast<std::size_t>(a_->layout_.row_of(v0 + vi, 0)) * k;
+    const int hi = std::min(info.o_count, stored_.num_bins - ref - info.o_min);
+    const T* yrow = src + static_cast<std::size_t>(stored_.row_of(v0 + vi, 0)) * k;
     const int bin0 = ref + info.o_min;
     if (k == 1) {
       for (int o = lo; o < hi; ++o) {
@@ -194,19 +205,22 @@ void check_subset(const GroupSubset& subset) {
                                  << subset.first_group << ") is malformed");
 }
 
+/// Selects every stored group or full view.
+constexpr auto kAll = [](int) { return true; };
+
 }  // namespace
 
 template <typename T>
-void SpmvPlan<T>::forward_groups(const GroupSubset& subset, const T* x, T* y) const {
+template <typename Pick>
+void SpmvPlan<T>::forward_groups(Pick pick, const T* x, T* y, int k) const {
   const int tiles_per_group = a_->grid_.tiles_x * a_->grid_.tiles_y;
   const int s = a_->params_.s_vvec;
-  const int k = num_rhs_;
   // A group's rows are contiguous (row = view * num_bins + bin).
   const std::size_t group_elems = static_cast<std::size_t>(s) *
-                                  static_cast<std::size_t>(a_->layout_.num_bins) *
+                                  static_cast<std::size_t>(stored_.num_bins) *
                                   static_cast<std::size_t>(k);
   const std::size_t y_size =
-      static_cast<std::size_t>(a_->rows()) * static_cast<std::size_t>(k);
+      static_cast<std::size_t>(stored_.num_rows()) * static_cast<std::size_t>(k);
 
   // Slots own whole view groups: their blocks write disjoint y rows, so
   // each slot zeroes its groups' rows and scatters straight into the shared
@@ -218,7 +232,7 @@ void SpmvPlan<T>::forward_groups(const GroupSubset& subset, const T* x, T* y) co
       T* ytilde = ytilde_slot(slot);
       for (std::size_t g = group_bounds_[static_cast<std::size_t>(slot)];
            g < group_bounds_[static_cast<std::size_t>(slot) + 1]; ++g) {
-        if (!subset.contains(static_cast<int>(g))) continue;
+        if (!pick(static_cast<int>(g))) continue;
         const std::size_t r0 = g * group_elems;
         std::fill(y + r0, y + std::min(r0 + group_elems, y_size), T(0));
         for (int tb = 0; tb < tiles_per_group; ++tb) {
@@ -226,8 +240,8 @@ void SpmvPlan<T>::forward_groups(const GroupSubset& subset, const T* x, T* y) co
           const auto& info = a_->blocks_[static_cast<std::size_t>(b)];
           if (info.vxg_begin == info.vxg_end) continue;
           std::fill_n(ytilde, static_cast<std::size_t>(info.o_count) * s * k, T(0));
-          run_forward(b, x, ytilde);
-          scatter_add(b, ytilde, y);
+          run_forward(b, x, ytilde, k);
+          scatter_add(b, ytilde, y, k);
         }
       }
     }
@@ -235,12 +249,9 @@ void SpmvPlan<T>::forward_groups(const GroupSubset& subset, const T* x, T* y) co
 }
 
 template <typename T>
-void SpmvPlan<T>::execute(std::span<const T> x, std::span<T> y) const {
-  check_sizes(x.size(), y.size());
-  const util::telemetry::Stopwatch apply_timer;
+void SpmvPlan<T>::forward_stored(const T* x, T* y) const {
   if (scheme_ == ThreadScheme::kRowPartition) {
-    forward_groups(GroupSubset{}, x.data(), y.data());
-    counters_.record_apply(apply_timer.seconds());
+    forward_groups(kAll, x, y, k_stored_);
     return;
   }
 
@@ -249,8 +260,9 @@ void SpmvPlan<T>::execute(std::span<const T> x, std::span<T> y) const {
   // second parallel pass. Only each slot's touchable row interval is
   // zeroed and reduced.
   const int s = a_->params_.s_vvec;
-  const int k = num_rhs_;
-  const std::size_t m_total = y.size();
+  const int k = k_stored_;
+  const std::size_t m_total =
+      static_cast<std::size_t>(stored_.num_rows()) * static_cast<std::size_t>(k);
   util::parallel_region([&](int tid, int nthreads) {
     for (int slot = tid; slot < threads_; slot += nthreads) {
       const auto [r_lo, r_hi] = row_interval_[static_cast<std::size_t>(slot)];
@@ -262,15 +274,14 @@ void SpmvPlan<T>::execute(std::span<const T> x, std::span<T> y) const {
         const auto& info = a_->blocks_[b];
         if (info.vxg_begin == info.vxg_end) continue;
         std::fill_n(ytilde, static_cast<std::size_t>(info.o_count) * s * k, T(0));
-        run_forward(static_cast<int>(b), x.data(), ytilde);
-        scatter_add(static_cast<int>(b), ytilde, yc);
+        run_forward(static_cast<int>(b), x, ytilde, k);
+        scatter_add(static_cast<int>(b), ytilde, yc, k);
       }
     }
   });
   util::parallel_region([&](int tid, int nthreads) {
     auto [r0, r1] = util::static_partition(m_total, nthreads, tid);
-    std::fill(y.begin() + static_cast<std::ptrdiff_t>(r0),
-              y.begin() + static_cast<std::ptrdiff_t>(r1), T(0));
+    std::fill(y + r0, y + r1, T(0));
     for (int slot = 0; slot < threads_; ++slot) {
       const auto [i_lo, i_hi] = row_interval_[static_cast<std::size_t>(slot)];
       const std::size_t lo = std::max(r0, i_lo);
@@ -279,6 +290,139 @@ void SpmvPlan<T>::execute(std::span<const T> x, std::span<T> y) const {
       for (std::size_t r = lo; r < hi; ++r) y[r] += yc[r];
     }
   });
+}
+
+// ---- folded matrices ------------------------------------------------------
+
+namespace {
+
+/// dst[0, k) = src[0, k): one element per pixel or bin on the hot k = 1
+/// path, where a library copy call would cost more than the copy.
+template <typename T>
+[[gnu::always_inline]] inline void copy_columns(const T* src, T* dst, std::size_t k) {
+  if (k == 1) {
+    *dst = *src;
+    return;
+  }
+  for (std::size_t r = 0; r < k; ++r) dst[r] = src[r];
+}
+
+}  // namespace
+
+template <typename T>
+void SpmvPlan<T>::load_images(const T* x, int f0, int f1, std::size_t stride, T* out) const {
+  const int n = stored_.image_size;
+  const auto k = static_cast<std::size_t>(num_rhs_);
+  util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t row) {
+    const int jy = static_cast<int>(row);
+    for (int f = f0; f < f1; ++f) {
+      T* dst = out + row * static_cast<std::size_t>(n) * stride +
+               static_cast<std::size_t>(f - f0) * k;
+      for (int jx = 0; jx < n; ++jx) {
+        const auto [sx, sy] = ct::ViewFold::source_pixel(f, n, jx, jy);
+        copy_columns(x + static_cast<std::size_t>(stored_.col_of_pixel(sx, sy)) * k,
+                     dst + static_cast<std::size_t>(jx) * stride, k);
+      }
+    }
+  });
+}
+
+template <typename T>
+template <typename Want>
+void SpmvPlan<T>::load_rows(const T* y, int f0, int f1, std::size_t stride, Want want,
+                            T* rows) const {
+  const ct::ViewFold fold{a_->layout_.num_views};
+  const auto bins = static_cast<std::size_t>(stored_.num_bins);
+  const auto k = static_cast<std::size_t>(num_rhs_);
+  util::parallel_for(0, static_cast<std::size_t>(stored_.num_views), [&](std::size_t v) {
+    for (int f = f0; f < f1; ++f) {
+      const int w = fold.view_of(f, static_cast<int>(v));
+      T* dst = rows + v * bins * stride + static_cast<std::size_t>(f - f0) * k;
+      if (w >= 0 && want(w)) {
+        const T* src = y + static_cast<std::size_t>(w) * bins * k;
+        for (std::size_t b = 0; b < bins; ++b) copy_columns(src + b * k, dst + b * stride, k);
+      } else {
+        for (std::size_t b = 0; b < bins; ++b) {
+          for (std::size_t r = 0; r < k; ++r) dst[b * stride + r] = T(0);
+        }
+      }
+    }
+  });
+}
+
+template <typename T>
+template <typename Want>
+void SpmvPlan<T>::store_rows(const T* rows, int f0, int f1, std::size_t stride, Want want,
+                             T* y) const {
+  const ct::ViewFold fold{a_->layout_.num_views};
+  const auto bins = static_cast<std::size_t>(stored_.num_bins);
+  const auto k = static_cast<std::size_t>(num_rhs_);
+  util::parallel_for(0, static_cast<std::size_t>(fold.num_views), [&](std::size_t w) {
+    const ct::ViewFold::Owner o = fold.owner(static_cast<int>(w));
+    if (o.image < f0 || o.image >= f1 || !want(static_cast<int>(w))) return;
+    const T* src = rows + static_cast<std::size_t>(o.view) * bins * stride +
+                   static_cast<std::size_t>(o.image - f0) * k;
+    T* dst = y + w * bins * k;
+    for (std::size_t b = 0; b < bins; ++b) copy_columns(src + b * stride, dst + b * k, k);
+  });
+}
+
+template <typename T>
+void SpmvPlan<T>::sum_images(const T* images, std::size_t image_offset, std::size_t stride,
+                             T* x) const {
+  const int n = stored_.image_size;
+  const auto k = static_cast<std::size_t>(num_rhs_);
+  util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t row) {
+    const int py = static_cast<int>(row);
+    for (int px = 0; px < n; ++px) {
+      const T* at[ct::ViewFold::kImages];
+      for (int f = 0; f < ct::ViewFold::kImages; ++f) {
+        const auto [jx, jy] = ct::ViewFold::image_pixel(f, n, px, py);
+        at[f] = images + static_cast<std::size_t>(f) * image_offset +
+                static_cast<std::size_t>(stored_.col_of_pixel(jx, jy)) * stride;
+      }
+      T* dst = x + static_cast<std::size_t>(stored_.col_of_pixel(px, py)) * k;
+      for (std::size_t r = 0; r < k; ++r) dst[r] = ((at[0][r] + at[1][r]) + at[2][r]) + at[3][r];
+    }
+  });
+}
+
+template <typename T>
+bool SpmvPlan<T>::pair_in(const GroupSubset& subset, int g, int f) const {
+  const ct::ViewFold fold{a_->layout_.num_views};
+  const int s = a_->params_.s_vvec;
+  const int v0 = a_->grid_.first_view(g);
+  for (int v = v0; v < std::min(v0 + s, stored_.num_views); ++v) {
+    const int w = fold.view_of(f, v);
+    if (w >= 0 && subset.contains(w / s)) return true;
+  }
+  return false;
+}
+
+template <typename T>
+bool SpmvPlan<T>::image_in(const GroupSubset& subset, int f) const {
+  for (int g = 0; g < a_->grid_.view_groups; ++g) {
+    if (pair_in(subset, g, f)) return true;
+  }
+  return false;
+}
+
+// ---- apply entry points ---------------------------------------------------
+
+template <typename T>
+void SpmvPlan<T>::execute(std::span<const T> x, std::span<T> y) const {
+  check_sizes(x.size(), y.size());
+  const util::telemetry::Stopwatch apply_timer;
+  if (folded_) {
+    // One pass of the quarter over the four images, k_stored_ columns, then
+    // every row from the image that owns its view.
+    const auto stride = static_cast<std::size_t>(k_stored_);
+    load_images(x.data(), 0, ct::ViewFold::kImages, stride, images_.data());
+    forward_stored(images_.data(), image_rows_.data());
+    store_rows(image_rows_.data(), 0, ct::ViewFold::kImages, stride, kAll, y.data());
+  } else {
+    forward_stored(x.data(), y.data());
+  }
   counters_.record_apply(apply_timer.seconds());
 }
 
@@ -287,15 +431,34 @@ void SpmvPlan<T>::execute(const GroupSubset& subset, std::span<const T> x,
                           std::span<T> y) const {
   check_subset(subset);
   check_sizes(x.size(), y.size());
-  forward_groups(subset, x.data(), y.data());
+  const auto in_subset = [&](int g) { return subset.contains(g); };
+  if (!folded_) {
+    forward_groups(in_subset, x.data(), y.data(), num_rhs_);
+  } else {
+    // Each (stored group, image) pair that fills a row of the subset, one
+    // image at a time at num_rhs_ columns: column for column the same
+    // operations as the full apply's.
+    const int s = a_->params_.s_vvec;
+    const auto k = static_cast<std::size_t>(num_rhs_);
+    for (int f = 0; f < ct::ViewFold::kImages; ++f) {
+      if (!image_in(subset, f)) continue;
+      load_images(x.data(), f, f + 1, k, images_.data());
+      forward_groups([&](int g) { return pair_in(subset, g, f); }, images_.data(),
+                     image_rows_.data(), num_rhs_);
+      store_rows(image_rows_.data(), f, f + 1, k,
+                 [&](int w) { return subset.contains(w / s); }, y.data());
+    }
+  }
   counters_.record_subset_apply();
 }
 
 template <typename T>
-void SpmvPlan<T>::transpose_groups(const GroupSubset& subset, const T* y, T* x) const {
+template <typename Pick>
+void SpmvPlan<T>::transpose_groups(Pick pick, const T* y, T* x, int k) const {
   const int tiles_per_group = a_->grid_.tiles_x * a_->grid_.tiles_y;
   const std::size_t x_size =
-      static_cast<std::size_t>(a_->cols()) * static_cast<std::size_t>(num_rhs_);
+      static_cast<std::size_t>(a_->cols()) * static_cast<std::size_t>(k);
+  const dispatch::KernelSet<T>& ks = k == k_stored_ ? kernels_ : image_kernels_;
 
   // Slots own image tiles: the same tile across the view groups touches a
   // private x slice, so writes need no synchronization. y is read-only, and
@@ -307,21 +470,21 @@ void SpmvPlan<T>::transpose_groups(const GroupSubset& subset, const T* y, T* x) 
   util::parallel_region([&](int tid, int nthreads) {
     for (int slot = tid; slot < threads_; slot += nthreads) {
       T* ytilde = ytilde_slot(slot);
-      for (int g = subset.first_local(); g < a_->grid_.view_groups; g += subset.count) {
+      for (int g = 0; g < a_->grid_.view_groups; ++g) {
+        if (!pick(g)) continue;
         for (std::size_t tile = tile_bounds_[static_cast<std::size_t>(slot)];
              tile < tile_bounds_[static_cast<std::size_t>(slot) + 1]; ++tile) {
           const int b = g * tiles_per_group + static_cast<int>(tile);
           const auto& info = a_->blocks_[static_cast<std::size_t>(b)];
           if (info.vxg_begin == info.vxg_end) continue;
-          gather(b, y, ytilde);
-          if (num_rhs_ == 1) {
-            kernels_.transpose(info.vxg_begin, info.vxg_end, a_->vxg_col_.data(),
-                               a_->vxg_q_.data(), a_->value_ptr(info.val_begin),
-                               a_->masks_.data(), ytilde, x);
+          gather(b, y, ytilde, k);
+          if (k == 1) {
+            ks.transpose(info.vxg_begin, info.vxg_end, a_->vxg_col_.data(), a_->vxg_q_.data(),
+                         a_->value_ptr(info.val_begin), a_->masks_.data(), ytilde, x);
           } else {
-            kernels_.transpose_multi(info.vxg_begin, info.vxg_end, a_->vxg_col_.data(),
-                                     a_->vxg_q_.data(), a_->value_ptr(info.val_begin),
-                                     a_->masks_.data(), ytilde, num_rhs_, x);
+            ks.transpose_multi(info.vxg_begin, info.vxg_end, a_->vxg_col_.data(),
+                               a_->vxg_q_.data(), a_->value_ptr(info.val_begin),
+                               a_->masks_.data(), ytilde, k, x);
           }
         }
       }
@@ -333,7 +496,16 @@ template <typename T>
 void SpmvPlan<T>::execute_transpose(std::span<const T> y, std::span<T> x) const {
   check_sizes(x.size(), y.size());
   const util::telemetry::Stopwatch apply_timer;
-  transpose_groups(GroupSubset{}, y.data(), x.data());
+  if (folded_) {
+    // Each image's rows (zeros where it owns no view), one transpose pass
+    // of the quarter over all four, then the images summed per pixel.
+    const auto stride = static_cast<std::size_t>(k_stored_);
+    load_rows(y.data(), 0, ct::ViewFold::kImages, stride, kAll, image_rows_.data());
+    transpose_groups(kAll, image_rows_.data(), images_.data(), k_stored_);
+    sum_images(images_.data(), static_cast<std::size_t>(num_rhs_), stride, x.data());
+  } else {
+    transpose_groups(kAll, y.data(), x.data(), num_rhs_);
+  }
   counters_.record_transpose(apply_timer.seconds());
 }
 
@@ -342,7 +514,28 @@ void SpmvPlan<T>::execute_transpose(const GroupSubset& subset, std::span<const T
                                     std::span<T> x) const {
   check_subset(subset);
   check_sizes(x.size(), y.size());
-  transpose_groups(subset, y.data(), x.data());
+  if (!folded_) {
+    transpose_groups([&](int g) { return subset.contains(g); }, y.data(), x.data(), num_rhs_);
+  } else {
+    // Image by image over the pairs that read a row of the subset, each
+    // into its own num_rhs_-wide slice of images_, then the same sum as the
+    // full transpose.
+    const int s = a_->params_.s_vvec;
+    const auto k = static_cast<std::size_t>(num_rhs_);
+    const std::size_t image_elems = static_cast<std::size_t>(a_->cols()) * k;
+    for (int f = 0; f < ct::ViewFold::kImages; ++f) {
+      T* image = images_.data() + static_cast<std::size_t>(f) * image_elems;
+      // An image with no pair in the subset runs no group: its slice only
+      // needs the zeros transpose_groups writes first.
+      if (image_in(subset, f)) {
+        load_rows(y.data(), f, f + 1, k, [&](int w) { return subset.contains(w / s); },
+                  image_rows_.data());
+      }
+      transpose_groups([&](int g) { return pair_in(subset, g, f); }, image_rows_.data(), image,
+                       num_rhs_);
+    }
+    sum_images(images_.data(), image_elems, k, x.data());
+  }
   counters_.record_subset_transpose();
 }
 
@@ -397,9 +590,9 @@ PlanStats SpmvPlan<T>::stats() const {
   s.nnz = static_cast<std::uint64_t>(a.nnz());
   s.padded_values = static_cast<std::uint64_t>(a.padded_values());
   s.stored_values = static_cast<std::uint64_t>(a.stored_values());
-  s.vxg_occupancy = s.padded_values == 0
-                        ? 0.0
-                        : static_cast<double>(s.nnz) / static_cast<double>(s.padded_values);
+  s.vxg_occupancy = s.padded_values == 0 ? 0.0
+                                         : static_cast<double>(a.stored_nnz()) /
+                                               static_cast<double>(s.padded_values);
   s.padding_fraction = s.padded_values == 0 ? 0.0 : 1.0 - s.vxg_occupancy;
   s.r_nnze = a.r_nnze();
   s.num_vxgs = static_cast<std::uint64_t>(a.num_vxgs());
@@ -424,6 +617,7 @@ PlanStats SpmvPlan<T>::stats() const {
   s.isa_clamped = tier_.clamped;
   s.value_type = value_type_;
   s.bytes_per_value = static_cast<std::uint64_t>(a.value_bytes());
+  s.folded = folded_;
   std::uint64_t total_work = 0, max_work = 0;
   for (std::uint64_t w : work_) {
     total_work += w;

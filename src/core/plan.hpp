@@ -17,6 +17,11 @@
 //     only the row interval its blocks can touch, so the warm path
 //     performs no heap allocation and no full threads x m fill.
 //
+// On a folded matrix (format.hpp) a full apply runs the stored quarter once
+// at 4 * num_rhs columns over the four permuted images of x, and writes
+// each row from the image that owns its view; subset applies keep their
+// meaning over the operator's view groups (docs/FORMAT.md §9).
+//
 // A plan stays *correct* if util::max_threads() changes after construction
 // (partition slots are striped over however many OpenMP threads show up),
 // but it is tuned for the thread count it was built with;
@@ -75,6 +80,10 @@ struct PlanStats {
   /// each stored value occupies (2 for bf16/fp16 — docs/PRECISION.md).
   ValueType value_type = ValueType::kF32;
   std::uint64_t bytes_per_value = sizeof(float);
+  /// The matrix stores a quarter of the views and each full apply runs it
+  /// over four permuted images (format.hpp). nnz and the flop counts are
+  /// the operator's; matrix bytes, padding and occupancy the quarter's.
+  bool folded = false;
   /// max/mean of per-slot VxG work — 1.0 is a perfectly balanced partition.
   double load_imbalance = 0.0;
 
@@ -137,7 +146,8 @@ class SpmvPlan {
   /// y = A_s x over the rows of subset s's view groups only; every other
   /// row of y is left untouched. Slots own whole groups whatever the
   /// plan's scheme, so each written row is bitwise that row of a
-  /// row-partition execute(). Sizes as execute().
+  /// row-partition execute(). Sizes as execute(). The groups are the
+  /// operator's (CscvMatrix::view_groups()), folded or not.
   void execute(const GroupSubset& subset, std::span<const T> x, std::span<T> y) const;
   /// x = A_s^T y: execute_transpose over subset s's groups only (in the
   /// same ascending group order, so independent of the thread count). Only
@@ -175,9 +185,10 @@ class SpmvPlan {
   [[nodiscard]] int num_rhs() const { return num_rhs_; }
   /// VxGs assigned to each forward-partition slot (load-balance checks).
   [[nodiscard]] std::span<const std::uint64_t> work_per_slot() const { return work_; }
-  /// Scratch + reduction-pool footprint in bytes (zero after warm-up).
+  /// Scratch + reduction-pool + folded-image footprint in bytes.
   [[nodiscard]] std::size_t scratch_bytes() const {
-    return (ytilde_pool_.size() + copies_.size()) * sizeof(T);
+    return (ytilde_pool_.size() + copies_.size() + images_.size() + image_rows_.size()) *
+           sizeof(T);
   }
 
   /// Telemetry snapshot (see PlanStats). The structural half is free; the
@@ -202,14 +213,41 @@ class SpmvPlan {
   [[nodiscard]] T* ytilde_slot(int slot) const {
     return ytilde_pool_.data() + static_cast<std::size_t>(slot) * ytilde_stride_;
   }
-  void scatter_add(int block, const T* ytilde, T* dst) const;  // K-aware
-  void gather(int block, const T* src, T* ytilde) const;       // K-aware
-  void run_forward(int block, const T* x, T* ytilde) const;    // K-aware
-  /// The row-partition block loop: zeroes and fills the rows of the
-  /// subset's groups (every group for the full forward).
-  void forward_groups(const GroupSubset& subset, const T* x, T* y) const;
-  /// The tile-partition block loop over the subset's groups.
-  void transpose_groups(const GroupSubset& subset, const T* y, T* x) const;
+  // The block loops run the stored views at RHS width k: k_stored_ for a
+  // full apply, num_rhs_ for one image of a folded subset apply.
+  void scatter_add(int block, const T* ytilde, T* dst, int k) const;
+  void gather(int block, const T* src, T* ytilde, int k) const;
+  void run_forward(int block, const T* x, T* ytilde, int k) const;
+  /// The row-partition block loop: zeroes and fills the rows of the stored
+  /// groups g with pick(g).
+  template <typename Pick>
+  void forward_groups(Pick pick, const T* x, T* y, int k) const;
+  /// A full forward of the stored views at k_stored_, by the plan's scheme.
+  void forward_stored(const T* x, T* y) const;
+  /// The tile-partition block loop over the stored groups g with pick(g).
+  template <typename Pick>
+  void transpose_groups(Pick pick, const T* y, T* x, int k) const;
+
+  // ---- folded matrices: the four images (ct::ViewFold) -----------------
+  /// out[j * stride + (f - f0) * num_rhs + r] = x at the pixel image f's
+  /// pixel j reads, column r, for images f in [f0, f1).
+  void load_images(const T* x, int f0, int f1, std::size_t stride, T* out) const;
+  /// For stored view v and image f in [f0, f1): the rows of the full view
+  /// f fills from v, when f owns v and want(view), else zeros.
+  template <typename Want>
+  void load_rows(const T* y, int f0, int f1, std::size_t stride, Want want, T* rows) const;
+  /// Writes each full view w with want(w) whose owner is in [f0, f1) from
+  /// its owner's stored rows.
+  template <typename Want>
+  void store_rows(const T* rows, int f0, int f1, std::size_t stride, Want want, T* y) const;
+  /// x = ((I + T) + R) + M at every pixel, image f's pixel j at
+  /// images[f * image_offset + j * stride].
+  void sum_images(const T* images, std::size_t image_offset, std::size_t stride, T* x) const;
+  /// Whether image f's rows of stored group g fill a full view of `subset`,
+  /// and whether any stored group's do.
+  [[nodiscard]] bool pair_in(const GroupSubset& subset, int g, int f) const;
+  [[nodiscard]] bool image_in(const GroupSubset& subset, int f) const;
+
   void check_sizes(std::size_t x_size, std::size_t y_size) const;
   [[nodiscard]] std::span<const T> sums_of_ones(bool transpose) const;
 
@@ -221,7 +259,17 @@ class SpmvPlan {
   bool use_hw_ = false;
   ValueType value_type_ = ValueType::kF32;  // resolved, never kAuto
   dispatch::TierChoice tier_;  // resolved ISA tier (level-one dispatch)
-  dispatch::KernelSet<T> kernels_;
+  dispatch::KernelSet<T> kernels_;  // for k_stored_ columns
+
+  // A folded matrix runs its stored quarter once per full apply over the
+  // four images of x, k_stored_ = 4 * num_rhs_ columns; a subset apply runs
+  // one image at a time at num_rhs_ through image_kernels_.
+  bool folded_ = false;
+  int k_stored_ = 1;
+  OperatorLayout stored_;  // the matrix's stored views
+  dispatch::KernelSet<T> image_kernels_;
+  mutable util::AlignedVector<T> images_;      // folded: cols * k_stored_
+  mutable util::AlignedVector<T> image_rows_;  // folded: stored rows * k_stored_
 
   // Forward partition: view-group granularity for kRowPartition, block
   // granularity (plus per-slot touchable row intervals, in y-element units)

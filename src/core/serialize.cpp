@@ -98,6 +98,9 @@ void CscvBuilderAccess<T>::write(std::ostream& out, const CscvMatrix<T>& m) {
   write_pod<std::int32_t>(out, static_cast<std::int32_t>(m.value_type_));
   write_pod<double>(out, m.sparsify_eps_);
   write_pod<double>(out, m.sparsify_bound_);
+  // Fold header (v3): the arrays below hold views 0..V/4 when set.
+  write_pod<std::int32_t>(out, m.folded_ ? 1 : 0);
+  write_pod<std::int64_t>(out, m.stored_nnz_);
   write_array(out, m.blocks_);
   write_array(out, m.refs_);
   write_array(out, m.vxg_col_);
@@ -122,8 +125,10 @@ CscvMatrix<T> CscvBuilderAccess<T>::read(std::istream& in) {
   CSCV_CHECK_MSG(read_pod<std::uint32_t>(in) == kCscvFileMagic,
                  "cscv.header.magic: not a CSCV file");
   const auto version = read_pod<std::uint32_t>(in);
-  CSCV_CHECK_MSG(version == 1 || version == kCscvFileVersion,
-                 "cscv.header.version: unsupported CSCV file version " << version);
+  CSCV_CHECK_MSG(version == kCscvFileVersion,
+                 "cscv.header.version: CSCV file version " << version << " is not "
+                     << kCscvFileVersion << " (files before version 3 predate the fold; "
+                     << "rebuild them)");
   CSCV_CHECK_MSG(read_pod<std::uint32_t>(in) == sizeof(T),
                  "cscv.header.elem_size: element type mismatch (saved with different "
                  "precision)");
@@ -159,34 +164,45 @@ CscvMatrix<T> CscvBuilderAccess<T>::read(std::istream& in) {
   CSCV_CHECK_MSG(static_cast<std::int64_t>(m.layout_.image_size) * m.layout_.image_size <=
                      kIndexMax,
                  "cscv.header.layout: image_size^2 overflows the column index");
-  m.grid_ = BlockGrid(m.layout_, m.params_.s_vvec, m.params_.s_imgb);
-  const std::int64_t num_blocks =
-      static_cast<std::int64_t>(m.grid_.view_groups) * m.grid_.tiles_y * m.grid_.tiles_x;
-  CSCV_CHECK_MSG(num_blocks <= kIndexMax,
-                 "cscv.header.layout: block grid overflows the block index");
   m.nnz_ = read_pod<std::int64_t>(in);
   CSCV_CHECK_MSG(m.nnz_ >= 0 && m.nnz_ <= static_cast<std::int64_t>(m.layout_.num_rows()) *
                                               m.layout_.num_cols(),
                  "cscv.header.nnz: nnz = " << m.nnz_ << " outside [0, rows*cols]");
   m.ytilde_max_slots_ = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  if (version >= 2) {
-    const auto vt = read_pod<std::int32_t>(in);
-    CSCV_CHECK_MSG(vt == static_cast<std::int32_t>(ValueType::kF32) ||
-                       vt == static_cast<std::int32_t>(ValueType::kBf16) ||
-                       vt == static_cast<std::int32_t>(ValueType::kF16),
-                   "cscv.header.value_type: unknown value dtype tag " << vt);
-    m.value_type_ = static_cast<ValueType>(vt);
-    CSCV_CHECK_MSG(m.value_type_ == ValueType::kF32 || (std::is_same_v<T, float>),
-                   "cscv.header.value_type: reduced dtype "
-                       << value_type_name(m.value_type_) << " requires a float matrix");
-    m.sparsify_eps_ = read_pod<double>(in);
-    m.sparsify_bound_ = read_pod<double>(in);
-    CSCV_CHECK_MSG(std::isfinite(m.sparsify_eps_) && m.sparsify_eps_ >= 0.0 &&
-                       std::isfinite(m.sparsify_bound_) && m.sparsify_bound_ >= 0.0,
-                   "cscv.header.sparsify: eps " << m.sparsify_eps_ << " / bound "
-                                                << m.sparsify_bound_
-                                                << " must be finite and non-negative");
-  }  // version 1: fp32-in-T storage, never sparsified (the defaults)
+  const auto vt = read_pod<std::int32_t>(in);
+  CSCV_CHECK_MSG(vt == static_cast<std::int32_t>(ValueType::kF32) ||
+                     vt == static_cast<std::int32_t>(ValueType::kBf16) ||
+                     vt == static_cast<std::int32_t>(ValueType::kF16),
+                 "cscv.header.value_type: unknown value dtype tag " << vt);
+  m.value_type_ = static_cast<ValueType>(vt);
+  CSCV_CHECK_MSG(m.value_type_ == ValueType::kF32 || (std::is_same_v<T, float>),
+                 "cscv.header.value_type: reduced dtype "
+                     << value_type_name(m.value_type_) << " requires a float matrix");
+  m.sparsify_eps_ = read_pod<double>(in);
+  m.sparsify_bound_ = read_pod<double>(in);
+  CSCV_CHECK_MSG(std::isfinite(m.sparsify_eps_) && m.sparsify_eps_ >= 0.0 &&
+                     std::isfinite(m.sparsify_bound_) && m.sparsify_bound_ >= 0.0,
+                 "cscv.header.sparsify: eps " << m.sparsify_eps_ << " / bound "
+                                              << m.sparsify_bound_
+                                              << " must be finite and non-negative");
+  const auto folded = read_pod<std::int32_t>(in);
+  CSCV_CHECK_MSG(folded == 0 || (folded == 1 && m.layout_.num_views % 4 == 0),
+                 "cscv.header.fold: fold tag " << folded << " for " << m.layout_.num_views
+                                               << " views");
+  m.folded_ = folded == 1;
+  const OperatorLayout stored = m.stored_layout();
+  m.stored_nnz_ = read_pod<std::int64_t>(in);
+  CSCV_CHECK_MSG(m.stored_nnz_ >= 0 &&
+                     m.stored_nnz_ <= static_cast<std::int64_t>(stored.num_rows()) *
+                                          stored.num_cols() &&
+                     (m.folded_ || m.stored_nnz_ == m.nnz_),
+                 "cscv.header.stored_nnz: stored nnz = " << m.stored_nnz_ << " for nnz = "
+                                                         << m.nnz_);
+  m.grid_ = BlockGrid(stored, m.params_.s_vvec, m.params_.s_imgb);
+  const std::int64_t num_blocks =
+      static_cast<std::int64_t>(m.grid_.view_groups) * m.grid_.tiles_y * m.grid_.tiles_x;
+  CSCV_CHECK_MSG(num_blocks <= kIndexMax,
+                 "cscv.header.layout: block grid overflows the block index");
 
   // Array counts are fully determined by the header plus the block table;
   // each read rejects a mismatched count before allocating.
@@ -212,7 +228,7 @@ CscvMatrix<T> CscvBuilderAccess<T>::read(std::istream& in) {
       m.variant_ == CscvMatrix<T>::Variant::kZ
           ? num_vxgs * static_cast<std::uint64_t>(m.params_.s_vxg) *
                 static_cast<std::uint64_t>(m.params_.s_vvec)
-          : static_cast<std::uint64_t>(m.nnz_) +
+          : static_cast<std::uint64_t>(m.stored_nnz_) +
                 static_cast<std::uint64_t>(m.params_.s_vvec);
   if (m.value_type_ == ValueType::kF32) {
     read_array_checked(in, m.values_, expected_values, "values");

@@ -16,9 +16,12 @@ namespace cscv::core {
 
 inline constexpr std::uint32_t kCscvFileMagic = 0x43534356;  // "CSCV"
 /// Version 2 added the precision header (value dtype tag + sparsify eps +
-/// certified error bound) and dtype-sized value payloads; version-1 files
-/// (always fp32-in-T, never sparsified) still load (docs/FORMAT.md).
-inline constexpr std::uint32_t kCscvFileVersion = 2;
+/// certified error bound) and dtype-sized value payloads. Version 3 adds
+/// the fold (a flag and the stored quarter's nnz). Only the current
+/// version loads: files of earlier versions hold operators whose views in
+/// (45, 180) degrees were computed from their own angles, which is not the
+/// operator a foldable geometry builds now (docs/FORMAT.md).
+inline constexpr std::uint32_t kCscvFileVersion = 3;
 
 /// Writes `m` to a binary stream. Throws CheckError on I/O failure.
 template <typename T>

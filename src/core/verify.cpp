@@ -104,7 +104,13 @@ bool verify_tables(const CscvMatrix<T>& m, VerifyReport& r) {
 
   const int s = m.params().s_vvec;
   const int v = m.params().s_vxg;
-  const OperatorLayout& layout = m.layout();
+  // The tables describe the stored views (a quarter when folded).
+  const OperatorLayout layout = m.stored_layout();
+  if (m.folded() && m.layout().num_views % 4 != 0) {
+    r.add("fold.views", detail("folded matrix with ", m.layout().num_views,
+                               " views, not a multiple of 4"));
+    return false;
+  }
 
   const BlockGrid want(layout, s, m.params().s_imgb);
   if (m.grid().view_groups != want.view_groups || m.grid().tiles_x != want.tiles_x ||
@@ -116,8 +122,15 @@ bool verify_tables(const CscvMatrix<T>& m, VerifyReport& r) {
   }
 
   if (m.nnz() < 0 ||
-      m.nnz() > static_cast<offset_t>(layout.num_rows()) * layout.num_cols()) {
+      m.nnz() > static_cast<offset_t>(m.layout().num_rows()) * layout.num_cols()) {
     r.add("nnz.range", detail("nnz = ", m.nnz(), " outside [0, rows*cols]"));
+    return false;
+  }
+  if (m.stored_nnz() < 0 ||
+      m.stored_nnz() > static_cast<offset_t>(layout.num_rows()) * layout.num_cols() ||
+      (!m.folded() && m.stored_nnz() != m.nnz())) {
+    r.add("nnz.stored", detail("stored nnz = ", m.stored_nnz(), " for nnz = ", m.nnz(),
+                               m.folded() ? " (folded)" : " (unfolded)"));
     return false;
   }
 
@@ -185,10 +198,10 @@ bool verify_tables(const CscvMatrix<T>& m, VerifyReport& r) {
     }
   } else {
     // kM over-allocates one vector of zero slack for branch-free expanders.
-    if (stored != static_cast<std::size_t>(m.nnz()) + s) {
+    if (stored != static_cast<std::size_t>(m.stored_nnz()) + s) {
       r.add("storage.sizes", detail("kM values array has ", stored,
-                                    " slots, want nnz + S_VVec = ",
-                                    static_cast<std::size_t>(m.nnz()) + s));
+                                    " slots, want stored nnz + S_VVec = ",
+                                    static_cast<std::size_t>(m.stored_nnz()) + s));
       ok = false;
     }
     if (m.masks().size() != num_vxgs * static_cast<std::size_t>(v)) {
@@ -248,10 +261,10 @@ bool verify_tables(const CscvMatrix<T>& m, VerifyReport& r) {
         ok = false;
       }
     } else {
-      if (info.val_begin < val_cursor || info.val_begin > m.nnz()) {
+      if (info.val_begin < val_cursor || info.val_begin > m.stored_nnz()) {
         r.add("block.val_cursor", detail("block ", b, " kM val_begin = ", info.val_begin,
-                                         " not monotone in [", val_cursor, ", ", m.nnz(),
-                                         "]"));
+                                         " not monotone in [", val_cursor, ", ",
+                                         m.stored_nnz(), "]"));
         ok = false;
       }
       val_cursor = std::max(val_cursor, info.val_begin);
@@ -329,7 +342,7 @@ template <typename T>
 void verify_contents(const CscvMatrix<T>& m, VerifyReport& r) {
   const int s = m.params().s_vvec;
   const int v = m.params().s_vxg;
-  const OperatorLayout& layout = m.layout();
+  const OperatorLayout layout = m.stored_layout();
   const auto blocks = m.blocks();
   const auto refs = m.reference_bins();
 
@@ -393,9 +406,9 @@ void verify_contents(const CscvMatrix<T>& m, VerifyReport& r) {
       }
     }
     r.values_nonzero = static_cast<std::uint64_t>(std::max<offset_t>(cursor, 0));
-    if (cursor != m.nnz()) {
+    if (cursor != m.stored_nnz()) {
       r.add("mask.popcount_total", detail("mask popcounts sum to ", cursor,
-                                          ", matrix stores nnz = ", m.nnz()));
+                                          ", matrix stores nnz = ", m.stored_nnz()));
     }
   } else {
     // ---- CSCV-Z padding accounting -------------------------------------
@@ -426,10 +439,10 @@ void verify_contents(const CscvMatrix<T>& m, VerifyReport& r) {
         }
       }
     }
-    if (r.values_nonzero > static_cast<std::uint64_t>(m.nnz())) {
+    if (r.values_nonzero > static_cast<std::uint64_t>(m.stored_nnz())) {
       r.add("values.nonzero_count", detail("kZ stores ", r.values_nonzero,
                                            " nonzero values, matrix advertises nnz = ",
-                                           m.nnz()));
+                                           m.stored_nnz()));
     }
   }
 }
@@ -454,7 +467,7 @@ void verify_epsilon(const CscvMatrix<T>& m, VerifyReport& r) {
   const int s = m.params().s_vvec;
   const int v = m.params().s_vxg;
   if (m.variant() == CscvMatrix<T>::Variant::kM) {
-    for (offset_t i = 0; i < m.nnz(); ++i) {
+    for (offset_t i = 0; i < m.stored_nnz(); ++i) {
       const double val = std::abs(static_cast<double>(m.stored_value(i)));
       if (val < eps) {
         r.add("sparsify.certificate",

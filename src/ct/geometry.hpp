@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 #include <numbers>
+#include <utility>
 
 #include "sparse/types.hpp"
 #include "util/assertx.hpp"
@@ -86,10 +87,95 @@ struct ParallelGeometry {
                                           << " overflows the row index space");
   }
 
+  /// A 180-degree scan from 0 degrees whose view count is a multiple of 4:
+  /// every view is a view in [0, 45] degrees applied to the image
+  /// transposed, turned by 90 degrees or mirrored (ViewFold).
+  [[nodiscard]] bool foldable() const {
+    return start_angle_deg == 0.0 && num_views > 0 && num_views % 4 == 0 &&
+           delta_angle_deg == 180.0 / num_views;
+  }
+
   /// Exact field-wise equality — the cache-key identity used by
   /// pipeline::SystemMatrixCache (two geometries that differ in any
   /// discretization field produce different system matrices).
   friend bool operator==(const ParallelGeometry&, const ParallelGeometry&) = default;
+};
+
+/// The symmetry of a foldable scan of V views over an N x N image. View w
+/// is a canonical view v in [0, V/4] (angles in [0, 45] degrees) applied to
+/// one of four images of x, with the same detector bin:
+///
+///   image  angle       image pixel (jx, jy) reads x at   owns view    for v in
+///   I      theta       (jx, jy)                          v            [0, V/4]
+///   T      90 - theta  (jy, jx)                          V/2 - v      [0, V/4)
+///   R      90 + theta  (N-1-jy, jx)                      V/2 + v      [1, V/4]
+///   M      180 - theta (N-1-jx, jy)                      V - v        [1, V/4)
+///
+/// Every view in [0, V) is owned exactly once. Views V/4, V/2 and 3V/4 are
+/// also what a non-owning image computes at v = V/4 or 0; M at v = 0 would
+/// be view V (180 degrees) and is no view of the scan.
+struct ViewFold {
+  enum Image : int { kI, kT, kR, kM };
+  static constexpr int kImages = 4;
+
+  int num_views = 0;  // V, a multiple of 4
+
+  /// Views of the stored quarter: 0..V/4.
+  [[nodiscard]] int quarter_views() const { return num_views / 4 + 1; }
+
+  /// Full view that canonical view v of `image` fills, or -1 when the image
+  /// does not own v.
+  [[nodiscard]] int view_of(int image, int v) const {
+    const int q = num_views / 4;
+    switch (image) {
+      case kI: return v;
+      case kT: return v < q ? num_views / 2 - v : -1;
+      case kR: return v >= 1 ? num_views / 2 + v : -1;
+      default: return v >= 1 && v < q ? num_views - v : -1;
+    }
+  }
+
+  /// Full views that canonical view v fills: 2 at v = 0 and v = V/4, else 4.
+  [[nodiscard]] int owners(int v) const {
+    int count = 0;
+    for (int image = kI; image < kImages; ++image) count += view_of(image, v) >= 0 ? 1 : 0;
+    return count;
+  }
+
+  struct Owner {
+    int image;
+    int view;  // canonical view in [0, V/4]
+  };
+  /// The (image, canonical view) that owns full view w.
+  [[nodiscard]] Owner owner(int w) const {
+    const int q = num_views / 4;
+    if (w <= q) return {kI, w};
+    if (w <= 2 * q) return {kT, 2 * q - w};
+    if (w <= 3 * q) return {kR, w - 2 * q};
+    return {kM, num_views - w};
+  }
+
+  /// Pixel of x that pixel (jx, jy) of `image` reads (the table's map).
+  [[nodiscard]] static std::pair<int, int> source_pixel(int image, int n, int jx, int jy) {
+    switch (image) {
+      case kI: return {jx, jy};
+      case kT: return {jy, jx};
+      case kR: return {n - 1 - jy, jx};
+      default: return {n - 1 - jx, jy};
+    }
+  }
+
+  /// Pixel of `image` whose value is x(px, py): the inverse of the table's
+  /// "reads x at" map. Column (px, py) of an owned view w is the canonical
+  /// column of this pixel at view v.
+  [[nodiscard]] static std::pair<int, int> image_pixel(int image, int n, int px, int py) {
+    switch (image) {
+      case kI: return {px, py};
+      case kT: return {py, px};
+      case kR: return {py, n - 1 - px};
+      default: return {n - 1 - px, py};
+    }
+  }
 };
 
 /// Bin count that covers the image diagonal with a small safety margin —

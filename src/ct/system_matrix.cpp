@@ -12,17 +12,23 @@ namespace cscv::ct {
 
 namespace {
 
-/// Per-view trigonometry and footprint, precomputed once per build.
+/// Per-view trigonometry and footprint, precomputed once per build. On a
+/// foldable geometry only the canonical views [0, V/4] are tabulated: every
+/// other view reads its owner's row (ViewFold).
 struct ViewTables {
   std::vector<double> cos_theta;
   std::vector<double> sin_theta;
   std::vector<Footprint> footprint;
+  bool folded = false;
+  ViewFold fold;
 
-  ViewTables(const ParallelGeometry& g, FootprintModel model) {
-    cos_theta.reserve(g.num_views);
-    sin_theta.reserve(g.num_views);
-    footprint.reserve(g.num_views);
-    for (int v = 0; v < g.num_views; ++v) {
+  ViewTables(const ParallelGeometry& g, FootprintModel model)
+      : folded(g.foldable()), fold{g.num_views} {
+    const int tabulated = folded ? fold.quarter_views() : g.num_views;
+    cos_theta.reserve(static_cast<std::size_t>(tabulated));
+    sin_theta.reserve(static_cast<std::size_t>(tabulated));
+    footprint.reserve(static_cast<std::size_t>(tabulated));
+    for (int v = 0; v < tabulated; ++v) {
       const double th = g.view_angle_rad(v);
       cos_theta.push_back(std::cos(th));
       sin_theta.push_back(std::sin(th));
@@ -33,16 +39,37 @@ struct ViewTables {
 
 /// Enumerates the nonzero entries of one column (pixel) restricted to views
 /// [view_begin, view_end), in ascending row order, invoking
-/// emit(row, value) with GLOBAL row ids for each.
+/// emit(row, value) with GLOBAL row ids for each. On a foldable geometry
+/// view w is its canonical view v evaluated at the pixel centre its owning
+/// image maps (cx, cy) to: (cy, cx) for T, (cy, -cx) for R, (-cx, cy) for M.
+/// Those centres are exactly the centres of the mapped pixels, so each
+/// entry is bit for bit the canonical pixel's entry at v.
 template <typename Emit>
 void enumerate_column(const ParallelGeometry& g, const ViewTables& tables, int ix, int iy,
                       double drop_tolerance, int view_begin, int view_end, Emit&& emit) {
   const double cx = g.pixel_center_x(ix);
   const double cy = g.pixel_center_y(iy);
   const double half_detector = 0.5 * g.num_bins;
-  for (int v = view_begin; v < view_end; ++v) {
-    const double t = cx * tables.cos_theta[v] + cy * tables.sin_theta[v];
-    const Footprint& fp = tables.footprint[v];
+  for (int w = view_begin; w < view_end; ++w) {
+    int v = w;
+    double px = cx;
+    double py = cy;
+    if (tables.folded) {
+      const ViewFold::Owner own = tables.fold.owner(w);
+      v = own.view;
+      if (own.image == ViewFold::kT) {
+        px = cy;
+        py = cx;
+      } else if (own.image == ViewFold::kR) {
+        px = cy;
+        py = -cx;
+      } else if (own.image == ViewFold::kM) {
+        px = -cx;
+      }
+    }
+    const auto vi = static_cast<std::size_t>(v);
+    const double t = px * tables.cos_theta[vi] + py * tables.sin_theta[vi];
+    const Footprint& fp = tables.footprint[vi];
     const double hw = fp.half_width();
     // Bin b covers [b - num_bins/2, b + 1 - num_bins/2] in detector
     // coordinates; the shadow [t - hw, t + hw] touches a contiguous run.
@@ -54,7 +81,7 @@ void enumerate_column(const ParallelGeometry& g, const ViewTables& tables, int i
       const double lo = b - half_detector;
       const double hi = lo + 1.0;
       const double value = fp.integrate(lo - t, hi - t);
-      if (value > drop_tolerance) emit(g.row_id(v, b), value);
+      if (value > drop_tolerance) emit(g.row_id(w, b), value);
     }
   }
 }

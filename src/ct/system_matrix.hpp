@@ -6,7 +6,10 @@
 //    footprint integrals over detector bins, view by view. Columns emit rows
 //    in ascending order, so the CSC structure is produced directly with no
 //    sort. This is the matrix family the paper evaluates (nnz per column
-//    ~ 2.6 x num_views, matching Table II).
+//    ~ 2.6 x num_views, matching Table II). On a foldable geometry
+//    (ParallelGeometry::foldable) each view is computed from its canonical
+//    view in [0, 45] degrees at the mapped pixel centre (ViewFold), so the
+//    matrix is exactly symmetric and core::CscvMatrix stores a quarter.
 //
 //  * build_system_matrix_siddon — ray-driven: each row (view, bin) traces a
 //    ray through the pixel grid accumulating chord lengths (Siddon's

@@ -244,7 +244,9 @@ ShardReady ShardReady::from_json(const util::Json& j) {
   r.shard_id = static_cast<std::uint32_t>(util::get_int_field(j, "shard_id", 0));
   r.rows = j.at("rows").as_int();
   r.cols = j.at("cols").as_int();
-  r.nnz = static_cast<std::uint64_t>(j.at("nnz").as_int());
+  const std::int64_t nnz = j.at("nnz").as_int();
+  CSCV_CHECK_MSG(nnz >= 0, "shard ready: nnz " << nnz << " is negative");
+  r.nnz = static_cast<std::uint64_t>(nnz);
   r.restored_from_spill = util::get_bool_field(j, "restored_from_spill", false);
   r.build_seconds = util::get_double_field(j, "build_seconds", 0.0);
   return r;

@@ -201,6 +201,7 @@ util::Json ReconResult::to_json() const {
     p["nnz"] = util::Json(plan_stats.nnz);
     p["padding_fraction"] = util::Json(plan_stats.padding_fraction);
     p["value_type"] = util::Json(core::value_type_name(plan_stats.value_type));
+    p["folded"] = util::Json(plan_stats.folded);
     p["isa_tier"] = util::Json(simd::isa_tier_name(plan_stats.isa_tier));
     if (plan_stats.isa_clamped) p["isa_clamped"] = util::Json(true);
     p["threads"] = util::Json(plan_stats.threads);

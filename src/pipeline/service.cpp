@@ -158,7 +158,7 @@ std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
     r.iterations_run = stats[c].iterations_run;
     if (!stats[c].residual_norms.empty()) r.final_residual = stats[c].residual_norms.back();
     if (algo == Algorithm::kOsSart) {
-      r.os_sart_subsets = recon::os_sart_strata(entry.cscv->grid().view_groups,
+      r.os_sart_subsets = recon::os_sart_strata(entry.cscv->view_groups(),
                                                    jobs[c].os_sart_subsets);
     }
     r.solve_seconds = solve_seconds;  // shared: the fused solve ran once

@@ -46,7 +46,7 @@ std::vector<RunStats> os_sart_batch(const core::SpmvPlan<T>& plan, std::span<con
                    "batched OS-SART columns want " << o.num_subsets << " and "
                                                    << options[0].num_subsets << " subsets");
   }
-  const int groups = a.grid().view_groups;
+  const int groups = a.view_groups();  // of the operator, folded or not
   const int strata = os_sart_strata(groups, options[0].num_subsets);
   const std::size_t group_rows =
       static_cast<std::size_t>(a.params().s_vvec) * static_cast<std::size_t>(a.layout().num_bins);

@@ -36,6 +36,20 @@ extern "C" void __tsan_acquire(void* addr);
 extern "C" void __tsan_release(void* addr);
 #endif
 
+// The annotations above cover the region bodies, but not the loads the
+// compiler's outlined region makes of its shared-data block (loop bounds,
+// the lambda pointer) before tsan_acquire runs: the master writes that
+// block and libgomp hands it over unseen. CSCV_NO_TSAN leaves the two
+// fork/join wrappers uninstrumented; the bodies they call (fn) are separate
+// functions and stay instrumented, so their races are still reported.
+#if defined(__clang__)
+#define CSCV_NO_TSAN __attribute__((no_sanitize("thread")))
+#elif defined(__GNUC__)
+#define CSCV_NO_TSAN __attribute__((no_sanitize_thread))
+#else
+#define CSCV_NO_TSAN
+#endif
+
 namespace cscv::util {
 
 inline void tsan_release(void* addr) {
@@ -127,7 +141,7 @@ inline std::vector<std::size_t> weighted_boundaries(std::span<const std::uint64_
 
 /// Static-scheduled parallel loop over [begin, end); fn(i) per index.
 template <typename Fn>
-void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
+CSCV_NO_TSAN void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
 #ifdef _OPENMP
   char token;  // address-only fork/join happens-before token
   tsan_release(&token);
@@ -149,7 +163,7 @@ void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
 
 /// Runs fn(thread_id, num_threads) on every thread of a parallel region.
 template <typename Fn>
-void parallel_region(Fn&& fn) {
+CSCV_NO_TSAN void parallel_region(Fn&& fn) {
 #ifdef _OPENMP
   char token;  // address-only fork/join happens-before token
   tsan_release(&token);

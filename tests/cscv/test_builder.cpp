@@ -94,12 +94,25 @@ TEST(CscvBuilder, SlotMappingIsInjectivePerBlock) {
   }
 }
 
+// 22 views: not a multiple of 4, so the matrix stores every view.
 TEST(CscvBuilder, MaskPopcountsMatchPackedValues) {
   auto m = build_small<float>({.s_vvec = 8, .s_imgb = 8, .s_vxg = 2},
-                              CscvMatrix<float>::Variant::kM);
+                              CscvMatrix<float>::Variant::kM, 32, 22);
+  ASSERT_FALSE(m.folded());
   std::size_t total = 0;
   for (std::uint16_t mask : m.masks()) total += std::popcount(mask);
   EXPECT_EQ(total, static_cast<std::size_t>(m.nnz()));
+}
+
+// Folded, the masks pack the stored quarter's own nonzeros.
+TEST(CscvBuilder, MaskPopcountsMatchPackedValuesFolded) {
+  auto m = build_small<float>({.s_vvec = 8, .s_imgb = 8, .s_vxg = 2},
+                              CscvMatrix<float>::Variant::kM);
+  ASSERT_TRUE(m.folded());
+  std::size_t total = 0;
+  for (std::uint16_t mask : m.masks()) total += std::popcount(mask);
+  EXPECT_EQ(total, static_cast<std::size_t>(m.stored_nnz()));
+  EXPECT_LT(m.stored_nnz(), m.nnz());
 }
 
 TEST(CscvBuilder, MasksFitWidth) {
@@ -110,12 +123,24 @@ TEST(CscvBuilder, MasksFitWidth) {
 
 TEST(CscvBuilder, ZStoresPaddedMStoresExact) {
   CscvParams p{.s_vvec = 8, .s_imgb = 16, .s_vxg = 2};
-  auto z = build_small<float>(p, CscvMatrix<float>::Variant::kZ);
-  auto mm = build_small<float>(p, CscvMatrix<float>::Variant::kM);
+  auto z = build_small<float>(p, CscvMatrix<float>::Variant::kZ, 32, 22);
+  auto mm = build_small<float>(p, CscvMatrix<float>::Variant::kM, 32, 22);
   EXPECT_EQ(z.stored_values(), z.padded_values());
   EXPECT_EQ(mm.stored_values(), mm.nnz());
   EXPECT_EQ(z.padded_values(), mm.padded_values());  // same structure
   EXPECT_GT(z.stored_values(), mm.stored_values());
+}
+
+TEST(CscvBuilder, ZStoresPaddedMStoresExactFolded) {
+  CscvParams p{.s_vvec = 8, .s_imgb = 16, .s_vxg = 2};
+  auto z = build_small<float>(p, CscvMatrix<float>::Variant::kZ);
+  auto mm = build_small<float>(p, CscvMatrix<float>::Variant::kM);
+  ASSERT_TRUE(z.folded() && mm.folded());
+  EXPECT_EQ(z.stored_values(), z.padded_values());
+  EXPECT_EQ(mm.stored_values(), mm.stored_nnz());
+  EXPECT_EQ(z.padded_values(), mm.padded_values());  // same structure
+  EXPECT_GT(z.stored_values(), mm.stored_values());
+  EXPECT_EQ(z.nnz(), mm.nnz());
 }
 
 TEST(CscvBuilder, ByOffsetOrderIsSorted) {

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dispatch.hpp"
@@ -444,39 +445,44 @@ TEST(MixedPrecisionSerialize, V2RoundTripPreservesPrecisionHeader) {
   }
 }
 
-// A version-1 file is byte-identical to a version-2 file minus the 20-byte
-// precision header (value_type i32 + sparsify eps/bound doubles) that v2
-// inserts after ytilde_max_slots — docs/FORMAT.md. Splicing those bytes out
-// of a fresh fp32 save and patching the version field reconstructs exactly
-// what a pre-v2 writer produced.
-TEST(MixedPrecisionSerialize, LoadsVersion1Files) {
-  const auto m = build_f32(FVariant::kM);
+// Files written before the fold hold operators whose views in (45, 180)
+// degrees were computed from their own angles, not the operator a foldable
+// geometry builds now, so they are refused (and the caches rebuild). A
+// version-2 file is a version-3 file without the 12-byte fold header
+// (i32 flag + i64 stored nnz) after the precision header, and a version-1
+// file also lacks the 20-byte precision header (value_type i32 + sparsify
+// eps/bound doubles) after ytilde_max_slots — docs/FORMAT.md. Splicing those
+// bytes out of a fresh save and patching the version field reconstructs
+// exactly what those writers produced.
+TEST(MixedPrecisionSerialize, RefusesFilesFromBeforeTheFold) {
+  const auto m = build_f32(FVariant::kM, 32, 22);
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   save_cscv(ss, m);
-  const std::string v2 = ss.str();
+  const std::string v3 = ss.str();
 
   constexpr std::size_t kOffVersion = 4;     // after the magic
   constexpr std::size_t kOffPrecision = 64;  // header through ytilde_max_slots
   constexpr std::size_t kPrecisionBytes = 4 + 8 + 8;
-  ASSERT_GT(v2.size(), kOffPrecision + kPrecisionBytes);
-  std::string v1 = v2.substr(0, kOffPrecision) + v2.substr(kOffPrecision + kPrecisionBytes);
-  const std::uint32_t one = 1;
-  std::memcpy(v1.data() + kOffVersion, &one, sizeof(one));
-
-  std::stringstream in(v1, std::ios::in | std::ios::binary);
-  auto back = load_cscv<float>(in);
-  EXPECT_EQ(back.value_type(), ValueType::kF32);
-  EXPECT_EQ(back.sparsify_eps(), 0.0);
-  EXPECT_EQ(back.sparsify_error_bound(), 0.0);
-  EXPECT_EQ(back.nnz(), m.nnz());
-
-  const auto x =
-      sparse::random_vector<float>(static_cast<std::size_t>(m.cols()), 37, 0.0, 1.0);
-  util::AlignedVector<float> y1(static_cast<std::size_t>(m.rows()));
-  util::AlignedVector<float> y2(static_cast<std::size_t>(m.rows()));
-  m.spmv(x, y1);
-  back.spmv(x, y2);
-  EXPECT_EQ(std::memcmp(y1.data(), y2.data(), y1.size() * sizeof(float)), 0);
+  constexpr std::size_t kFoldBytes = 4 + 8;
+  ASSERT_GT(v3.size(), kOffPrecision + kPrecisionBytes + kFoldBytes);
+  const std::string v2 = v3.substr(0, kOffPrecision + kPrecisionBytes) +
+                         v3.substr(kOffPrecision + kPrecisionBytes + kFoldBytes);
+  const std::string v1 =
+      v3.substr(0, kOffPrecision) + v3.substr(kOffPrecision + kPrecisionBytes + kFoldBytes);
+  for (const auto& [version, blob] : {std::pair<std::uint32_t, std::string>{1, v1}, {2, v2}}) {
+    std::string old = blob;
+    std::memcpy(old.data() + kOffVersion, &version, sizeof(version));
+    std::stringstream in(old, std::ios::in | std::ios::binary);
+    try {
+      (void)load_cscv<float>(in);
+      ADD_FAILURE() << "version " << version << " file loaded";
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("cscv.header.version"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::stringstream in(v3, std::ios::in | std::ios::binary);
+  EXPECT_EQ(load_cscv<float>(in).nnz(), m.nnz());
 }
 
 TEST(MixedPrecisionSerialize, RejectsReducedDtypeInDoubleFile) {

@@ -52,8 +52,9 @@ void expect_bitwise_equal(std::span<const T> got, std::span<const T> want) {
 // bitwise-identical outputs: the one-shots are thin wrappers over the same
 // partitioning, dispatch, and reduction order.
 template <typename T>
-void check_plan_vs_oneshot(typename CscvMatrix<T>::Variant variant, ThreadScheme scheme) {
-  const auto m = build_cscv<T>(variant);
+void check_plan_vs_oneshot(typename CscvMatrix<T>::Variant variant, ThreadScheme scheme,
+                           int views) {
+  const auto m = build_cscv<T>(variant, 32, views);
   const std::size_t rows = static_cast<std::size_t>(m.rows());
   const std::size_t cols = static_cast<std::size_t>(m.cols());
   const auto x = sparse::random_vector<T>(cols, 3, 0.0, 1.0);
@@ -80,6 +81,12 @@ void check_plan_vs_oneshot(typename CscvMatrix<T>::Variant variant, ThreadScheme
   m.spmv_transpose(y_in, x_shot);
   plan.execute_transpose(y_in, x_plan);
   expect_bitwise_equal<T>(x_plan, x_shot);
+}
+
+template <typename T>
+void check_plan_vs_oneshot(typename CscvMatrix<T>::Variant variant, ThreadScheme scheme) {
+  // 24 views fold, 22 do not.
+  for (const int views : {24, 22}) check_plan_vs_oneshot<T>(variant, scheme, views);
 }
 
 TEST(SpmvPlan, BitwiseMatchesOneShotZFloat) {
@@ -157,12 +164,12 @@ TEST(SpmvPlan, StalePlanStaysCorrectAcrossThreadCounts) {
 
 // More threads than view groups: trailing partition slots are empty (the
 // kAuto rule would pick private-y here, but both schemes must cope).
-TEST(SpmvPlan, MoreThreadsThanViewGroups) {
+void check_more_threads_than_groups(int views, int groups) {
   const int saved = util::max_threads();
-  // s_vvec = 16 over 24 views -> 2 view groups; 8 threads > 2 groups.
-  const auto m = build_cscv<float>(CscvMatrix<float>::Variant::kM, 32, 24, 16);
-  ASSERT_EQ(m.grid().view_groups, 2);
-  const auto& csr = cached_ct_csr<float>(32, 24);
+  // s_vvec = 16: 8 threads > the stored view groups.
+  const auto m = build_cscv<float>(CscvMatrix<float>::Variant::kM, 32, views, 16);
+  ASSERT_EQ(m.grid().view_groups, groups);
+  const auto& csr = cached_ct_csr<float>(32, views);
   const auto x = sparse::random_vector<float>(static_cast<std::size_t>(m.cols()), 8);
   util::AlignedVector<float> y_ref(static_cast<std::size_t>(m.rows()));
   csr.spmv(x, y_ref);
@@ -192,6 +199,12 @@ TEST(SpmvPlan, MoreThreadsThanViewGroups) {
   }
   util::set_num_threads(saved);
 }
+
+// 22 views of 16 -> 2 view groups, all stored.
+TEST(SpmvPlan, MoreThreadsThanViewGroups) { check_more_threads_than_groups(22, 2); }
+
+// 24 views fold to a stored quarter of 7 views -> 1 view group.
+TEST(SpmvPlan, MoreThreadsThanViewGroupsFolded) { check_more_threads_than_groups(24, 1); }
 
 // The nnz-weighted partition balances VxG work, not block counts: on a CT
 // matrix (sparse corner tiles, dense center) every private-y slot must land

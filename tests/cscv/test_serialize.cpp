@@ -103,9 +103,9 @@ CscvMatrix<T> from_bytes(const std::string& bytes) {
 }
 
 // Equal matrices serialize to equal bytes: save -> load -> save gives the
-// same file. Files from earlier builds could carry any bytes where
-// BlockInfo::reserved now sits (unnamed struct padding then); they still
-// load, and re-save to the canonical bytes.
+// same file. The loader ignores whatever bytes sit in BlockInfo::reserved
+// (unnamed struct padding in earlier builds), so such a file re-saves to
+// the canonical bytes.
 template <typename T>
 void check_save_load_save(typename CscvMatrix<T>::Variant variant) {
   using BlockInfo = typename CscvMatrix<T>::BlockInfo;
@@ -113,8 +113,8 @@ void check_save_load_save(typename CscvMatrix<T>::Variant variant) {
   const std::string first = bytes_of(m);
   EXPECT_EQ(bytes_of(from_bytes<T>(first)), first);
 
-  // The v2 header is 84 bytes, then the block table's u64 count.
-  constexpr std::size_t kBlockCount = 84;
+  // The v3 header is 96 bytes, then the block table's u64 count.
+  constexpr std::size_t kBlockCount = 96;
   constexpr std::size_t kBlockData = kBlockCount + sizeof(std::uint64_t);
   std::uint64_t stored_blocks = 0;
   std::memcpy(&stored_blocks, first.data() + kBlockCount, sizeof(stored_blocks));

@@ -27,11 +27,27 @@ TEST(CscvStats, PaddingRateInPaperBandForTypicalParams) {
   // angular sampling (delta < 1 degree). Padding grows with the angular
   // span of a view group (trajectories curve away from the reference), so
   // the small test geometry needs a finer delta to land in a comparable
-  // band. 64 px / 128 views gives delta = 1.4 degrees.
-  auto m = build<float>(64, 128, {.s_vvec = 8, .s_imgb = 16, .s_vxg = 2},
+  // band. 64 px / 126 views gives delta = 1.4 degrees; 126 is not a
+  // multiple of 4, so every view is stored.
+  auto m = build<float>(64, 126, {.s_vvec = 8, .s_imgb = 16, .s_vxg = 2},
                         CscvMatrix<float>::Variant::kZ);
+  ASSERT_FALSE(m.folded());
   EXPECT_GT(m.r_nnze(), 0.05);
   EXPECT_LT(m.r_nnze(), 0.9);
+}
+
+// Folded, R_nnzE is the stored quarter's: views 0..32 of 128, whose last
+// view group holds one view in 8 lanes, so it pads more than the full set.
+TEST(CscvStats, PaddingRateInPaperBandForTypicalParamsFolded) {
+  const CscvParams p{.s_vvec = 8, .s_imgb = 16, .s_vxg = 2};
+  auto m = build<float>(64, 128, p, CscvMatrix<float>::Variant::kZ);
+  ASSERT_TRUE(m.folded());
+  const auto g = ct::standard_geometry(64, 128);
+  const auto quarter = CscvMatrix<float>::build(ct::build_system_matrix_csc_range<float>(g, 0, 33),
+                                                {64, g.num_bins, 33}, p,
+                                                CscvMatrix<float>::Variant::kZ);
+  EXPECT_DOUBLE_EQ(m.r_nnze(), quarter.r_nnze());
+  EXPECT_GT(m.r_nnze(), build<float>(64, 126, p, CscvMatrix<float>::Variant::kZ).r_nnze());
 }
 
 TEST(CscvStats, PaddingGrowsWithImgB) {

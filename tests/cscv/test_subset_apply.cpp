@@ -9,6 +9,7 @@
 //   * the memoized A_s^T 1 is bitwise a fresh subset transpose of ones;
 //   * the subsets of a matrix holding a contiguous group range (a dist
 //     shard, first_group != 0) are the global strata restricted to it.
+// Each holds for a folded operator (24 views) and one stored in full (22).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -30,7 +31,8 @@ using Variant = CscvMatrix<float>::Variant;
 using testing::cached_ct_csc;
 
 constexpr int kImage = 32;
-constexpr int kViews = 24;  // 6 view groups of 4
+constexpr int kViews = 24;          // 6 view groups of 4, folded
+constexpr int kUnfoldedViews = 22;  // 6 view groups, the last of 2 views
 constexpr int kVvec = 4;
 const CscvParams kParams{.s_vvec = kVvec, .s_imgb = 8, .s_vxg = 2};
 
@@ -43,9 +45,9 @@ constexpr Path kPaths[] = {{Variant::kZ, simd::ExpandPath::kAuto, "Z"},
                            {Variant::kM, simd::ExpandPath::kHardware, "M-hw"},
                            {Variant::kM, simd::ExpandPath::kSoftware, "M-soft"}};
 
-CscvMatrix<float> build(Variant variant) {
-  const OperatorLayout layout{kImage, ct::standard_num_bins(kImage), kViews};
-  return CscvMatrix<float>::build(cached_ct_csc<float>(kImage, kViews), layout, kParams,
+CscvMatrix<float> build(Variant variant, int views) {
+  const OperatorLayout layout{kImage, ct::standard_num_bins(kImage), views};
+  return CscvMatrix<float>::build(cached_ct_csc<float>(kImage, views), layout, kParams,
                                   variant);
 }
 
@@ -53,22 +55,26 @@ bool same_bytes(const float* a, const float* b, std::size_t n) {
   return std::memcmp(a, b, n * sizeof(float)) == 0;
 }
 
-/// Runs `fn(plan options, label)` over every tier x path x K x thread count,
-/// with the ambient OpenMP thread count set to the plan's.
+/// Runs `fn(variant, plan options, views, label)` over both view counts x
+/// every tier x path x K x thread count, with the ambient OpenMP thread
+/// count set to the plan's.
 template <typename Fn>
 void sweep(Fn&& fn) {
   const int saved = util::max_threads();
-  for (const simd::IsaTier tier : testing::usable_tiers()) {
-    for (const Path& path : kPaths) {
-      for (const int k : {1, 3}) {
-        for (const int threads : {1, 2}) {
-          util::set_num_threads(threads);
-          const std::string label = std::string(simd::isa_tier_name(tier)) + " " + path.name +
-                                    " K=" + std::to_string(k) +
-                                    " threads=" + std::to_string(threads);
-          fn(path.variant,
-             PlanOptions{.path = path.expand, .num_rhs = k, .threads = threads, .isa = tier},
-             label);
+  for (const int views : {kViews, kUnfoldedViews}) {
+    for (const simd::IsaTier tier : testing::usable_tiers()) {
+      for (const Path& path : kPaths) {
+        for (const int k : {1, 3}) {
+          for (const int threads : {1, 2}) {
+            util::set_num_threads(threads);
+            const std::string label = std::to_string(views) + " views " +
+                                      simd::isa_tier_name(tier) + " " + path.name +
+                                      " K=" + std::to_string(k) +
+                                      " threads=" + std::to_string(threads);
+            fn(path.variant,
+               PlanOptions{.path = path.expand, .num_rhs = k, .threads = threads, .isa = tier},
+               views, label);
+          }
         }
       }
     }
@@ -77,8 +83,9 @@ void sweep(Fn&& fn) {
 }
 
 TEST(SubsetApply, ForwardWritesOnlyItsGroupsRowsBitwise) {
-  sweep([](Variant variant, PlanOptions opts, const std::string& label) {
-    const auto m = build(variant);
+  sweep([](Variant variant, PlanOptions opts, int views, const std::string& label) {
+    const auto m = build(variant, views);
+    ASSERT_EQ(m.folded(), views == kViews) << label;
     const auto k = static_cast<std::size_t>(opts.num_rhs);
     const auto rows = static_cast<std::size_t>(m.rows()) * k;
     const std::size_t group_elems = static_cast<std::size_t>(kVvec) *
@@ -100,7 +107,7 @@ TEST(SubsetApply, ForwardWritesOnlyItsGroupsRowsBitwise) {
         const GroupSubset subset{3, index};
         util::AlignedVector<float> y = sentinel;
         plan.execute(subset, x, y);
-        for (int g = 0; g < m.grid().view_groups; ++g) {
+        for (int g = 0; g < m.view_groups(); ++g) {
           const std::size_t r0 = static_cast<std::size_t>(g) * group_elems;
           const std::size_t len = std::min(group_elems, rows - r0);
           const float* want = subset.contains(g) ? full.data() : sentinel.data();
@@ -114,42 +121,44 @@ TEST(SubsetApply, ForwardWritesOnlyItsGroupsRowsBitwise) {
 }
 
 TEST(SubsetApply, TransposeIsTheSameAtOneAndTwoThreads) {
-  for (const simd::IsaTier tier : testing::usable_tiers()) {
-    for (const Path& path : kPaths) {
-      for (const int k : {1, 3}) {
-        const auto m = build(path.variant);
-        const auto ks = static_cast<std::size_t>(k);
-        const auto cols = static_cast<std::size_t>(m.cols()) * ks;
-        const auto y = sparse::random_vector<float>(static_cast<std::size_t>(m.rows()) * ks,
-                                                    52, -1.0, 1.0);
-        std::vector<util::AlignedVector<float>> at_one;
-        const int saved = util::max_threads();
-        for (const int threads : {1, 2, 3, 4}) {
-          util::set_num_threads(threads);
-          const SpmvPlan<float> plan(
-              m, {.path = path.expand, .num_rhs = k, .threads = threads, .isa = tier});
-          for (int index = 0; index < 3; ++index) {
-            util::AlignedVector<float> x(cols);
-            plan.execute_transpose({3, index}, y, x);
-            if (threads == 1) {
-              at_one.push_back(std::move(x));
-            } else {
-              EXPECT_TRUE(same_bytes(x.data(), at_one[static_cast<std::size_t>(index)].data(),
-                                     cols))
-                  << simd::isa_tier_name(tier) << " " << path.name << " K=" << k
-                  << " subset " << index << " at " << threads << " threads";
+  for (const int views : {kViews, kUnfoldedViews}) {
+    for (const simd::IsaTier tier : testing::usable_tiers()) {
+      for (const Path& path : kPaths) {
+        for (const int k : {1, 3}) {
+          const auto m = build(path.variant, views);
+          const auto ks = static_cast<std::size_t>(k);
+          const auto cols = static_cast<std::size_t>(m.cols()) * ks;
+          const auto y = sparse::random_vector<float>(static_cast<std::size_t>(m.rows()) * ks,
+                                                      52, -1.0, 1.0);
+          std::vector<util::AlignedVector<float>> at_one;
+          const int saved = util::max_threads();
+          for (const int threads : {1, 2, 3, 4}) {
+            util::set_num_threads(threads);
+            const SpmvPlan<float> plan(
+                m, {.path = path.expand, .num_rhs = k, .threads = threads, .isa = tier});
+            for (int index = 0; index < 3; ++index) {
+              util::AlignedVector<float> x(cols);
+              plan.execute_transpose({3, index}, y, x);
+              if (threads == 1) {
+                at_one.push_back(std::move(x));
+              } else {
+                EXPECT_TRUE(same_bytes(x.data(), at_one[static_cast<std::size_t>(index)].data(),
+                                       cols))
+                    << views << " views " << simd::isa_tier_name(tier) << " " << path.name
+                    << " K=" << k << " subset " << index << " at " << threads << " threads";
+              }
             }
           }
+          util::set_num_threads(saved);
         }
-        util::set_num_threads(saved);
       }
     }
   }
 }
 
 TEST(SubsetApply, MemoizedColSumsAreFreshSubsetTransposesOfOnes) {
-  sweep([](Variant variant, PlanOptions opts, const std::string& label) {
-    const auto m = build(variant);
+  sweep([](Variant variant, PlanOptions opts, int views, const std::string& label) {
+    const auto m = build(variant, views);
     const auto k = static_cast<std::size_t>(opts.num_rhs);
     const auto cols = static_cast<std::size_t>(m.cols());
     const SpmvPlan<float> plan(m, opts);
@@ -173,17 +182,20 @@ TEST(SubsetApply, MemoizedColSumsAreFreshSubsetTransposesOfOnes) {
 
 // A matrix over global view groups [2, 5) of the six (a shard) with
 // first_group 2: its subsets are the global strata's groups there — the
-// forward rows and (fed only those rows) the transposes bit for bit.
+// forward rows and (fed only those rows) the transposes bit for bit. The
+// global operator stores every view: a folded one sums its rows in another
+// order than a shard of it (which stays within rounding, not bitwise).
 TEST(SubsetApply, OffsetSubsetsMatchTheGlobalStrata) {
-  const auto geometry = ct::standard_geometry(kImage, kViews);
+  const auto geometry = ct::standard_geometry(kImage, kUnfoldedViews);
   const int first_group = 2;
   const int view_begin = first_group * kVvec;
   const int view_end = 5 * kVvec;
   const OperatorLayout local{kImage, geometry.num_bins, view_end - view_begin};
   const auto part_csc =
       ct::build_system_matrix_csc_range<float>(geometry, view_begin, view_end);
-  sweep([&](Variant variant, PlanOptions opts, const std::string& label) {
-    const auto global = build(variant);
+  sweep([&](Variant variant, PlanOptions opts, int views, const std::string& label) {
+    if (views != kUnfoldedViews) return;
+    const auto global = build(variant, views);
     const auto part = CscvMatrix<float>::build(part_csc, local, kParams, variant);
     const auto k = static_cast<std::size_t>(opts.num_rhs);
     const auto cols = static_cast<std::size_t>(global.cols()) * k;

@@ -49,10 +49,12 @@ CscvMatrix<T> build_cscv(typename CscvMatrix<T>::Variant variant, int image = 32
 // off, and consistent with the paper's definitions: padding_fraction is
 // the zero-slot share of nnz(A~) (fig5's padding view), r_nnze is
 // nnz(A~)/nnz(A) - 1, occupancy the complement of padding.
+// 22 views: not a multiple of 4, so every view is stored.
 TEST(PlanStats, StructuralFieldsMatchMatrix) {
-  const auto m = build_cscv<float>(CscvMatrix<float>::Variant::kZ);
+  const auto m = build_cscv<float>(CscvMatrix<float>::Variant::kZ, 32, 22);
   const SpmvPlan<float> plan(m);
   const PlanStats s = plan.stats();
+  EXPECT_FALSE(s.folded);
 
   EXPECT_EQ(s.nnz, m.nnz());
   EXPECT_EQ(s.padded_values, m.padded_values());
@@ -79,15 +81,47 @@ TEST(PlanStats, StructuralFieldsMatchMatrix) {
   EXPECT_EQ(s.telemetry_enabled, util::telemetry::kEnabled);
 }
 
+// Folded, nnz and the flops are the operator's; padding, occupancy and
+// bytes are the stored quarter's.
+TEST(PlanStats, StructuralFieldsMatchMatrixFolded) {
+  const auto m = build_cscv<float>(CscvMatrix<float>::Variant::kZ);
+  const SpmvPlan<float> plan(m);
+  const PlanStats s = plan.stats();
+  EXPECT_TRUE(s.folded);
+  EXPECT_EQ(s.nnz, m.nnz());
+  EXPECT_GT(static_cast<sparse::offset_t>(s.nnz), m.stored_nnz());
+  EXPECT_EQ(s.padded_values, m.padded_values());
+  EXPECT_EQ(s.stored_values, m.stored_values());
+  EXPECT_GT(s.padded_values, static_cast<std::uint64_t>(m.stored_nnz()));
+  EXPECT_NEAR(s.r_nnze, m.r_nnze(), 1e-12);
+  EXPECT_NEAR(s.padding_fraction, s.r_nnze / (1.0 + s.r_nnze), 1e-12);
+  EXPECT_NEAR(s.vxg_occupancy, 1.0 - s.padding_fraction, 1e-12);
+  EXPECT_NEAR(s.vxg_occupancy,
+              static_cast<double>(m.stored_nnz()) / static_cast<double>(s.padded_values), 1e-12);
+  EXPECT_EQ(s.flops_per_apply, 2 * s.nnz);
+  EXPECT_EQ(s.matrix_bytes, m.matrix_bytes());
+}
+
 // kZ stores the padded array, kM compresses to nnz — stats must reflect
 // the physical footprint difference while padding metrics agree.
 TEST(PlanStats, VariantStorageDiffers) {
+  const auto z = build_cscv<float>(CscvMatrix<float>::Variant::kZ, 32, 22);
+  const auto m = build_cscv<float>(CscvMatrix<float>::Variant::kM, 32, 22);
+  const PlanStats sz = SpmvPlan<float>(z).stats();
+  const PlanStats sm = SpmvPlan<float>(m).stats();
+  EXPECT_EQ(sz.stored_values, sz.padded_values);
+  EXPECT_EQ(sm.stored_values, sm.nnz);
+  EXPECT_EQ(sz.nnz, sm.nnz);
+  EXPECT_NEAR(sz.padding_fraction, sm.padding_fraction, 1e-12);
+}
+
+TEST(PlanStats, VariantStorageDiffersFolded) {
   const auto z = build_cscv<float>(CscvMatrix<float>::Variant::kZ);
   const auto m = build_cscv<float>(CscvMatrix<float>::Variant::kM);
   const PlanStats sz = SpmvPlan<float>(z).stats();
   const PlanStats sm = SpmvPlan<float>(m).stats();
   EXPECT_EQ(sz.stored_values, sz.padded_values);
-  EXPECT_EQ(sm.stored_values, sm.nnz);
+  EXPECT_EQ(sm.stored_values, static_cast<std::uint64_t>(m.stored_nnz()));
   EXPECT_EQ(sz.nnz, sm.nnz);
   EXPECT_NEAR(sz.padding_fraction, sm.padding_fraction, 1e-12);
 }

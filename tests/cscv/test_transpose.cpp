@@ -148,7 +148,7 @@ TEST(CscvTranspose, MultiThreadedMatchesSerial) {
 std::vector<float> ordered_transpose(const CscvMatrix<float>& m, std::span<const float> y,
                                      bool fold) {
   const int s = m.params().s_vvec, v = m.params().s_vxg;
-  const OperatorLayout& layout = m.layout();
+  const OperatorLayout layout = m.stored_layout();
   const bool packed = m.variant() == CscvMatrix<float>::Variant::kM;
   std::vector<float> x(static_cast<std::size_t>(m.cols()), 0.0f);
   for (std::size_t b = 0; b < m.blocks().size(); ++b) {
@@ -183,22 +183,62 @@ std::vector<float> ordered_transpose(const CscvMatrix<float>& m, std::span<const
   return x;
 }
 
-// Pins that order on every tier: values rounded down to powers of two and
-// y mixing +-2^20 with 1 make every product exact (so FMA versus mul+add
-// cannot matter and one expected vector serves all tiers) while the sums
-// cancel, so an in-order fold or any other association rounds differently.
-TEST(CscvTranspose, SummationOrderIsPinned) {
-  const int image = 32, views = 24;
+/// The CT pattern at `views`, values rounded down to powers of two (which
+/// keeps a foldable matrix's symmetry bit for bit).
+sparse::CscMatrix<float> power_of_two_csc(int image, int views) {
   const auto& pattern = cached_ct_csc<float>(image, views);
   util::UninitAlignedVector<float> vals(pattern.values().begin(), pattern.values().end());
   for (float& a : vals) a = std::exp2(std::floor(std::log2(a)));
-  const sparse::CscMatrix<float> csc(
+  return sparse::CscMatrix<float>(
       pattern.rows(), pattern.cols(),
       util::UninitAlignedVector<sparse::offset_t>(pattern.col_ptr().begin(),
                                                   pattern.col_ptr().end()),
       util::UninitAlignedVector<sparse::index_t>(pattern.row_idx().begin(),
                                                  pattern.row_idx().end()),
       std::move(vals));
+}
+
+/// The folded adjoint's documented order: the stored quarter's transpose of
+/// each image's rows (zeros where the image owns no view), then per pixel
+/// ((I + T) + R) + M at the image pixels that read it (ct::ViewFold).
+std::vector<float> folded_transpose(const CscvMatrix<float>& m, std::span<const float> y,
+                                    bool fold) {
+  const OperatorLayout q = m.stored_layout();
+  const ct::ViewFold views{m.layout().num_views};
+  const int n = q.image_size;
+  const auto bins = static_cast<std::size_t>(q.num_bins);
+  std::vector<std::vector<float>> images;
+  for (int f = 0; f < ct::ViewFold::kImages; ++f) {
+    std::vector<float> rows(static_cast<std::size_t>(q.num_rows()), 0.0f);
+    for (int v = 0; v < q.num_views; ++v) {
+      const int w = views.view_of(f, v);
+      if (w < 0) continue;
+      std::copy_n(y.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(w) * bins),
+                  bins, rows.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(v) * bins));
+    }
+    images.push_back(ordered_transpose(m, rows, fold));
+  }
+  std::vector<float> x(static_cast<std::size_t>(m.cols()));
+  for (int py = 0; py < n; ++py) {
+    for (int px = 0; px < n; ++px) {
+      float sum = images[0][static_cast<std::size_t>(q.col_of_pixel(px, py))];
+      for (int f = 1; f < ct::ViewFold::kImages; ++f) {
+        const auto [jx, jy] = ct::ViewFold::image_pixel(f, n, px, py);
+        sum += images[static_cast<std::size_t>(f)][static_cast<std::size_t>(q.col_of_pixel(jx, jy))];
+      }
+      x[static_cast<std::size_t>(q.col_of_pixel(px, py))] = sum;
+    }
+  }
+  return x;
+}
+
+// Pins that order on every tier: values rounded down to powers of two and
+// y mixing +-2^20 with 1 make every product exact (so FMA versus mul+add
+// cannot matter and one expected vector serves all tiers) while the sums
+// cancel, so an in-order fold or any other association rounds differently.
+void check_transpose_order(int views, bool folded) {
+  const int image = 32;
+  const auto csc = power_of_two_csc(image, views);
   util::AlignedVector<float> y(static_cast<std::size_t>(csc.rows()));
   for (std::size_t i = 0; i < y.size(); ++i) {
     y[i] = i % 3 == 0 ? 1.0f : (i % 3 == 1 ? 1048576.0f : -1048576.0f);
@@ -210,10 +250,11 @@ TEST(CscvTranspose, SummationOrderIsPinned) {
                                   CscvParams{.s_vvec = 4, .s_imgb = 8, .s_vxg = 8}}) {
     for (const auto variant : {CscvMatrix<float>::Variant::kZ, CscvMatrix<float>::Variant::kM}) {
       const auto m = CscvMatrix<float>::build(csc, layout, params, variant);
-      const std::vector<float> want = ordered_transpose(m, y, false);
+      ASSERT_EQ(m.folded(), folded);
+      const auto order = folded ? folded_transpose : ordered_transpose;
+      const std::vector<float> want = order(m, y, false);
       // The data must tell the orders apart, or the memcmp below proves nothing.
-      ASSERT_NE(std::memcmp(want.data(), ordered_transpose(m, y, true).data(),
-                            want.size() * sizeof(float)),
+      ASSERT_NE(std::memcmp(want.data(), order(m, y, true).data(), want.size() * sizeof(float)),
                 0);
       for (const simd::IsaTier tier : testing::usable_tiers()) {
         for (const auto path : {simd::ExpandPath::kHardware, simd::ExpandPath::kSoftware}) {
@@ -231,6 +272,11 @@ TEST(CscvTranspose, SummationOrderIsPinned) {
   }
 }
 
+// 22 views: not a multiple of 4, so every view is stored.
+TEST(CscvTranspose, SummationOrderIsPinned) { check_transpose_order(22, false); }
+
+TEST(CscvTranspose, SummationOrderIsPinnedFolded) { check_transpose_order(24, true); }
+
 // The documented forward order (docs/API.md, spmv), spelled out over the
 // public format arrays: per block, y~ starts at zero and every VxG adds its
 // products lane by lane in block order; y~ is then added into y, block by
@@ -240,9 +286,9 @@ TEST(CscvTranspose, SummationOrderIsPinned) {
 std::vector<float> ordered_forward(const CscvMatrix<float>& m, std::span<const float> x,
                                    bool by_run) {
   const int s = m.params().s_vvec, v = m.params().s_vxg;
-  const OperatorLayout& layout = m.layout();
+  const OperatorLayout layout = m.stored_layout();
   const bool packed = m.variant() == CscvMatrix<float>::Variant::kM;
-  std::vector<float> y(static_cast<std::size_t>(m.rows()), 0.0f);
+  std::vector<float> y(static_cast<std::size_t>(layout.num_rows()), 0.0f);
   for (std::size_t b = 0; b < m.blocks().size(); ++b) {
     const auto& info = m.blocks()[b];
     std::vector<float> yt(static_cast<std::size_t>(info.o_count) * s, 0.0f);
@@ -278,21 +324,41 @@ std::vector<float> ordered_forward(const CscvMatrix<float>& m, std::span<const f
   return y;
 }
 
+/// The folded forward's documented order: the stored quarter's forward of
+/// each image of x, every full view then taken from its owner's rows.
+std::vector<float> folded_forward(const CscvMatrix<float>& m, std::span<const float> x,
+                                  bool by_run) {
+  const OperatorLayout q = m.stored_layout();
+  const ct::ViewFold views{m.layout().num_views};
+  const int n = q.image_size;
+  const auto bins = static_cast<std::size_t>(q.num_bins);
+  std::vector<float> y(static_cast<std::size_t>(m.rows()));
+  for (int f = 0; f < ct::ViewFold::kImages; ++f) {
+    std::vector<float> image(static_cast<std::size_t>(m.cols()));
+    for (int jy = 0; jy < n; ++jy) {
+      for (int jx = 0; jx < n; ++jx) {
+        const auto [sx, sy] = ct::ViewFold::source_pixel(f, n, jx, jy);
+        image[static_cast<std::size_t>(q.col_of_pixel(jx, jy))] =
+            x[static_cast<std::size_t>(q.col_of_pixel(sx, sy))];
+      }
+    }
+    const std::vector<float> rows = ordered_forward(m, image, by_run);
+    for (int w = 0; w < views.num_views; ++w) {
+      const ct::ViewFold::Owner o = views.owner(w);
+      if (o.image != f) continue;
+      std::copy_n(rows.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(o.view) * bins),
+                  bins, y.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(w) * bins));
+    }
+  }
+  return y;
+}
+
 // Pins the forward order on every tier and path, with the transpose test's
 // data: exact products (one expected vector for FMA and mul+add tiers) whose
 // sums cancel, so any other association rounds differently.
-TEST(CscvForward, SummationOrderIsPinned) {
-  const int image = 32, views = 24;
-  const auto& pattern = cached_ct_csc<float>(image, views);
-  util::UninitAlignedVector<float> vals(pattern.values().begin(), pattern.values().end());
-  for (float& a : vals) a = std::exp2(std::floor(std::log2(a)));
-  const sparse::CscMatrix<float> csc(
-      pattern.rows(), pattern.cols(),
-      util::UninitAlignedVector<sparse::offset_t>(pattern.col_ptr().begin(),
-                                                  pattern.col_ptr().end()),
-      util::UninitAlignedVector<sparse::index_t>(pattern.row_idx().begin(),
-                                                 pattern.row_idx().end()),
-      std::move(vals));
+void check_forward_order(int views, bool folded) {
+  const int image = 32;
+  const auto csc = power_of_two_csc(image, views);
   util::AlignedVector<float> x(static_cast<std::size_t>(csc.cols()));
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = i % 3 == 0 ? 1.0f : (i % 3 == 1 ? 1048576.0f : -1048576.0f);
@@ -304,10 +370,11 @@ TEST(CscvForward, SummationOrderIsPinned) {
                                   CscvParams{.s_vvec = 4, .s_imgb = 8, .s_vxg = 8}}) {
     for (const auto variant : {CscvMatrix<float>::Variant::kZ, CscvMatrix<float>::Variant::kM}) {
       const auto m = CscvMatrix<float>::build(csc, layout, params, variant);
-      const std::vector<float> want = ordered_forward(m, x, false);
+      ASSERT_EQ(m.folded(), folded);
+      const auto order = folded ? folded_forward : ordered_forward;
+      const std::vector<float> want = order(m, x, false);
       // The data must tell the orders apart, or the memcmp below proves nothing.
-      ASSERT_NE(std::memcmp(want.data(), ordered_forward(m, x, true).data(),
-                            want.size() * sizeof(float)),
+      ASSERT_NE(std::memcmp(want.data(), order(m, x, true).data(), want.size() * sizeof(float)),
                 0);
       for (const simd::IsaTier tier : testing::usable_tiers()) {
         for (const auto path : {simd::ExpandPath::kHardware, simd::ExpandPath::kSoftware}) {
@@ -324,6 +391,10 @@ TEST(CscvForward, SummationOrderIsPinned) {
     }
   }
 }
+
+TEST(CscvForward, SummationOrderIsPinned) { check_forward_order(22, false); }
+
+TEST(CscvForward, SummationOrderIsPinnedFolded) { check_forward_order(24, true); }
 
 TEST(CscvTranspose, AdjointIdentity) {
   // <A x, y> == <x, A^T y> with both directions computed by CSCV.

@@ -33,7 +33,10 @@ constexpr std::size_t kOffYtildeMax = 56;
 constexpr std::size_t kOffValueType = 64;
 constexpr std::size_t kOffSparsifyEps = 68;
 constexpr std::size_t kOffSparsifyBound = 76;
-constexpr std::size_t kOffArrays = 84;
+// Version-3 fold header (docs/FORMAT.md section 9).
+constexpr std::size_t kOffFolded = 84;
+constexpr std::size_t kOffStoredNnz = 88;
+constexpr std::size_t kOffArrays = 96;
 
 template <typename T>
 CscvMatrix<T> make(typename CscvMatrix<T>::Variant variant, int num_views = 24) {
@@ -240,16 +243,48 @@ TEST(CscvVerify, RejectsArrayCountMismatch) {
 TEST(CscvVerify, RejectsOversizedPayloadBeforeAllocating) {
   // Coordinated corruption: a huge-but-in-range nnz plus a values count that
   // matches it. The payload guard must reject against the actual stream
-  // size before the multi-megabyte resize happens.
-  auto m = make<float>(CscvMatrix<float>::Variant::kM);
+  // size before the multi-megabyte resize happens. 22 views store every
+  // view, so the stored nnz is the nnz.
+  auto m = make<float>(CscvMatrix<float>::Variant::kM, 22);
+  ASSERT_FALSE(m.folded());
   auto bytes = to_bytes(m);
   const auto map = map_blob<float>(bytes);
   const auto huge_nnz =
       static_cast<std::int64_t>(m.rows()) * static_cast<std::int64_t>(m.cols());
   poke<std::int64_t>(bytes, kOffNnz, huge_nnz);
+  poke<std::int64_t>(bytes, kOffStoredNnz, huge_nnz);
   poke<std::uint64_t>(bytes, map.values_count,
                       static_cast<std::uint64_t>(huge_nnz) + 8);
   expect_load_rejects(bytes, "cscv.array.payload");
+}
+
+// Folded, the values count follows the stored quarter's nnz.
+TEST(CscvVerify, RejectsOversizedPayloadBeforeAllocatingFolded) {
+  auto m = make<float>(CscvMatrix<float>::Variant::kM);
+  ASSERT_TRUE(m.folded());
+  auto bytes = to_bytes(m);
+  ASSERT_EQ(peek_at<std::int32_t>(bytes, kOffFolded), 1);
+  const auto map = map_blob<float>(bytes);
+  const OperatorLayout q = m.stored_layout();
+  const auto huge_nnz =
+      static_cast<std::int64_t>(q.num_rows()) * static_cast<std::int64_t>(q.num_cols());
+  poke<std::int64_t>(bytes, kOffStoredNnz, huge_nnz);
+  poke<std::uint64_t>(bytes, map.values_count,
+                      static_cast<std::uint64_t>(huge_nnz) + 8);
+  expect_load_rejects(bytes, "cscv.array.payload");
+}
+
+// The fold fields are checked against the layout: a fold tag on a view
+// count that is not a multiple of 4, and an unfolded file whose stored nnz
+// is not its nnz.
+TEST(CscvVerify, RejectsInconsistentFoldHeader) {
+  auto bytes = to_bytes(make<float>(CscvMatrix<float>::Variant::kM, 22));
+  auto patched = bytes;
+  poke<std::int32_t>(patched, kOffFolded, 1);
+  expect_load_rejects(patched, "cscv.header.fold");
+  patched = bytes;
+  poke<std::int64_t>(patched, kOffStoredNnz, peek_at<std::int64_t>(bytes, kOffNnz) - 1);
+  expect_load_rejects(patched, "cscv.header.stored_nnz");
 }
 
 TEST(CscvVerify, RejectsTruncationAtEveryRegion) {
@@ -362,15 +397,14 @@ TEST(CscvVerify, FullLevelCatchesMaskHighBits) {
   EXPECT_TRUE(named) << r.summary();
 }
 
-TEST(CscvVerify, FullLevelCatchesNonzeroInDeadSlot) {
-  // 20 views / S_VVec 8: the last view group has dead lanes 4..7. Planting
-  // a nonzero in one means the value data no longer matches the reordering
-  // tables — exactly what the kZ dead-slot scan exists to catch.
-  auto bytes = to_bytes(make<float>(CscvMatrix<float>::Variant::kZ, 20));
+/// Plants a nonzero at `lane` of CSCVE 0 of the first nonempty block of
+/// `group` and expects the full verify, not the cheap one, to name it.
+void expect_dead_slot_caught(int views, int group, int lane) {
+  auto bytes = to_bytes(make<float>(CscvMatrix<float>::Variant::kZ, views));
   const auto map = map_blob<float>(bytes);
-  const auto info = find_block<float>(bytes, map, 2);
+  const auto info = find_block<float>(bytes, map, group);
   const std::size_t slot =
-      static_cast<std::size_t>(info.vxg_begin) * 2 * 8 + 6;  // CSCVE 0, lane 6
+      static_cast<std::size_t>(info.vxg_begin) * 2 * 8 + static_cast<std::size_t>(lane);
   poke<float>(bytes, map.values_data + slot * sizeof(float), 1.0f);
   auto m = from_bytes<float>(bytes);
   EXPECT_TRUE(verify(m, VerifyLevel::kCheap).ok());
@@ -381,6 +415,20 @@ TEST(CscvVerify, FullLevelCatchesNonzeroInDeadSlot) {
     named = named || issue.invariant == "values.dead_slot";
   }
   EXPECT_TRUE(named) << r.summary();
+}
+
+TEST(CscvVerify, FullLevelCatchesNonzeroInDeadSlot) {
+  // 19 views / S_VVec 8 (not a multiple of 4, so all stored): the last view
+  // group has dead lanes 3..7. Planting a nonzero in one means the value
+  // data no longer matches the reordering tables — exactly what the kZ
+  // dead-slot scan exists to catch.
+  expect_dead_slot_caught(19, 2, 6);
+}
+
+TEST(CscvVerify, FullLevelCatchesNonzeroInDeadSlotFolded) {
+  // 20 views fold to a stored quarter of views 0..5: one view group whose
+  // lanes 6 and 7 are dead.
+  expect_dead_slot_caught(20, 0, 7);
 }
 
 // ---- loaded matrices still work end to end -------------------------------

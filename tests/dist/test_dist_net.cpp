@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -214,6 +215,34 @@ TEST(RemoteBackend, WrongReplyCountIsTransportFailure) {
   });
   RemoteBackend remote(specs, {ep});
   EXPECT_THROW((void)run_sharded_job(remote, job), ShardError);
+  impostor.join();
+}
+
+TEST(RemoteBackend, ReadyFrameWithWrappedRowCountIsRefused) {
+  const auto job = make_job(pipeline::Algorithm::kSirt);
+  const auto specs = make_shard_specs(job, 1);
+  // An impostor that claims 2^32 rows more than the shard has: ShardReady
+  // keeps rows as int64, so the claim cannot wrap onto the true count, and
+  // the coordinator's shape check refuses it.
+  auto listener = net::ListenSocket::bind_tcp("127.0.0.1", 0);
+  const Endpoint ep{"127.0.0.1", listener.port()};
+  std::thread impostor([&] {
+    net::Socket conn = listener.accept();
+    FrameParser parser;
+    const Frame build = read_frame_from(conn, parser);
+    EXPECT_EQ(build.type, MsgType::kBuildShard);
+    const ShardReady ready{specs[0].shard_id,
+                           specs[0].local_rows() + (std::int64_t{1} << 32),
+                           specs[0].geometry.num_cols(), 1, false, 0.0};
+    conn.write_all(encode_frame(MsgType::kShardReady, ready.to_json().dump()));
+  });
+  try {
+    RemoteBackend remote(specs, {ep});
+    (void)run_sharded_job(remote, job);
+    ADD_FAILURE() << "a ready frame with a wrapped row count was accepted";
+  } catch (const ShardError& e) {
+    EXPECT_NE(std::string(e.what()).find("with shape"), std::string::npos) << e.what();
+  }
   impostor.join();
 }
 

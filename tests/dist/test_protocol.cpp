@@ -256,6 +256,17 @@ TEST(ShardReadyJson, RoundTrip) {
   EXPECT_EQ(back.build_seconds, ready.build_seconds);
 }
 
+// nnz is unsigned on the wire's reader side: a negative claim is refused,
+// not cast to ~1.8e19.
+TEST(ShardReadyJson, RejectsNegativeNnz) {
+  ShardReady ready;
+  ready.rows = 16;
+  ready.cols = 16;
+  util::Json j = ready.to_json();
+  j["nnz"] = util::Json(std::int64_t{-1});
+  EXPECT_THROW((void)ShardReady::from_json(j), util::CheckError);
+}
+
 TEST(ErrorPayload, RoundTripAndRawFallback) {
   EXPECT_EQ(decode_error(encode_error("shard 3 exploded")), "shard 3 exploded");
   // A peer that answers kError with a non-JSON body still yields its text.

@@ -230,6 +230,22 @@ TEST(ResultJson, PlanReportsDtypeAndOsSartReportsItsStrata) {
   }
 }
 
+// The plan block says whether the operator ran folded (docs/FORMAT.md
+// section 9): 12 views of a 180-degree scan fold, 10 views do not.
+TEST(ResultJson, PlanReportsWhetherTheOperatorFolded) {
+  SystemMatrixCache cache;
+  for (const int views : {12, 10}) {
+    ReconJob job = small_job();
+    job.geometry = ct::standard_geometry(16, views);
+    job.sinogram.assign(static_cast<std::size_t>(job.geometry.num_rows()), 1.0f);
+    const auto entry = cache.get_or_build(job.matrix_key()).entry;
+    const util::Json j = execute_job(job, *entry, nullptr).to_json();
+    ASSERT_NE(j.find("plan"), nullptr);
+    ASSERT_NE(j.at("plan").find("folded"), nullptr);
+    EXPECT_EQ(j.at("plan").at("folded").as_bool(), views == 12) << views << " views";
+  }
+}
+
 TEST(ServiceStatsJson, RoundTripPreservesAllCounters) {
   ServiceStats s;
   s.submitted = 11;

@@ -150,9 +150,9 @@ TEST(OsSart, ResidualTrendsDown) {
 // More subsets than view groups run as one stratum per group; no subsets
 // at all is an error.
 TEST(OsSart, ClampsSubsetsToViewGroups) {
-  const auto a = build(16, 12);  // 3 view groups
-  EXPECT_EQ(os_sart_strata(a.grid().view_groups, 13), 3);
-  EXPECT_EQ(os_sart_strata(a.grid().view_groups, 2), 2);
+  const auto a = build(16, 12);  // 3 view groups of the operator
+  EXPECT_EQ(os_sart_strata(a.view_groups(), 13), 3);
+  EXPECT_EQ(os_sart_strata(a.view_groups(), 2), 2);
   const core::SpmvPlan<double> plan(a);
   const auto b = sparse::random_vector<double>(static_cast<std::size_t>(a.rows()), 7);
   util::AlignedVector<double> x13(static_cast<std::size_t>(a.cols()), 0.0);

@@ -145,6 +145,11 @@ int cmd_info(util::CliFlags& cli) {
     t.add("rows", m.rows());
     t.add("cols", m.cols());
     t.add("nnz", static_cast<long long>(m.nnz()));
+    t.add("folded", m.folded() ? "yes (views 0.." + std::to_string(m.layout().num_views / 4) +
+                                     " stored, " +
+                                     std::to_string(static_cast<long long>(m.stored_nnz())) +
+                                     " nonzeros)"
+                               : std::string("no"));
     t.add("S_VVec / S_ImgB / S_VxG", std::to_string(m.params().s_vvec) + " / " +
                                          std::to_string(m.params().s_imgb) + " / " +
                                          std::to_string(m.params().s_vxg));
