@@ -17,7 +17,6 @@
 #include "ct/phantom.hpp"
 #include "ct/system_matrix.hpp"
 #include "recon/fbp.hpp"
-#include "recon/os_sart.hpp"
 #include "recon/solvers.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
@@ -97,9 +96,8 @@ int main(int argc, char** argv) {
   } else if (solver == "icd") {
     stats = recon::icd<double>(csc, sinogram, x, {.iterations = iters});
   } else if (solver == "ossart") {
-    stats = recon::os_sart<double>(cscv.plan(), sinogram, x,
-                                   {.iterations = iters, .num_subsets = 10,
-                                    .relaxation = 0.7});
+    stats = recon::os_sart<double>(op, sinogram, x, 10,
+                                   {.iterations = iters, .relaxation = 0.7});
   } else if (solver == "fbp") {
     auto img = recon::fbp<double>(geometry, op, std::span<const double>(sinogram),
                                   dose > 0.0 ? recon::FbpWindow::kHann

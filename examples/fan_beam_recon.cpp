@@ -13,7 +13,7 @@
 #include "core/format.hpp"
 #include "ct/fan_beam.hpp"
 #include "ct/phantom.hpp"
-#include "recon/os_sart.hpp"
+#include "recon/solvers.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/timing.hpp"
@@ -51,9 +51,8 @@ int main(int argc, char** argv) {
 
   util::AlignedVector<double> x(static_cast<std::size_t>(csc.cols()), 0.0);
   timer.reset();
-  auto stats = recon::os_sart<double>(cscv.plan(), sinogram, x,
-                                      {.iterations = iters, .num_subsets = 12,
-                                       .relaxation = 0.7});
+  auto stats = recon::os_sart<double>(recon::PlanOperator<double>(cscv.plan()), sinogram, x,
+                                      12, {.iterations = iters, .relaxation = 0.7});
   std::cout << "OS-SART (" << iters << " passes, 12 subsets): residual "
             << stats.residual_norms.front() << " -> " << stats.residual_norms.back()
             << " in " << timer.seconds() << " s\n";

@@ -16,7 +16,7 @@
 #include "ct/noise.hpp"
 #include "ct/phantom.hpp"
 #include "ct/system_matrix.hpp"
-#include "recon/os_sart.hpp"
+#include "recon/solvers.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 
@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
 
   auto reconstruct = [&](const core::CscvMatrix<double>& op_matrix) {
     util::AlignedVector<double> x(static_cast<std::size_t>(csc.cols()), 0.0);
-    recon::os_sart<double>(op_matrix.plan(), sinogram, x,
-                           {.iterations = iters, .num_subsets = 10, .relaxation = 0.7});
+    recon::os_sart<double>(recon::PlanOperator<double>(op_matrix.plan()), sinogram, x, 10,
+                           {.iterations = iters, .relaxation = 0.7});
     return x;
   };
 

@@ -115,7 +115,7 @@ struct PlanStats {
 /// index of the matrix's group 0, nonzero only when the matrix holds a
 /// contiguous group range of a larger problem (a dist shard), so subsets
 /// stay chosen by global group. OS-SART's strata are the subsets of one
-/// count (recon/os_sart.hpp).
+/// count (recon/solvers.hpp).
 struct GroupSubset {
   int count = 1;
   int index = 0;

@@ -77,7 +77,8 @@ struct ParallelGeometry {
   /// sparse::index_t (num_rows()/num_cols() would overflow otherwise).
   void validate() const {
     CSCV_CHECK(image_size > 0 && num_bins > 0 && num_views > 0);
-    CSCV_CHECK(delta_angle_deg > 0.0);
+    CSCV_CHECK(std::isfinite(start_angle_deg) && std::isfinite(delta_angle_deg) &&
+               delta_angle_deg > 0.0);
     constexpr auto kMaxIndex =
         static_cast<std::int64_t>(std::numeric_limits<sparse::index_t>::max());
     CSCV_CHECK_MSG(std::int64_t{image_size} * image_size <= kMaxIndex,

@@ -9,7 +9,7 @@
 #include "core/serialize.hpp"
 #include "ct/system_matrix.hpp"
 #include "pipeline/matrix_cache.hpp"
-#include "recon/os_sart.hpp"
+#include "recon/solvers.hpp"
 #include "util/assertx.hpp"
 #include "util/timing.hpp"
 

@@ -1,17 +1,14 @@
 // The solver-facing face of the dist subsystem.
 //
 // ShardedOperator adapts a ShardBackend to recon::LinearOperator<float>, so
-// the existing SIRT/CGLS implementations iterate over a sharded operator
+// the stock SIRT/OS-SART/CGLS bodies iterate over a sharded operator
 // without modification: forward scatters the image to every shard and
-// concatenates the per-shard projections at their row offsets (pure data
+// places the per-shard projections at their global rows (pure data
 // movement — no arithmetic is introduced); adjoint slices the sinogram by
 // shard and reduces the per-shard backprojections in FIXED shard-id order
 // (copy shard 0, then colmath::accumulate shards 1..N-1 — the determinism
-// contract of docs/SHARDING.md).
-//
-// OS-SART cannot ride LinearOperator (its updates are per stratum), so
-// sharded_os_sart() mirrors recon::os_sart's iteration line for line with
-// the stratum applies (whole view groups) going through the backend.
+// contract of docs/SHARDING.md). OS-SART's stratum applies are the same
+// two moves over each shard's compacted stratum rows (stratum_ranges).
 #pragma once
 
 #include <span>
@@ -19,7 +16,6 @@
 
 #include "dist/coordinator.hpp"
 #include "pipeline/job.hpp"
-#include "recon/os_sart.hpp"
 #include "recon/solvers.hpp"
 #include "util/aligned_vector.hpp"
 
@@ -40,30 +36,40 @@ class ShardedOperator final : public recon::LinearOperator<float> {
   // ones) — the same route serial SIRT takes through PlanOperator at
   // num_rhs == 1, which is what makes the N=1 bitwise contract hold.
 
+  /// The global problem's view groups; shards hold whole ones.
+  [[nodiscard]] int view_groups() const override { return view_groups_; }
+  [[nodiscard]] std::size_t group_rows() const override { return group_rows_; }
+  /// Stratum applies (num_rhs == 1): subset.count must be the shards'
+  /// stratum count (shard_strata). One round trip each.
+  void forward_subset(const core::GroupSubset& subset, std::span<const float> x,
+                      std::span<float> y, int num_rhs) const override;
+  void adjoint_subset(const core::GroupSubset& subset, std::span<const float> y,
+                      std::span<float> x, int num_rhs) const override;
+  /// The shards' partial A_s^T 1 (kColSums), reduced in shard-id order.
+  [[nodiscard]] util::AlignedVector<float> subset_col_sums(
+      const core::GroupSubset& subset) const override;
+
  private:
+  /// The stratum index `subset` names on the shards; CheckError otherwise.
+  int stratum_of(const core::GroupSubset& subset, int num_rhs) const;
+  /// x = the shard-ordered sum of parts_ (copy shard 0, accumulate 1..N-1).
+  void reduce_parts(std::span<float> x) const;
+
   ShardBackend* backend_;
   sparse::index_t rows_ = 0;
   sparse::index_t cols_ = 0;
+  int view_groups_ = 1;
+  std::size_t group_rows_ = 0;
   std::vector<sparse::index_t> row_offset_;  // per shard
   // apply_all scratch, reused across iterations.
   mutable std::vector<std::span<const float>> in_;
   mutable std::vector<util::AlignedVector<float>> parts_;
+  mutable std::vector<util::AlignedVector<float>> stratum_rows_;
 };
 
 /// Validates that `specs` partition the problem ShardedOperator expects —
-/// contiguous ranges of whole view groups; shared by the operator and
-/// sharded_os_sart. CheckError on violations.
+/// contiguous ranges of whole view groups. CheckError on violations.
 void check_partition(const std::vector<ShardSpec>& specs);
-
-/// OS-SART over a sharded backend. Mirrors recon::os_sart exactly — same
-/// strata (view groups g % n == k, n = shard_strata), same stratum order and
-/// stratum-0 reuse, same colmath update calls, normalizers fetched from the
-/// shards (kRowSums/kColSums) and reduced in shard order.
-/// options.num_subsets must equal the os_sart_subsets the shards were
-/// built with.
-recon::RunStats sharded_os_sart(ShardBackend& backend, std::span<const float> b,
-                                std::span<float> x,
-                                const recon::OsSartOptions& options = {});
 
 /// Splits `job`'s problem into `num_shards` specs along nnz-balanced
 /// view-group boundaries (ct::count_view_nnz + partition_views). May return
@@ -76,9 +82,9 @@ struct ShardedRunResult {
   recon::RunStats stats;
 };
 
-/// Runs `job` on the backend: kSirt/kCgls through ShardedOperator into the
-/// stock solvers, kOsSart through sharded_os_sart. x starts at zero.
-/// ShardError for algorithms that do not shard (kFbp).
+/// Runs `job` on the backend through ShardedOperator into the stock
+/// solvers. x starts at zero. ShardError for algorithms that do not shard
+/// (kFbp).
 [[nodiscard]] ShardedRunResult run_sharded_job(ShardBackend& backend,
                                                const pipeline::ReconJob& job);
 

@@ -133,6 +133,12 @@ ReconJob ReconJob::from_json(const util::Json& spec) {
     job.solve.enforce_nonneg =
         util::get_bool_field(*s, "enforce_nonneg", job.solve.enforce_nonneg);
     CSCV_CHECK_MSG(job.solve.iterations >= 1, "job spec: iterations must be >= 1");
+    // A non-finite value would solve into an inf/NaN volume, and to_json
+    // could not write it back (JSON has no inf).
+    CSCV_CHECK_MSG(std::isfinite(job.solve.relaxation),
+                   "job spec: relaxation must be finite");
+    CSCV_CHECK_MSG(std::isfinite(job.solve.nonneg_floor),
+                   "job spec: nonneg_floor must be finite");
   }
 
   job.os_sart_subsets = util::get_int_field(spec, "os_sart_subsets", job.os_sart_subsets);
@@ -145,8 +151,8 @@ ReconJob ReconJob::from_json(const util::Json& spec) {
                                                 << job.geometry.num_views << "]");
   }
   job.deadline_seconds = util::get_double_field(spec, "deadline_seconds", 0.0);
-  CSCV_CHECK_MSG(job.deadline_seconds >= 0.0,
-                 "job spec: deadline_seconds must be >= 0");
+  CSCV_CHECK_MSG(std::isfinite(job.deadline_seconds) && job.deadline_seconds >= 0.0,
+                 "job spec: deadline_seconds must be finite and >= 0");
   job.tag = util::get_string_field(spec, "tag", "");
   job.tenant = util::get_string_field(spec, "tenant", "");
   job.qos = qos_class_from_name(util::get_string_field(spec, "qos", "batch"));

@@ -52,6 +52,11 @@ struct ReconJob {
   /// elsewhere). The solve clamps it to the operator's view groups
   /// (recon::os_sart_strata); ReconResult::os_sart_subsets reports what ran.
   int os_sart_subsets = 8;
+  /// The subset count of the job's SART-family solve: os_sart_subsets for
+  /// kOsSart, 1 for kSirt (SIRT is one-subset OS-SART).
+  [[nodiscard]] int sart_subsets() const {
+    return algorithm == Algorithm::kOsSart ? os_sart_subsets : 1;
+  }
 
   /// Wall-clock budget measured from submit(); 0 disables. A job whose
   /// budget is spent before its solve starts resolves as kExpired (checked

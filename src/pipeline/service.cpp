@@ -10,7 +10,7 @@
 
 #include "recon/fbp.hpp"
 #include "recon/operators.hpp"
-#include "recon/os_sart.hpp"
+#include "recon/solvers.hpp"
 #include "util/parallel.hpp"
 #include "util/timing.hpp"
 
@@ -50,13 +50,6 @@ ServiceStats ServiceStats::from_json(const util::Json& j) {
 
 namespace {
 
-recon::OsSartOptions os_sart_options(const ReconJob& job) {
-  return {.iterations = job.solve.iterations,
-          .num_subsets = job.os_sart_subsets,
-          .relaxation = job.solve.relaxation,
-          .enforce_nonneg = job.solve.enforce_nonneg};
-}
-
 /// `plan`, or a call-local plan over the entry at the ambient thread count
 /// held in `local` when `plan` is null.
 const core::SpmvPlan<float>& plan_or_local(const SystemMatrixEntry& entry,
@@ -91,7 +84,8 @@ std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
   const auto cols = static_cast<std::size_t>(jobs[0].geometry.num_cols());
   for (const ReconJob& j : jobs) {
     j.geometry.validate();
-    CSCV_CHECK_MSG(j.algorithm == algo, "batched jobs must share one algorithm");
+    CSCV_CHECK_MSG(j.algorithm == algo && j.sart_subsets() == jobs[0].sart_subsets(),
+                   "batched jobs must share one algorithm and subset count");
     CSCV_CHECK(static_cast<std::size_t>(j.geometry.num_rows()) == rows);
     CSCV_CHECK(static_cast<std::size_t>(j.geometry.num_cols()) == cols);
     CSCV_CHECK_MSG(j.sinogram.size() == rows, "sinogram has " << j.sinogram.size()
@@ -129,20 +123,15 @@ std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
       stats[0].iterations_run = 1;
       break;
     case Algorithm::kSirt:
+    case Algorithm::kOsSart:
     case Algorithm::kCgls: {
       const recon::PlanOperator<float> op(p);
       std::vector<recon::SolveOptions> solve(k);
       for (std::size_t c = 0; c < k; ++c) solve[c] = jobs[c].solve;
-      stats = algo == Algorithm::kSirt
-                  ? recon::sirt_batch<float>(op, b, x, num_rhs, solve)
-                  : recon::cgls_batch<float>(op, b, x, num_rhs, solve);
-      break;
-    }
-    case Algorithm::kOsSart: {
-      std::vector<recon::OsSartOptions> opts;
-      opts.reserve(k);
-      for (const ReconJob& j : jobs) opts.push_back(os_sart_options(j));
-      stats = recon::os_sart_batch<float>(p, b, x, opts);
+      stats = algo == Algorithm::kCgls
+                  ? recon::cgls_batch<float>(op, b, x, num_rhs, solve)
+                  : recon::os_sart_batch<float>(op, b, x, num_rhs, jobs[0].sart_subsets(),
+                                                solve);
       break;
     }
   }
@@ -368,7 +357,7 @@ void ReconService::worker_main(int worker_index) {
     const Algorithm lead_algo = batch.front().p.job.algorithm;
     if (options_.max_batch > 1 && lead_algo != Algorithm::kFbp) {
       const MatrixKey lead_key = batch.front().p.job.matrix_key();
-      const int lead_subsets = batch.front().p.job.os_sart_subsets;
+      const int lead_subsets = batch.front().p.job.sart_subsets();
       bool has_deadline = batch.front().p.job.deadline_seconds > 0.0;
       bool counted_debatch = false;
       const auto window_end =
@@ -398,7 +387,7 @@ void ReconService::worker_main(int worker_index) {
         // algorithm and, for OS-SART, the same subset count.
         const ReconJob& j = m->p.job;
         if (j.matrix_key() != lead_key || j.algorithm != lead_algo ||
-            (j.algorithm == Algorithm::kOsSart && j.os_sart_subsets != lead_subsets)) {
+            j.sart_subsets() != lead_subsets) {
           carry = std::move(*m);  // leads its own batch next iteration
           break;
         }

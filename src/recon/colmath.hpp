@@ -16,9 +16,9 @@
 // different contraction/vectorization choices per site (fused scalar FMA
 // here, unfused vector mul+add there), which diverges in the last ulp and
 // breaks the bitwise contract. The rule still holds with one body: the
-// in-place and gathered call sites (os_sart's two branches, the shard
-// coordinator's reduce and its in-process reference) all call these, and a
-// single noinline instantiation can only be compiled one way.
+// in-place and gathered call sites (a column at k = 1 and at k = K, the
+// shard coordinator's reduce and its in-process reference) all call these,
+// and a single noinline instantiation can only be compiled one way.
 #pragma once
 
 #include <algorithm>
@@ -31,12 +31,6 @@ namespace cscv::recon::colmath {
 template <typename T>
 [[gnu::noinline]] void residual_from(const T* b, T* r, std::size_t len) {
   for (std::size_t i = 0; i < len; ++i) r[i] = b[i] - r[i];
-}
-
-/// r = (b - r) * w (the SART weighted residual).
-template <typename T>
-[[gnu::noinline]] void weighted_residual(const T* b, const T* w, T* r, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) r[i] = (b[i] - r[i]) * w[i];
 }
 
 /// v *= w (elementwise).
@@ -54,22 +48,11 @@ template <typename T>
   for (std::size_t i = 0; i < len; ++i) acc[i] += p[i];
 }
 
-/// x += lambda * inv_col * back — the SIRT update step.
+/// x += lambda * inv_col * back — the SIRT/OS-SART update step.
 template <typename T>
 [[gnu::noinline]] void sirt_step(T* x, const T* inv_col, const T* back, T lambda,
                                  std::size_t len) {
   for (std::size_t j = 0; j < len; ++j) x[j] += lambda * inv_col[j] * back[j];
-}
-
-/// The SART update: SIRT step with the nonnegativity clamp folded into the
-/// same loop iteration (os_sart applies it per update, not per sweep).
-template <typename T>
-[[gnu::noinline]] void sart_step(T* x, const T* inv_col, const T* back, T lambda,
-                                 bool enforce_nonneg, std::size_t len) {
-  for (std::size_t j = 0; j < len; ++j) {
-    x[j] += lambda * inv_col[j] * back[j];
-    if (enforce_nonneg) x[j] = std::max(x[j], T(0));
-  }
 }
 
 /// y += alpha * p.
@@ -106,22 +89,11 @@ template <typename T>
   return s;
 }
 
-/// sqrt(sum v[i]^2) — the residual norm both solver families report.
+/// sqrt(sum v[i]^2) — the residual norm CGLS reports; the SART body sums
+/// dot_self over its strata's rows and takes one sqrt per pass.
 template <typename T>
 double norm2(const T* v, std::size_t len) {
   return std::sqrt(dot_self(v, len));
-}
-
-/// sqrt(sum (b[i] - r[i])^2) with the difference taken in double (the
-/// os_sart per-pass norm).
-template <typename T>
-[[gnu::noinline]] double diff_norm2(const T* b, const T* r, std::size_t len) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < len; ++i) {
-    const double d = static_cast<double>(b[i]) - static_cast<double>(r[i]);
-    s += d * d;
-  }
-  return std::sqrt(s);
 }
 
 /// Column c of an interleaved multi-RHS vector into contiguous out.

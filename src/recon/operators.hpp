@@ -1,11 +1,15 @@
 // Linear-operator interface for iterative reconstruction.
 //
 // Reconstruction algorithms only need y = Ax and x = A^T y; expressing them
-// against this interface lets the same SIRT/CGLS code run on CSR, CSC, or
-// CSCV engines — the application-level payoff of the paper (SpMV is the
-// dominant kernel of iterative CT reconstruction).
+// against this interface lets the same SIRT/OS-SART/CGLS code run on CSR,
+// CSC, CSCV or sharded engines — the application-level payoff of the paper
+// (SpMV is the dominant kernel of iterative CT reconstruction). OS-SART's
+// strata are sets of view groups, so the interface also names its row
+// groups and applies a GroupSubset of them; the full apply is the
+// one-subset case.
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "core/format.hpp"
@@ -71,6 +75,37 @@ class LinearOperator {
   }
 
  public:
+
+  /// The rows fall into view_groups() groups of group_rows() consecutive
+  /// rows each (the last may be shorter): the unit a GroupSubset names, and
+  /// so the unit of OS-SART's strata. Default: one group of rows() rows.
+  [[nodiscard]] virtual int view_groups() const { return 1; }
+  [[nodiscard]] virtual std::size_t group_rows() const {
+    return static_cast<std::size_t>(rows());
+  }
+
+  /// Y = A_s X over the rows of `subset`'s view groups only (num_rhs
+  /// interleaved columns, sizes as forward_batch); every other row of y is
+  /// left untouched. The full apply is the one-subset case, and the default
+  /// serves only that.
+  virtual void forward_subset(const core::GroupSubset& subset, std::span<const T> x,
+                              std::span<T> y, int num_rhs) const {
+    CSCV_CHECK_MSG(subset.count == 1, "this operator applies no view-group subsets");
+    forward_batch(x, y, num_rhs);
+  }
+  /// X = A_s^T Y, reading only the rows of `subset`'s view groups.
+  virtual void adjoint_subset(const core::GroupSubset& subset, std::span<const T> y,
+                              std::span<T> x, int num_rhs) const {
+    CSCV_CHECK_MSG(subset.count == 1, "this operator applies no view-group subsets");
+    adjoint_batch(y, x, num_rhs);
+  }
+  /// A_s^T 1, the column normalizer of one OS-SART stratum. A subset's row
+  /// sums are its rows of row_sums().
+  [[nodiscard]] virtual util::AlignedVector<T> subset_col_sums(
+      const core::GroupSubset& subset) const {
+    CSCV_CHECK_MSG(subset.count == 1, "this operator applies no view-group subsets");
+    return col_sums();
+  }
 
   /// Row sums A * 1 — the R normalizer of SIRT. Default: one forward apply.
   [[nodiscard]] virtual util::AlignedVector<T> row_sums() const {
@@ -174,6 +209,30 @@ class PlanOperator final : public LinearOperator<T> {
   }
   [[nodiscard]] util::AlignedVector<T> col_sums() const override {
     const std::span<const T> sums = plan_->col_sums();
+    return util::AlignedVector<T>(sums.begin(), sums.end());
+  }
+
+  /// The operator's view groups (CscvMatrix::view_groups()), folded or not.
+  [[nodiscard]] int view_groups() const override { return plan_->matrix()->view_groups(); }
+  [[nodiscard]] std::size_t group_rows() const override {
+    const core::CscvMatrix<T>& a = *plan_->matrix();
+    return static_cast<std::size_t>(a.params().s_vvec) *
+           static_cast<std::size_t>(a.layout().num_bins);
+  }
+  void forward_subset(const core::GroupSubset& subset, std::span<const T> x, std::span<T> y,
+                      int num_rhs) const override {
+    CSCV_CHECK(num_rhs == plan_->num_rhs());
+    plan_->execute(subset, x, y);
+  }
+  void adjoint_subset(const core::GroupSubset& subset, std::span<const T> y, std::span<T> x,
+                      int num_rhs) const override {
+    CSCV_CHECK(num_rhs == plan_->num_rhs());
+    plan_->execute_transpose(subset, y, x);
+  }
+  /// The plan's memo of A_s^T 1 (SpmvPlan::col_sums(GroupSubset)).
+  [[nodiscard]] util::AlignedVector<T> subset_col_sums(
+      const core::GroupSubset& subset) const override {
+    const std::span<const T> sums = plan_->col_sums(subset);
     return util::AlignedVector<T>(sums.begin(), sums.end());
   }
 

@@ -87,47 +87,121 @@ class Columns {
   std::vector<T*> col_;
 };
 
+/// Rows [begin, begin + len) of an m-row vector.
+struct RowRange {
+  std::size_t begin;
+  std::size_t len;
+};
+
+/// One OS-SART stratum: its view groups as a subset of the operator's,
+/// their rows as maximal contiguous ranges (one range [0, m) at one
+/// stratum), and its inverse column sums.
+template <typename T>
+struct Stratum {
+  core::GroupSubset subset;
+  std::vector<RowRange> rows;
+  util::AlignedVector<T> inv_col;
+};
+
 /// out[c] = A in[c] (A^T in[c] when `transpose`) for every column, as one
 /// apply: the plain forward or adjoint for one column, one fused batch
-/// apply through interleaved staging for k.
+/// apply through interleaved staging for k. A stratum's apply is the
+/// operator's subset apply, and only the stratum's rows are staged; the
+/// one stratum of a SIRT solve is the whole operator, applied in full.
 template <typename T>
 class FusedApply {
  public:
   FusedApply(const LinearOperator<T>& a, std::size_t k)
       : a_(a),
         k_(k),
+        all_rows_{{0, static_cast<std::size_t>(a.rows())}},
         stage_m_(k > 1 ? k * static_cast<std::size_t>(a.rows()) : 0),
         stage_n_(k > 1 ? k * static_cast<std::size_t>(a.cols()) : 0) {}
 
-  void forward(const Columns<T>& in, const Columns<T>& out) { apply(in, out, false); }
-  void adjoint(const Columns<T>& in, const Columns<T>& out) { apply(in, out, true); }
+  void forward(const Columns<T>& in, const Columns<T>& out) { apply(in, out, false, nullptr); }
+  void adjoint(const Columns<T>& in, const Columns<T>& out) { apply(in, out, true, nullptr); }
+  void forward(const Stratum<T>& s, const Columns<T>& in, const Columns<T>& out) {
+    apply(in, out, false, &s);
+  }
+  void adjoint(const Stratum<T>& s, const Columns<T>& in, const Columns<T>& out) {
+    apply(in, out, true, &s);
+  }
 
  private:
-  void apply(const Columns<T>& in, const Columns<T>& out, bool transpose) {
+  void apply(const Columns<T>& in, const Columns<T>& out, bool transpose,
+             const Stratum<T>* s) {
+    const core::GroupSubset* subset = s != nullptr && s->subset.count > 1 ? &s->subset : nullptr;
+    const std::vector<RowRange>& rows = subset != nullptr ? s->rows : all_rows_;
+    const auto run = [&](std::span<const T> from, std::span<T> to, int num_rhs) {
+      if (subset != nullptr) {
+        transpose ? a_.adjoint_subset(*subset, from, to, num_rhs)
+                  : a_.forward_subset(*subset, from, to, num_rhs);
+      } else if (num_rhs == 1) {
+        transpose ? a_.adjoint(from, to) : a_.forward(from, to);
+      } else {
+        transpose ? a_.adjoint_batch(from, to, num_rhs) : a_.forward_batch(from, to, num_rhs);
+      }
+    };
     if (k_ == 1) {
-      const std::span<const T> x(in[0], in.len());
-      const std::span<T> y(out[0], out.len());
-      transpose ? a_.adjoint(x, y) : a_.forward(x, y);
+      run(std::span<const T>(in[0], in.len()), std::span<T>(out[0], out.len()), 1);
       return;
     }
-    util::AlignedVector<T>& stage_in = transpose ? stage_m_ : stage_n_;
-    util::AlignedVector<T>& stage_out = transpose ? stage_n_ : stage_m_;
+    // Rows (the m side) move range by range: a subset reads and writes
+    // only its own.
+    const auto move_rows = [&](T* multi, std::size_t c, T* col, bool to_multi) {
+      for (const RowRange& r : rows) {
+        to_multi ? colmath::scatter_column(col + r.begin, r.len, k_, c, multi + r.begin * k_)
+                 : colmath::gather_column(multi + r.begin * k_, r.len, k_, c, col + r.begin);
+      }
+    };
     for (std::size_t c = 0; c < k_; ++c) {
-      colmath::scatter_column(in[c], in.len(), k_, c, stage_in.data());
+      transpose ? move_rows(stage_m_.data(), c, in[c], true)
+                : colmath::scatter_column(in[c], in.len(), k_, c, stage_n_.data());
     }
-    const int num_rhs = static_cast<int>(k_);
-    transpose ? a_.adjoint_batch(stage_in, stage_out, num_rhs)
-              : a_.forward_batch(stage_in, stage_out, num_rhs);
+    transpose ? run(stage_m_, stage_n_, static_cast<int>(k_))
+              : run(stage_n_, stage_m_, static_cast<int>(k_));
     for (std::size_t c = 0; c < k_; ++c) {
-      colmath::gather_column(stage_out.data(), out.len(), k_, c, out[c]);
+      transpose ? colmath::gather_column(stage_n_.data(), out.len(), k_, c, out[c])
+                : move_rows(stage_m_.data(), c, out[c], false);
     }
   }
 
   const LinearOperator<T>& a_;
   std::size_t k_;
+  std::vector<RowRange> all_rows_;
   util::AlignedVector<T> stage_m_;
   util::AlignedVector<T> stage_n_;
 };
+
+/// The strata of an OS-SART solve over `a` and their column weights: the
+/// plain col_sums() at one stratum, the subset column sums at more.
+template <typename T>
+std::vector<Stratum<T>> make_strata(const LinearOperator<T>& a, int num_subsets) {
+  const int groups = a.view_groups();
+  const int n = os_sart_strata(groups, num_subsets);
+  const auto m = static_cast<std::size_t>(a.rows());
+  const std::size_t group_rows = a.group_rows();
+  CSCV_CHECK_MSG(groups >= 1 && group_rows * static_cast<std::size_t>(groups) >= m &&
+                     group_rows * static_cast<std::size_t>(groups - 1) < m,
+                 groups << " view groups of " << group_rows << " rows do not tile " << m
+                        << " rows");
+  std::vector<Stratum<T>> strata(static_cast<std::size_t>(n));
+  for (int s = 0; s < n; ++s) {
+    Stratum<T>& st = strata[static_cast<std::size_t>(s)];
+    st.subset = {n, s};
+    for (int g = s; g < groups; g += n) {
+      const std::size_t r0 = static_cast<std::size_t>(g) * group_rows;
+      const std::size_t len = std::min(group_rows, m - r0);
+      if (!st.rows.empty() && st.rows.back().begin + st.rows.back().len == r0) {
+        st.rows.back().len += len;
+      } else {
+        st.rows.push_back({r0, len});
+      }
+    }
+    st.inv_col = inverted(n == 1 ? a.col_sums() : a.subset_col_sums(st.subset));
+  }
+  return strata;
+}
 
 /// Checks a k-column solve's arguments and returns k.
 template <typename T>
@@ -149,27 +223,27 @@ int max_iterations(std::span<const SolveOptions> options) {
 
 }  // namespace
 
-// One body per solver: one column (sirt/cgls) works in place on the
-// caller's x and b with the plain applies; k columns run the very same
-// per-column calls on gathered columns around fused applies, which is what
-// makes column c of a batch bitwise the one-column solve.
-template <typename T>
-RunStats sirt(const LinearOperator<T>& a, std::span<const T> b, std::span<T> x,
-              const SolveOptions& options) {
-  return sirt_batch(a, b, x, 1, std::span<const SolveOptions>(&options, 1)).front();
+int os_sart_strata(int view_groups, int num_subsets) {
+  CSCV_CHECK_MSG(num_subsets >= 1, "OS-SART needs at least one subset, got " << num_subsets);
+  return std::min(num_subsets, view_groups);
 }
 
+// One body per solver: one column works in place on the caller's x and b
+// with the plain applies; k columns run the very same per-column calls on
+// gathered columns around fused applies, which is what makes column c of a
+// batch bitwise the one-column solve. SIRT is the one-stratum case of the
+// SART body, so its calls are exactly those of the full applies.
 template <typename T>
-std::vector<RunStats> sirt_batch(const LinearOperator<T>& a, std::span<const T> b,
-                                 std::span<T> x, int num_rhs,
-                                 std::span<const SolveOptions> options) {
+std::vector<RunStats> os_sart_batch(const LinearOperator<T>& a, std::span<const T> b,
+                                    std::span<T> x, int num_rhs, int num_subsets,
+                                    std::span<const SolveOptions> options) {
   const std::size_t k = check_batch(a, b, x, num_rhs, options);
   const std::size_t m = static_cast<std::size_t>(a.rows());
   const std::size_t n = static_cast<std::size_t>(a.cols());
 
   // The normalizers depend only on the matrix: one pass serves every column.
   const util::AlignedVector<T> inv_row = inverted(a.row_sums());
-  const util::AlignedVector<T> inv_col = inverted(a.col_sums());
+  const std::vector<Stratum<T>> strata = make_strata(a, num_subsets);
 
   const Columns<const T> bc(b, k);
   Columns<T> xc(x, k);
@@ -177,27 +251,38 @@ std::vector<RunStats> sirt_batch(const LinearOperator<T>& a, std::span<const T> 
   Columns<T> back(k, n);
   FusedApply<T> apply(a, k);
   std::vector<RunStats> stats(k);
+  std::vector<double> sum2(k);
 
   const bool zero_start = all_zero<T>(x);
   const int max_iters = max_iterations(options);
   for (int it = 0; it < max_iters; ++it) {
-    if (it == 0 && zero_start) {
-      residual.fill_zero();
-    } else {
-      apply.forward(xc, residual);
+    std::fill(sum2.begin(), sum2.end(), 0.0);
+    for (const Stratum<T>& s : strata) {
+      if (it == 0 && zero_start && &s == &strata.front()) {
+        residual.fill_zero();
+      } else {
+        apply.forward(s, xc, residual);
+      }
+      for (std::size_t c = 0; c < k; ++c) {
+        if (it >= options[c].iterations) continue;  // finished column: x frozen
+        for (const RowRange& r : s.rows) {
+          T* rc = residual[c] + r.begin;
+          colmath::residual_from(bc[c] + r.begin, rc, r.len);
+          sum2[c] += colmath::dot_self(rc, r.len);
+          colmath::scale_by(rc, inv_row.data() + r.begin, r.len);
+        }
+      }
+      apply.adjoint(s, residual, back);
+      for (std::size_t c = 0; c < k; ++c) {
+        if (it >= options[c].iterations) continue;
+        colmath::sirt_step(xc[c], s.inv_col.data(), back[c],
+                           static_cast<T>(options[c].relaxation), n);
+        clamp_nonneg(std::span<T>(xc[c], n), options[c]);
+      }
     }
-    for (std::size_t c = 0; c < k; ++c) {
-      if (it >= options[c].iterations) continue;  // finished column: x frozen
-      colmath::residual_from(bc[c], residual[c], m);
-      stats[c].residual_norms.push_back(colmath::norm2(residual[c], m));
-      colmath::scale_by(residual[c], inv_row.data(), m);
-    }
-    apply.adjoint(residual, back);
     for (std::size_t c = 0; c < k; ++c) {
       if (it >= options[c].iterations) continue;
-      colmath::sirt_step(xc[c], inv_col.data(), back[c],
-                         static_cast<T>(options[c].relaxation), n);
-      clamp_nonneg(std::span<T>(xc[c], n), options[c]);
+      stats[c].residual_norms.push_back(std::sqrt(sum2[c]));
       ++stats[c].iterations_run;
     }
   }
@@ -206,52 +291,23 @@ std::vector<RunStats> sirt_batch(const LinearOperator<T>& a, std::span<const T> 
 }
 
 template <typename T>
-RunStats art(const sparse::CsrMatrix<T>& a, std::span<const T> b, std::span<T> x,
-             const SolveOptions& options) {
-  CSCV_CHECK(static_cast<sparse::index_t>(b.size()) == a.rows());
-  CSCV_CHECK(static_cast<sparse::index_t>(x.size()) == a.cols());
-  auto row_ptr = a.row_ptr();
-  auto col_idx = a.col_idx();
-  auto vals = a.values();
-  const T lambda = static_cast<T>(options.relaxation);
+RunStats os_sart(const LinearOperator<T>& a, std::span<const T> b, std::span<T> x,
+                 int num_subsets, const SolveOptions& options) {
+  return os_sart_batch(a, b, x, 1, num_subsets, std::span<const SolveOptions>(&options, 1))
+      .front();
+}
 
-  // Squared row norms, reused every sweep.
-  util::AlignedVector<T> row_norm2(static_cast<std::size_t>(a.rows()), T(0));
-  for (sparse::index_t r = 0; r < a.rows(); ++r) {
-    T s = T(0);
-    for (auto k = row_ptr[static_cast<std::size_t>(r)];
-         k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
-      s += vals[static_cast<std::size_t>(k)] * vals[static_cast<std::size_t>(k)];
-    }
-    row_norm2[static_cast<std::size_t>(r)] = s;
-  }
+template <typename T>
+RunStats sirt(const LinearOperator<T>& a, std::span<const T> b, std::span<T> x,
+              const SolveOptions& options) {
+  return os_sart(a, b, x, 1, options);
+}
 
-  util::AlignedVector<T> residual(b.size());
-  RunStats stats;
-  for (int it = 0; it < options.iterations; ++it) {
-    for (sparse::index_t r = 0; r < a.rows(); ++r) {
-      const T nrm = row_norm2[static_cast<std::size_t>(r)];
-      if (nrm == T(0)) continue;
-      T dot = T(0);
-      for (auto k = row_ptr[static_cast<std::size_t>(r)];
-           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
-        dot += vals[static_cast<std::size_t>(k)] *
-               x[static_cast<std::size_t>(col_idx[static_cast<std::size_t>(k)])];
-      }
-      const T alpha = lambda * (b[static_cast<std::size_t>(r)] - dot) / nrm;
-      for (auto k = row_ptr[static_cast<std::size_t>(r)];
-           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
-        x[static_cast<std::size_t>(col_idx[static_cast<std::size_t>(k)])] +=
-            alpha * vals[static_cast<std::size_t>(k)];
-      }
-    }
-    clamp_nonneg(x, options);
-    a.spmv(x, residual);
-    for (std::size_t i = 0; i < residual.size(); ++i) residual[i] = b[i] - residual[i];
-    stats.residual_norms.push_back(norm2(std::span<const T>(residual)));
-    ++stats.iterations_run;
-  }
-  return stats;
+template <typename T>
+std::vector<RunStats> sirt_batch(const LinearOperator<T>& a, std::span<const T> b,
+                                 std::span<T> x, int num_rhs,
+                                 std::span<const SolveOptions> options) {
+  return os_sart_batch(a, b, x, num_rhs, 1, options);
 }
 
 template <typename T>
@@ -404,14 +460,21 @@ template RunStats icd<float>(const sparse::CscMatrix<float>&, std::span<const fl
 template RunStats icd<double>(const sparse::CscMatrix<double>&, std::span<const double>,
                               std::span<double>, const SolveOptions&);
 
+template std::vector<RunStats> os_sart_batch<float>(const LinearOperator<float>&,
+                                                    std::span<const float>, std::span<float>,
+                                                    int, int, std::span<const SolveOptions>);
+template std::vector<RunStats> os_sart_batch<double>(const LinearOperator<double>&,
+                                                     std::span<const double>,
+                                                     std::span<double>, int, int,
+                                                     std::span<const SolveOptions>);
+template RunStats os_sart<float>(const LinearOperator<float>&, std::span<const float>,
+                                 std::span<float>, int, const SolveOptions&);
+template RunStats os_sart<double>(const LinearOperator<double>&, std::span<const double>,
+                                  std::span<double>, int, const SolveOptions&);
 template RunStats sirt<float>(const LinearOperator<float>&, std::span<const float>,
                               std::span<float>, const SolveOptions&);
 template RunStats sirt<double>(const LinearOperator<double>&, std::span<const double>,
                                std::span<double>, const SolveOptions&);
-template RunStats art<float>(const sparse::CsrMatrix<float>&, std::span<const float>,
-                             std::span<float>, const SolveOptions&);
-template RunStats art<double>(const sparse::CsrMatrix<double>&, std::span<const double>,
-                              std::span<double>, const SolveOptions&);
 template RunStats cgls<float>(const LinearOperator<float>&, std::span<const float>,
                               std::span<float>, const SolveOptions&);
 template RunStats cgls<double>(const LinearOperator<double>&, std::span<const double>,

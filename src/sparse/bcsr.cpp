@@ -4,6 +4,7 @@
 #include <map>
 
 #include "util/assertx.hpp"
+#include "util/parallel.hpp"
 #include "util/prefix_sum.hpp"
 
 namespace cscv::sparse {
@@ -78,8 +79,8 @@ void BcsrMatrix<T>::spmv_kernel(std::span<const T> x, std::span<T> y) const {
   const index_t rows = rows_;
   const index_t cols = cols_;
 
-#pragma omp parallel for schedule(static)
-  for (index_t br = 0; br < nbr; ++br) {
+  util::parallel_for(0, static_cast<std::size_t>(nbr), [&](std::size_t i_br) {
+    const auto br = static_cast<index_t>(i_br);
     T acc[R] = {};
     for (offset_t b = block_row_ptr_[static_cast<std::size_t>(br)];
          b < block_row_ptr_[static_cast<std::size_t>(br) + 1]; ++b) {
@@ -103,7 +104,7 @@ void BcsrMatrix<T>::spmv_kernel(std::span<const T> x, std::span<T> y) const {
       const index_t r = br * R + i;
       if (r < rows) yp[r] = acc[i];
     }
-  }
+  });
 }
 
 template <typename T>

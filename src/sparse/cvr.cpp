@@ -129,15 +129,15 @@ void CvrMatrix<T>::spmv(std::span<const T> x, std::span<T> y) const {
   CSCV_CHECK(static_cast<index_t>(y.size()) == rows_);
   std::fill(y.begin(), y.end(), T(0));
   const int nchunks = chunks();
-#pragma omp parallel for schedule(static)
-  for (int c = 0; c < nchunks; ++c) {
+  util::parallel_for(0, static_cast<std::size_t>(nchunks), [&](std::size_t i_c) {
+    const auto c = static_cast<int>(i_c);
     switch (lanes_) {
       case 4: spmv_chunk<4>(c, x.data(), y.data()); break;
       case 8: spmv_chunk<8>(c, x.data(), y.data()); break;
       case 16: spmv_chunk<16>(c, x.data(), y.data()); break;
       default: break;  // unreachable: validated at build
     }
-  }
+  });
 }
 
 template <typename T>

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assertx.hpp"
+#include "util/parallel.hpp"
 
 namespace cscv::sparse {
 
@@ -55,15 +56,14 @@ void EllMatrix<T>::spmv(std::span<const T> x, std::span<T> y) const {
   const T* v = values_.data();
   T* yp = y.data();
   const auto nrows = static_cast<std::size_t>(rows_);
-#pragma omp parallel for schedule(static)
-  for (index_t r = 0; r < rows_; ++r) {
+  util::parallel_for(0, nrows, [&](std::size_t r) {
     T acc = T(0);
     for (std::size_t j = 0; j < static_cast<std::size_t>(width_); ++j) {
-      const std::size_t at = j * nrows + static_cast<std::size_t>(r);
+      const std::size_t at = j * nrows + r;
       acc += v[at] * x[static_cast<std::size_t>(ci[at])];
     }
     yp[r] = acc;
-  }
+  });
 }
 
 template <typename T>

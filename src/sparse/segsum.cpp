@@ -44,13 +44,13 @@ void SegSumCsr<T>::spmv(std::span<const T> x, std::span<T> y) const {
   util::AlignedVector<index_t> carry_row(static_cast<std::size_t>(num_tiles_), rows);
   util::AlignedVector<T> carry_val(static_cast<std::size_t>(num_tiles_), T(0));
 
-#pragma omp parallel
-  {
+  util::parallel_region([&](int thread, int num_threads) {
     // Per-thread product buffer; the product pass below is the vectorizable
     // phase that motivates the format (no row logic inside it).
     util::AlignedVector<T> tmp(static_cast<std::size_t>(tile_size_));
-#pragma omp for schedule(static)
-    for (index_t t = 0; t < num_tiles_; ++t) {
+    const auto [first, last] =
+        util::static_partition(static_cast<std::size_t>(num_tiles_), num_threads, thread);
+    for (auto t = static_cast<index_t>(first); t < static_cast<index_t>(last); ++t) {
       const offset_t start = static_cast<offset_t>(t) * tile_size_;
       const offset_t end = std::min(nnz, start + tile_size_);
       const auto len = static_cast<std::size_t>(end - start);
@@ -78,7 +78,7 @@ void SegSumCsr<T>::spmv(std::span<const T> x, std::span<T> y) const {
       carry_row[static_cast<std::size_t>(t)] = r;
       carry_val[static_cast<std::size_t>(t)] = s;
     }
-  }
+  });
 
   for (index_t t = 0; t < num_tiles_; ++t) {
     const index_t r = carry_row[static_cast<std::size_t>(t)];

@@ -5,6 +5,7 @@
 
 #include "sparse/csr.hpp"
 #include "util/assertx.hpp"
+#include "util/parallel.hpp"
 #include "util/prefix_sum.hpp"
 
 namespace cscv::sparse {
@@ -110,10 +111,9 @@ void SellMatrix<T>::spmv(std::span<const T> x, std::span<T> y) const {
   const index_t* perm = perm_.data();
   T* yp = y.data();
   const auto nrows = static_cast<std::size_t>(rows_);
-#pragma omp parallel for schedule(static)
-  for (index_t s = 0; s < num_slices_; ++s) {
-    const auto base = static_cast<std::size_t>(slice_ptr_[static_cast<std::size_t>(s)]);
-    const auto width = static_cast<std::size_t>(slice_width_[static_cast<std::size_t>(s)]);
+  util::parallel_for(0, static_cast<std::size_t>(num_slices_), [&](std::size_t s) {
+    const auto base = static_cast<std::size_t>(slice_ptr_[s]);
+    const auto width = static_cast<std::size_t>(slice_width_[s]);
     T acc[64] = {};  // slice_height_ <= 64
     for (std::size_t j = 0; j < width; ++j) {
       const std::size_t at = base + j * ch;
@@ -122,10 +122,10 @@ void SellMatrix<T>::spmv(std::span<const T> x, std::span<T> y) const {
       }
     }
     for (std::size_t l = 0; l < ch; ++l) {
-      const std::size_t sorted_pos = static_cast<std::size_t>(s) * ch + l;
+      const std::size_t sorted_pos = s * ch + l;
       if (sorted_pos < nrows) yp[static_cast<std::size_t>(perm[sorted_pos])] = acc[l];
     }
-  }
+  });
 }
 
 template <typename T>

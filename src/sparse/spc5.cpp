@@ -4,6 +4,7 @@
 
 #include "simd/isa.hpp"
 #include "util/assertx.hpp"
+#include "util/parallel.hpp"
 #include "util/prefix_sum.hpp"
 
 namespace cscv::sparse {
@@ -90,8 +91,8 @@ void Spc5Matrix<T>::spmv_kernel(std::span<const T> x, std::span<T> y) const {
   const index_t num_packs = num_packs_;
   const index_t rows = rows_;
 
-#pragma omp parallel for schedule(static)
-  for (index_t p = 0; p < num_packs; ++p) {
+  util::parallel_for(0, static_cast<std::size_t>(num_packs), [&](std::size_t i_p) {
+    const auto p = static_cast<index_t>(i_p);
     alignas(64) T acc[R][C] = {};
     alignas(64) T expanded[C];
     const offset_t b0 = pack_block_ptr_[static_cast<std::size_t>(p)];
@@ -126,7 +127,7 @@ void Spc5Matrix<T>::spmv_kernel(std::span<const T> x, std::span<T> y) const {
       for (int l = 0; l < C; ++l) s += acc[i][l];
       yp[r] = s;
     }
-  }
+  });
 }
 
 template <typename T>

@@ -1,7 +1,7 @@
 // The determinism contract of docs/SHARDING.md, checked in-process against
 // LocalBackend:
 //   * N=1 sharded is BITWISE (memcmp) the serial reference for SIRT,
-//     OS-SART, and CGLS.
+//     OS-SART, and CGLS, in x and in the residual norms.
 //   * N in {2, 4} is bitwise run-to-run deterministic (fixed shard-ordered
 //     reduce); shards hold whole view groups, so N is capped by the groups.
 // Everything runs single-threaded — the contract pins shard math to one
@@ -13,15 +13,16 @@
 #include <stdlib.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ct/phantom.hpp"
 #include "ct/system_matrix.hpp"
 #include "dist/coordinator.hpp"
 #include "pipeline/service.hpp"
-#include "recon/os_sart.hpp"
 #include "recon/solvers.hpp"
 #include "util/parallel.hpp"
 
@@ -92,12 +93,9 @@ TEST(ShardedDeterminism, OsSartSingleShardIsBitwiseSerial) {
   const auto layout = core::OperatorLayout::from_geometry(job.geometry);
   auto m = core::CscvMatrix<float>::build(csc, layout, job.cscv, job.variant);
   util::AlignedVector<float> ref(static_cast<std::size_t>(layout.num_cols()), 0.0f);
-  const recon::OsSartOptions opts{.iterations = job.solve.iterations,
-                                  .num_subsets = job.os_sart_subsets,
-                                  .relaxation = job.solve.relaxation,
-                                  .enforce_nonneg = job.solve.enforce_nonneg};
   const recon::RunStats ref_stats =
-      recon::os_sart<float>(m.plan({.threads = 1}), job.sinogram, ref, opts);
+      recon::os_sart<float>(recon::PlanOperator<float>(m.plan({.threads = 1})), job.sinogram,
+                            ref, job.os_sart_subsets, job.solve);
 
   recon::RunStats stats;
   const auto volume = run_sharded(job, 1, &stats);
@@ -119,24 +117,20 @@ TEST(ShardedDeterminism, OsSartSingleShardIsBitwiseSerial) {
   }
 }
 
-// One OS-SART job, four paths, one volume: the serial solve over a
-// one-thread plan, its column of a fused batch, one shard, and the service
-// (one worker, one OpenMP thread).
-TEST(ShardedDeterminism, OsSartSerialBatchShardAndServedAgree) {
-  auto job = make_job(pipeline::Algorithm::kOsSart);
-  job.os_sart_subsets = 3;  // 20 views of 8: three view groups
+/// One SART-family job, four paths, one volume: the serial solve over a
+/// one-thread plan, its column of a fused batch, one shard, and the service
+/// (one worker, one OpenMP thread).
+void expect_four_paths_agree(const pipeline::ReconJob& job) {
   const auto layout = core::OperatorLayout::from_geometry(job.geometry);
   const auto n = static_cast<std::size_t>(layout.num_cols());
   const auto m_rows = static_cast<std::size_t>(layout.num_rows());
   const auto m = core::CscvMatrix<float>::build(
       ct::build_system_matrix_csc<float>(job.geometry), layout, job.cscv, job.variant);
-  const recon::OsSartOptions opts{.iterations = job.solve.iterations,
-                                  .num_subsets = job.os_sart_subsets,
-                                  .relaxation = job.solve.relaxation,
-                                  .enforce_nonneg = job.solve.enforce_nonneg};
+  const int subsets = job.sart_subsets();
   util::AlignedVector<float> serial(n, 0.0F);
-  (void)recon::os_sart<float>(core::SpmvPlan<float>(m, {.threads = 1}), job.sinogram, serial,
-                              opts);
+  const recon::RunStats serial_stats = recon::os_sart<float>(
+      recon::PlanOperator<float>(core::SpmvPlan<float>(m, {.threads = 1})), job.sinogram,
+      serial, subsets, job.solve);
 
   constexpr std::size_t kBatch = 3;
   util::AlignedVector<float> b(m_rows * kBatch);
@@ -144,20 +138,97 @@ TEST(ShardedDeterminism, OsSartSerialBatchShardAndServedAgree) {
     for (std::size_t c = 0; c < kBatch; ++c) b[i * kBatch + c] = job.sinogram[i] * (c + 1.0F) / 2;
   }
   util::AlignedVector<float> x(n * kBatch, 0.0F);
-  (void)recon::os_sart_batch<float>(
-      core::SpmvPlan<float>(m, {.num_rhs = kBatch, .threads = 1}), b, x,
-      std::vector<recon::OsSartOptions>(kBatch, opts));
+  const auto batch_stats = recon::os_sart_batch<float>(
+      recon::PlanOperator<float>(core::SpmvPlan<float>(m, {.num_rhs = kBatch, .threads = 1})),
+      b, x, kBatch, subsets, std::vector<recon::SolveOptions>(kBatch, job.solve));
   util::AlignedVector<float> column(n);
   for (std::size_t j = 0; j < n; ++j) column[j] = x[j * kBatch + 1];
   EXPECT_TRUE(bitwise_equal(column, serial)) << "batch column";
+  EXPECT_EQ(batch_stats[1].residual_norms, serial_stats.residual_norms) << "batch column";
 
-  EXPECT_TRUE(bitwise_equal(run_sharded(job, 1), serial)) << "one shard";
+  recon::RunStats shard_stats;
+  EXPECT_TRUE(bitwise_equal(run_sharded(job, 1, &shard_stats), serial)) << "one shard";
+  EXPECT_EQ(shard_stats.residual_norms, serial_stats.residual_norms) << "one shard";
 
   pipeline::ReconService service({.num_workers = 1, .omp_threads_per_worker = 1});
   const pipeline::ReconResult served = service.submit(job).result.get();
   ASSERT_EQ(served.status, pipeline::JobStatus::kOk) << served.error;
   EXPECT_TRUE(bitwise_equal(served.volume, serial)) << "served";
-  EXPECT_EQ(served.os_sart_subsets, 3);
+  EXPECT_EQ(served.final_residual, serial_stats.residual_norms.back()) << "served";
+}
+
+TEST(ShardedDeterminism, OsSartSerialBatchShardAndServedAgree) {
+  auto job = make_job(pipeline::Algorithm::kOsSart);
+  job.os_sart_subsets = 3;  // 20 views of 8: three view groups
+  expect_four_paths_agree(job);
+}
+
+TEST(ShardedDeterminism, SirtSerialBatchShardAndServedAgree) {
+  expect_four_paths_agree(make_job(pipeline::Algorithm::kSirt));
+}
+
+/// Counts the round trips of every op through a LocalBackend.
+class CountingBackend final : public ShardBackend {
+ public:
+  explicit CountingBackend(std::vector<ShardSpec> specs) : inner_(std::move(specs)) {}
+  [[nodiscard]] const std::vector<ShardSpec>& specs() const override { return inner_.specs(); }
+  void apply_all(ApplyOp op, int subset, const std::vector<std::span<const float>>& in,
+                 std::vector<util::AlignedVector<float>>& out) override {
+    ++(subset < 0 ? full : stratum)[static_cast<std::size_t>(op)];
+    inner_.apply_all(op, subset, in, out);
+  }
+  std::array<int, 4> full{};     // per ApplyOp, subset -1
+  std::array<int, 4> stratum{};  // per ApplyOp, one stratum
+
+ private:
+  LocalBackend inner_;
+};
+
+// A sharded OS-SART pass takes one stratum forward and one stratum adjoint
+// per stratum (2n round trips), and the first pass from zero one forward
+// fewer. Set-up adds one full forward (A 1) and one kColSums per stratum;
+// no full residual forward remains.
+TEST(ShardedDeterminism, OsSartPassTakesTwoRoundTripsPerStratum) {
+  auto job = make_job(pipeline::Algorithm::kOsSart);
+  job.solve.iterations = 3;
+  CountingBackend backend(make_shard_specs(job, 2));
+  const int n = shard_strata(backend.specs()[0]);
+  ASSERT_EQ(n, 3);  // 20 views of 8: three view groups
+  (void)run_sharded_job(backend, job);
+  const auto at = [](const std::array<int, 4>& counts, ApplyOp op) {
+    return counts[static_cast<std::size_t>(op)];
+  };
+  EXPECT_EQ(at(backend.stratum, ApplyOp::kForward), 3 * n - 1);
+  EXPECT_EQ(at(backend.stratum, ApplyOp::kAdjoint), 3 * n);
+  EXPECT_EQ(at(backend.stratum, ApplyOp::kColSums), n);
+  EXPECT_EQ(at(backend.stratum, ApplyOp::kRowSums), 0);
+  EXPECT_EQ(at(backend.full, ApplyOp::kForward), 1);
+  EXPECT_EQ(at(backend.full, ApplyOp::kAdjoint), 0);
+}
+
+// OS-SART clamps at the job's nonneg_floor as SIRT does, on every path:
+// locally, served, and on one shard.
+TEST(NonnegFloor, OsSartClampsLocallyServedAndSharded) {
+  for (const auto algorithm : {pipeline::Algorithm::kSirt, pipeline::Algorithm::kOsSart}) {
+    SCOPED_TRACE(pipeline::algorithm_name(algorithm));
+    auto job = make_job(algorithm);
+    job.solve.iterations = 3;
+    job.solve.nonneg_floor = 0.05;
+    const float floor_v = static_cast<float>(job.solve.nonneg_floor);
+    const auto min_of = [](const util::AlignedVector<float>& v) {
+      return *std::min_element(v.begin(), v.end());
+    };
+    pipeline::SystemMatrixCache cache({.budget_bytes = std::size_t{1} << 30, .spill_dir = {}});
+    const auto entry = cache.get_or_build(job.matrix_key()).entry;
+    const pipeline::ReconResult local = pipeline::execute_job(job, *entry, nullptr);
+    ASSERT_EQ(local.status, pipeline::JobStatus::kOk) << local.error;
+    EXPECT_EQ(min_of(local.volume), floor_v) << "local";
+    pipeline::ReconService service({.num_workers = 1, .omp_threads_per_worker = 1});
+    const pipeline::ReconResult served = service.submit(job).result.get();
+    ASSERT_EQ(served.status, pipeline::JobStatus::kOk) << served.error;
+    EXPECT_EQ(min_of(served.volume), floor_v) << "served";
+    EXPECT_EQ(min_of(run_sharded(job, 1)), floor_v) << "one shard";
+  }
 }
 
 TEST(ShardedDeterminism, MultiShardRunsAreBitwiseRepeatable) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "pipeline/job.hpp"
@@ -197,6 +198,38 @@ TEST(JobJson, RejectsMalformedSpecs) {
     spec["geometry"]["num_bins"] = util::Json(16);
     expect_rejected_naming(spec, "image_size");
   }
+}
+
+// A non-finite solver value would run to an inf/NaN volume whose spec
+// to_json cannot write back (JSON has no inf): every double of a spec must
+// be finite. strtod reads 1e999 as inf, so the wire text reaches it too.
+TEST(JobJson, RejectsNonFiniteNumbers) {
+  const util::Json good = small_job().to_json();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, -inf, nan}) {
+    util::Json spec = good;
+    spec["solve"]["relaxation"] = util::Json(bad);
+    expect_rejected_naming(spec, "relaxation");
+    spec = good;
+    spec["solve"]["nonneg_floor"] = util::Json(bad);
+    expect_rejected_naming(spec, "nonneg_floor");
+    spec = good;
+    spec["deadline_seconds"] = util::Json(bad);
+    expect_rejected_naming(spec, "deadline_seconds");
+    spec = good;
+    spec["geometry"]["start_angle_deg"] = util::Json(bad);
+    EXPECT_THROW(ReconJob::from_json(spec), util::CheckError);
+    spec = good;
+    spec["geometry"]["delta_angle_deg"] = util::Json(bad);
+    EXPECT_THROW(ReconJob::from_json(spec), util::CheckError);
+  }
+  std::string text = good.dump();
+  const std::string key = "\"relaxation\":";
+  const std::size_t value = text.find(key) + key.size();
+  ASSERT_GT(value, key.size());
+  text.replace(value, text.find_first_of(",}", value) - value, "1e999");
+  expect_rejected_naming(util::Json::parse(text), "relaxation");
 }
 
 TEST(JobJson, QosClassNamesRoundTrip) {

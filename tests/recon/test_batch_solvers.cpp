@@ -6,9 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
-#include "recon/os_sart.hpp"
+#include "recon/colmath.hpp"
 #include "recon/solvers.hpp"
 #include "sparse/random.hpp"
 #include "test_helpers.hpp"
@@ -217,19 +218,151 @@ TEST(OsSartBatch, ColumnsBitwiseMatchSerialWithMixedIterations) {
   }
   const auto b = interleave_columns(bs);
   util::AlignedVector<float> x(n * kBatch, 0.0f);
-  // num_subsets must agree across the batch (structural); iterations may not.
-  const std::vector<OsSartOptions> opts = {
-      OsSartOptions{.iterations = 4, .num_subsets = 4},
-      OsSartOptions{.iterations = 1, .num_subsets = 4},
-      OsSartOptions{.iterations = 3, .num_subsets = 4}};
-  const auto stats = os_sart_batch<float>(fused, b, x, opts);
+  // The subset count is one per solve (structural); iterations may differ.
+  const std::vector<SolveOptions> opts = {SolveOptions{.iterations = 4},
+                                          SolveOptions{.iterations = 1},
+                                          SolveOptions{.iterations = 3}};
+  const auto stats = os_sart_batch<float>(PlanOperator<float>(fused), b, x, kBatch, 4, opts);
 
   for (std::size_t c = 0; c < kBatch; ++c) {
     EXPECT_EQ(stats[c].iterations_run, opts[c].iterations);
     util::AlignedVector<float> x_ref(n, 0.0f);
-    const auto ref_stats = os_sart<float>(serial, bs[c], x_ref, opts[c]);
+    const auto ref_stats = os_sart<float>(PlanOperator<float>(serial), bs[c], x_ref, 4, opts[c]);
     expect_bitwise(extract_column(x, kBatch, c), x_ref, "os_sart", c);
     expect_same_stats(stats[c], ref_stats, c);
+  }
+}
+
+/// SIRT written out on the full applies: the residual and its norm over
+/// all rows, the row weighting, the adjoint, the step and the clamp — the
+/// reference a one-stratum OS-SART must equal bit for bit.
+RunStats sirt_written_out(const LinearOperator<float>& a, std::span<const float> b,
+                          std::span<float> x, const SolveOptions& o) {
+  const auto m = static_cast<std::size_t>(a.rows());
+  const auto n = static_cast<std::size_t>(a.cols());
+  const auto inverted = [](util::AlignedVector<float> v) {
+    for (float& e : v) e = e > 0.0F ? 1.0F / e : 0.0F;
+    return v;
+  };
+  const auto inv_row = inverted(a.row_sums());
+  const auto inv_col = inverted(a.col_sums());
+  util::AlignedVector<float> r(m, 0.0F);
+  util::AlignedVector<float> back(n);
+  RunStats stats;
+  for (int it = 0; it < o.iterations; ++it) {
+    if (it > 0) a.forward(x, r);  // from zero the first forward is +0
+    colmath::residual_from(b.data(), r.data(), m);
+    stats.residual_norms.push_back(colmath::norm2(r.data(), m));
+    colmath::scale_by(r.data(), inv_row.data(), m);
+    a.adjoint(r, back);
+    colmath::sirt_step(x.data(), inv_col.data(), back.data(), static_cast<float>(o.relaxation),
+                       n);
+    if (o.enforce_nonneg) {
+      colmath::clamp_floor(x.data(), static_cast<float>(o.nonneg_floor), n);
+    }
+    ++stats.iterations_run;
+  }
+  return stats;
+}
+
+/// A PlanOperator that fails the test on any subset apply.
+class FullAppliesOnly final : public LinearOperator<float> {
+ public:
+  explicit FullAppliesOnly(const core::SpmvPlan<float>& plan) : inner_(plan) {}
+  [[nodiscard]] sparse::index_t rows() const override { return inner_.rows(); }
+  [[nodiscard]] sparse::index_t cols() const override { return inner_.cols(); }
+  void forward(std::span<const float> x, std::span<float> y) const override {
+    inner_.forward(x, y);
+  }
+  void adjoint(std::span<const float> y, std::span<float> x) const override {
+    inner_.adjoint(y, x);
+  }
+  void forward_batch(std::span<const float> x, std::span<float> y, int k) const override {
+    inner_.forward_batch(x, y, k);
+  }
+  void adjoint_batch(std::span<const float> y, std::span<float> x, int k) const override {
+    inner_.adjoint_batch(y, x, k);
+  }
+  [[nodiscard]] util::AlignedVector<float> row_sums() const override {
+    return inner_.row_sums();
+  }
+  [[nodiscard]] util::AlignedVector<float> col_sums() const override {
+    return inner_.col_sums();
+  }
+  [[nodiscard]] int view_groups() const override { return inner_.view_groups(); }
+  [[nodiscard]] std::size_t group_rows() const override { return inner_.group_rows(); }
+  void forward_subset(const core::GroupSubset&, std::span<const float>, std::span<float>,
+                      int) const override {
+    ADD_FAILURE() << "one-stratum solve made a subset forward";
+  }
+  void adjoint_subset(const core::GroupSubset&, std::span<const float>, std::span<float>,
+                      int) const override {
+    ADD_FAILURE() << "one-stratum solve made a subset adjoint";
+  }
+  [[nodiscard]] util::AlignedVector<float> subset_col_sums(
+      const core::GroupSubset&) const override {
+    ADD_FAILURE() << "one-stratum solve asked for subset column sums";
+    return {};
+  }
+
+ private:
+  PlanOperator<float> inner_;
+};
+
+// SIRT is one-stratum OS-SART: a solve asked for one subset runs the
+// operator's full applies (the folded K = 4 pass where the operator folds)
+// and equals SIRT written out, bit for bit in x and in every norm — alone
+// and per column of a batch, on folded and unfolded operators, Z and M,
+// fp32 and bf16.
+TEST(OsSartBatch, OneStratumEqualsSirtBitwise) {
+  using Variant = core::CscvMatrix<float>::Variant;
+  constexpr int kImage = 16;
+  constexpr std::size_t kBatch = 3;
+  for (const int views : {24, 18}) {  // 24 views fold, 18 do not
+    for (const Variant variant : {Variant::kZ, Variant::kM}) {
+      for (const core::ValueType vt : {core::ValueType::kF32, core::ValueType::kBf16}) {
+        SCOPED_TRACE(std::to_string(views) + " views, " +
+                     (variant == Variant::kZ ? "Z, " : "M, ") + core::value_type_name(vt));
+        const core::OperatorLayout layout{kImage, ct::standard_num_bins(kImage), views};
+        auto a = core::CscvMatrix<float>::build(cached_ct_csc<float>(kImage, views), layout,
+                                                {.s_vvec = 4, .s_imgb = 8, .s_vxg = 2},
+                                                variant);
+        ASSERT_EQ(a.folded(), views % 4 == 0);
+        if (vt != core::ValueType::kF32) a.convert_values(vt);
+        const core::SpmvPlan<float> serial(a, {.threads = 1});
+        const core::SpmvPlan<float> fused(a, {.num_rhs = kBatch, .threads = 1});
+        const auto m = static_cast<std::size_t>(a.rows());
+        const auto n = static_cast<std::size_t>(a.cols());
+
+        std::vector<util::AlignedVector<float>> bs;
+        for (std::size_t c = 0; c < kBatch; ++c) {
+          bs.push_back(sparse::random_vector<float>(m, 110 + static_cast<unsigned>(c), 0.0, 1.0));
+        }
+        const std::vector<SolveOptions> opts = {
+            SolveOptions{.iterations = 4},
+            SolveOptions{.iterations = 2, .relaxation = 0.7, .nonneg_floor = 0.01},
+            SolveOptions{.iterations = 3, .enforce_nonneg = false}};
+        util::AlignedVector<float> x(n * kBatch, 0.0F);
+        const auto stats = os_sart_batch<float>(FullAppliesOnly(fused), interleave_columns(bs),
+                                                x, kBatch, 1, opts);
+        for (std::size_t c = 0; c < kBatch; ++c) {
+          util::AlignedVector<float> want(n, 0.0F);
+          const RunStats want_stats =
+              sirt_written_out(PlanOperator<float>(serial), bs[c], want, opts[c]);
+          util::AlignedVector<float> got(n, 0.0F);
+          const RunStats got_stats =
+              os_sart<float>(FullAppliesOnly(serial), bs[c], got, 1, opts[c]);
+          expect_bitwise(got, want, "one-stratum os_sart", c);
+          expect_same_stats(got_stats, want_stats, c);
+          expect_bitwise(extract_column(x, kBatch, c), want, "one-stratum os_sart_batch", c);
+          expect_same_stats(stats[c], want_stats, c);
+          util::AlignedVector<float> sirt_x(n, 0.0F);
+          expect_same_stats(sirt<float>(PlanOperator<float>(serial), bs[c], sirt_x, opts[c]),
+                            want_stats, c);
+          expect_bitwise(sirt_x, want, "sirt", c);
+        }
+      }
+    }
   }
 }
 

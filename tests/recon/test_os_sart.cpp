@@ -11,7 +11,7 @@
 #include "core/plan.hpp"
 #include "ct/phantom.hpp"
 #include "recon/operators.hpp"
-#include "recon/os_sart.hpp"
+#include "recon/solvers.hpp"
 #include "sparse/random.hpp"
 #include "test_helpers.hpp"
 #include "util/stats.hpp"
@@ -113,7 +113,7 @@ TEST(OsSart, ConvergesFasterThanSirtPerPass) {
 
   util::AlignedVector<double> x_os(static_cast<std::size_t>(a.cols()), 0.0);
   util::AlignedVector<double> x_si(static_cast<std::size_t>(a.cols()), 0.0);
-  const auto s_os = os_sart<double>(plan, b, x_os, {.iterations = 5, .num_subsets = 6});
+  const auto s_os = os_sart<double>(op, b, x_os, 6, {.iterations = 5});
   const auto s_si = sirt<double>(op, b, x_si, {.iterations = 5});
   EXPECT_LT(s_os.residual_norms.back(), s_si.residual_norms.back());
 }
@@ -128,7 +128,7 @@ TEST(OsSart, SingleSubsetEqualsSirtUpdate) {
   op.forward(x_true, b);
   util::AlignedVector<double> x1(static_cast<std::size_t>(a.cols()), 0.0);
   util::AlignedVector<double> x2(static_cast<std::size_t>(a.cols()), 0.0);
-  os_sart<double>(plan, b, x1, {.iterations = 3, .num_subsets = 1});
+  os_sart<double>(op, b, x1, 1, {.iterations = 3});
   sirt<double>(op, b, x2, {.iterations = 3});
   EXPECT_LT(util::rel_l2_error<double>(x1, x2), 1e-10);
 }
@@ -136,14 +136,14 @@ TEST(OsSart, SingleSubsetEqualsSirtUpdate) {
 TEST(OsSart, ResidualTrendsDown) {
   const auto a = build(16, 24);
   const core::SpmvPlan<double> plan(a);
+  const PlanOperator<double> op(plan);
   const auto x_true = ct::rasterize<double>(ct::shepp_logan_modified(), 16);
   util::AlignedVector<double> b(static_cast<std::size_t>(a.rows()));
   plan.execute(x_true, b);
   util::AlignedVector<double> x(static_cast<std::size_t>(a.cols()), 0.0);
   // Damped relaxation: undamped ordered subsets settle into a limit cycle
   // instead of converging; lambda < 1 is standard practice.
-  auto stats = os_sart<double>(plan, b, x,
-                               {.iterations = 8, .num_subsets = 6, .relaxation = 0.6});
+  auto stats = os_sart<double>(op, b, x, 6, {.iterations = 8, .relaxation = 0.6});
   EXPECT_LT(stats.residual_norms.back(), 0.5 * stats.residual_norms.front());
 }
 
@@ -154,15 +154,15 @@ TEST(OsSart, ClampsSubsetsToViewGroups) {
   EXPECT_EQ(os_sart_strata(a.view_groups(), 13), 3);
   EXPECT_EQ(os_sart_strata(a.view_groups(), 2), 2);
   const core::SpmvPlan<double> plan(a);
+  const PlanOperator<double> op(plan);
   const auto b = sparse::random_vector<double>(static_cast<std::size_t>(a.rows()), 7);
   util::AlignedVector<double> x13(static_cast<std::size_t>(a.cols()), 0.0);
   util::AlignedVector<double> x3(static_cast<std::size_t>(a.cols()), 0.0);
-  const auto s13 = os_sart<double>(plan, b, x13, {.iterations = 2, .num_subsets = 13});
-  const auto s3 = os_sart<double>(plan, b, x3, {.iterations = 2, .num_subsets = 3});
+  const auto s13 = os_sart<double>(op, b, x13, 13, {.iterations = 2});
+  const auto s3 = os_sart<double>(op, b, x3, 3, {.iterations = 2});
   EXPECT_EQ(0, std::memcmp(x13.data(), x3.data(), x3.size() * sizeof(double)));
   EXPECT_EQ(s13.residual_norms, s3.residual_norms);
-  EXPECT_THROW(os_sart<double>(plan, b, x3, {.iterations = 1, .num_subsets = 0}),
-               util::CheckError);
+  EXPECT_THROW(os_sart<double>(op, b, x3, 0, {.iterations = 1}), util::CheckError);
 }
 
 }  // namespace

@@ -1,18 +1,19 @@
 // Operator-only solver set-up done once: the zero-start skip of the first
-// forward (sirt/cgls and their batches), CGLS's skip of its last adjoint,
-// and OS-SART over a plan — stratum weights memoized on the plan and reused
-// by every solve, bit for bit what a fresh plan computes, with per-pass
-// norms of the stacked strata.
+// forward (the SART family, cgls and their batches), CGLS's skip of its
+// last adjoint, and OS-SART over a plan — stratum weights memoized on the
+// plan and reused by every solve, bit for bit what a fresh plan computes,
+// with per-pass norms of the residual rows the strata used.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/plan.hpp"
 #include "recon/colmath.hpp"
-#include "recon/os_sart.hpp"
 #include "recon/solvers.hpp"
 #include "test_helpers.hpp"
 #include "util/parallel.hpp"
@@ -200,41 +201,90 @@ core::CscvMatrix<float> os_sart_matrix() {
                                         core::CscvMatrix<float>::Variant::kM);
 }
 
-/// OS-SART passes one at a time; after each, the reported norm must equal
-/// diff_norm2(b, A x) with A x a row-partition forward, bit for bit — also
-/// on a private-y plan, whose strata still run as subset forwards. A pass
-/// run alone recomputes stratum 0's forward that a longer solve reuses, so
-/// the passes also pin that the reuse changes no bit of x.
+/// A PlanOperator that keeps a copy of every subset forward's output.
+class RecordingOperator final : public LinearOperator<float> {
+ public:
+  explicit RecordingOperator(const core::SpmvPlan<float>& plan) : inner_(plan) {}
+  [[nodiscard]] sparse::index_t rows() const override { return inner_.rows(); }
+  [[nodiscard]] sparse::index_t cols() const override { return inner_.cols(); }
+  void forward(std::span<const float> x, std::span<float> y) const override {
+    inner_.forward(x, y);
+  }
+  void adjoint(std::span<const float> y, std::span<float> x) const override {
+    inner_.adjoint(y, x);
+  }
+  [[nodiscard]] util::AlignedVector<float> row_sums() const override {
+    return inner_.row_sums();
+  }
+  [[nodiscard]] int view_groups() const override { return inner_.view_groups(); }
+  [[nodiscard]] std::size_t group_rows() const override { return inner_.group_rows(); }
+  void forward_subset(const core::GroupSubset& subset, std::span<const float> x,
+                      std::span<float> y, int num_rhs) const override {
+    inner_.forward_subset(subset, x, y, num_rhs);
+    forwards.emplace_back(subset.index, util::AlignedVector<float>(y.begin(), y.end()));
+  }
+  void adjoint_subset(const core::GroupSubset& subset, std::span<const float> y,
+                      std::span<float> x, int num_rhs) const override {
+    inner_.adjoint_subset(subset, y, x, num_rhs);
+  }
+  [[nodiscard]] util::AlignedVector<float> subset_col_sums(
+      const core::GroupSubset& subset) const override {
+    return inner_.subset_col_sums(subset);
+  }
+
+  /// (stratum, y) per subset forward, in call order.
+  mutable std::vector<std::pair<int, util::AlignedVector<float>>> forwards;
+
+ private:
+  PlanOperator<float> inner_;
+};
+
+/// Each pass's reported norm must be ||b - A x|| over the rows its strata
+/// used, each row at the x of its stratum's update: the residual rows of
+/// the recorded subset forwards (+0 for the first stratum of a solve from
+/// zero, which makes none), summed group by group in stratum order — also
+/// on a private-y plan, whose strata still run as subset forwards.
 void check_per_pass_norms(core::ThreadScheme scheme, int threads) {
-  const auto a = os_sart_matrix();
+  const auto a = os_sart_matrix();  // 6 view groups: strata {0, 4}, {1, 5}, {2}, {3}
   const core::SpmvPlan<float> plan(a, {.scheme = scheme, .threads = threads});
   ASSERT_EQ(plan.scheme(), scheme);
-  const core::SpmvPlan<float> rows_plan(
-      a, {.scheme = core::ThreadScheme::kRowPartition, .threads = threads});
+  const RecordingOperator op(plan);
   const auto m = static_cast<std::size_t>(a.rows());
   const auto n = static_cast<std::size_t>(a.cols());
   const auto b = sparse::random_vector<float>(m, 24, 0.0, 1.0);
-  const OsSartOptions opts{.iterations = 4, .num_subsets = 4};
+  constexpr int kStrata = 4;
+  constexpr int kPasses = 3;
 
   util::AlignedVector<float> x(n, 0.0F);
-  const RunStats stats = os_sart<float>(plan, b, x, opts);
-  ASSERT_EQ(stats.residual_norms.size(), 4U);
+  const RunStats stats = os_sart<float>(op, b, x, kStrata, {.iterations = kPasses});
+  ASSERT_EQ(stats.residual_norms.size(), std::size_t{kPasses});
+  ASSERT_EQ(op.forwards.size(), std::size_t{kPasses * kStrata - 1});
 
-  util::AlignedVector<float> x_step(n, 0.0F);
-  util::AlignedVector<float> ax(m);
-  OsSartOptions one_pass = opts;
-  one_pass.iterations = 1;
-  for (std::size_t pass = 0; pass < 4; ++pass) {
-    (void)os_sart<float>(plan, b, x_step, one_pass);
-    rows_plan.execute(x_step, ax);
-    const double want = colmath::diff_norm2(b.data(), ax.data(), m);
-    EXPECT_EQ(0, std::memcmp(&stats.residual_norms[pass], &want, sizeof(double)))
+  const std::size_t group_rows = op.group_rows();
+  std::size_t next = 0;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    double sum2 = 0.0;
+    for (int s = 0; s < kStrata; ++s) {
+      util::AlignedVector<float> r(m, 0.0F);
+      if (pass > 0 || s > 0) {
+        ASSERT_EQ(op.forwards[next].first, s);
+        r = op.forwards[next++].second;
+      }
+      for (int g = s; g < op.view_groups(); g += kStrata) {
+        const std::size_t r0 = static_cast<std::size_t>(g) * group_rows;
+        const std::size_t len = std::min(group_rows, m - r0);
+        colmath::residual_from(b.data() + r0, r.data() + r0, len);
+        sum2 += colmath::dot_self(r.data() + r0, len);
+      }
+    }
+    const double want = std::sqrt(sum2);
+    EXPECT_EQ(0, std::memcmp(&stats.residual_norms[static_cast<std::size_t>(pass)], &want,
+                             sizeof(double)))
         << "pass " << pass << " at " << threads << " threads";
   }
-  EXPECT_EQ(0, std::memcmp(x.data(), x_step.data(), n * sizeof(float)));
 }
 
-TEST(OsSartPlan, PerPassNormsAreFullForwardNorms) {
+TEST(OsSartPlan, PerPassNormsAreStratumResidualNorms) {
   const int saved = util::max_threads();
   for (const int threads : {1, 2}) {
     util::set_num_threads(threads);
@@ -250,7 +300,7 @@ TEST(OsSartPlan, ReusedPlanMatchesFreshPlans) {
   const auto a = os_sart_matrix();
   const auto m = static_cast<std::size_t>(a.rows());
   const auto n = static_cast<std::size_t>(a.cols());
-  const OsSartOptions opts{.iterations = 3, .num_subsets = 3};
+  const SolveOptions opts{.iterations = 3};
   const int saved = util::max_threads();
 
   const core::SpmvPlan<float> reused(a, {.threads = 2});
@@ -261,9 +311,9 @@ TEST(OsSartPlan, ReusedPlanMatchesFreshPlans) {
       const auto b = sparse::random_vector<float>(m, seed, 0.0, 1.0);
       util::AlignedVector<float> x(n, 0.0F);
       util::AlignedVector<float> x_ref(n, 0.0F);
-      const RunStats got = os_sart<float>(reused, b, x, opts);
+      const RunStats got = os_sart<float>(PlanOperator<float>(reused), b, x, 3, opts);
       const core::SpmvPlan<float> fresh(a, {.threads = 2});
-      const RunStats want = os_sart<float>(fresh, b, x_ref, opts);
+      const RunStats want = os_sart<float>(PlanOperator<float>(fresh), b, x_ref, 3, opts);
       EXPECT_EQ(0, std::memcmp(x.data(), x_ref.data(), n * sizeof(float)))
           << threads << " threads, seed " << seed;
       EXPECT_EQ(got.residual_norms, want.residual_norms);
@@ -274,20 +324,18 @@ TEST(OsSartPlan, ReusedPlanMatchesFreshPlans) {
   util::set_num_threads(saved);
 }
 
-// The strata are structural: a batch whose columns ask for different
-// subset counts is an error, as is a batch wider or narrower than its plan.
+// The strata are structural, so a batch has one subset count; a batch
+// narrower than its plan is an error.
 TEST(OsSartBatch, RejectsColumnsWithAnotherSubsetCount) {
   const auto a = os_sart_matrix();
   const core::SpmvPlan<float> plan(a, {.num_rhs = 2, .threads = 1});
   const auto m = static_cast<std::size_t>(a.rows());
   const auto n = static_cast<std::size_t>(a.cols());
-  util::AlignedVector<float> b(2 * m, 1.0F);
-  util::AlignedVector<float> x(2 * n, 0.0F);
-  const std::vector<OsSartOptions> mixed = {{.iterations = 1, .num_subsets = 4},
-                                            {.iterations = 1, .num_subsets = 3}};
-  EXPECT_THROW(os_sart_batch<float>(plan, b, x, mixed), util::CheckError);
-  const std::vector<OsSartOptions> one = {{.iterations = 1, .num_subsets = 4}};
-  EXPECT_THROW(os_sart_batch<float>(plan, b, x, one), util::CheckError);
+  util::AlignedVector<float> b(m, 1.0F);
+  util::AlignedVector<float> x(n, 0.0F);
+  const std::vector<SolveOptions> one = {{.iterations = 1}};
+  EXPECT_THROW(os_sart_batch<float>(PlanOperator<float>(plan), b, x, 1, 4, one),
+               util::CheckError);
 }
 
 }  // namespace

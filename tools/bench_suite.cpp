@@ -31,7 +31,6 @@
 #include "dist/sharded_operator.hpp"
 #include "dist/worker.hpp"
 #include "pipeline/service.hpp"
-#include "recon/os_sart.hpp"
 #include "recon/solvers.hpp"
 #include "sparse/convert.hpp"
 #include "util/cli.hpp"
@@ -476,11 +475,10 @@ void run_pipeline_batched(const SuiteFlags& flags, benchlib::BenchReport& report
 // forward, so 4 iterations take SIRT 3 forwards and 4 adjoints and CGLS 4
 // and 4 (its last iteration computes no next search direction, so no
 // adjoint). OS-SART counts its stratum applies: per pass one subset forward
-// and adjoint per stratum plus the residual's subset forwards, less the
-// first stratum's forward after pass one (reused from the residual) — no
-// weight transposes once warm. The counts change only when a solver's
-// apply sequence does, so they gate exactly on any runner (structural,
-// like nnz).
+// and adjoint per stratum, less the first stratum's forward of the first
+// pass from zero (4 strata: 15 and 16) — no weight transposes once warm.
+// The counts change only when a solver's apply sequence does, so they gate
+// exactly on any runner (structural, like nnz).
 void run_warm_solves(const SuiteFlags& flags, benchlib::BenchReport& report) {
   const auto datasets = benchlib::standard_datasets(flags.scale);
   const benchlib::Dataset& d = datasets.front();
@@ -492,7 +490,6 @@ void run_warm_solves(const SuiteFlags& flags, benchlib::BenchReport& report) {
   const recon::PlanOperator<float> op(plan);
   const auto b = ct::analytic_sinogram<float>(ct::shepp_logan_modified(), d.geometry);
   const recon::SolveOptions solve{.iterations = 4};
-  const recon::OsSartOptions os_sart{.iterations = solve.iterations, .num_subsets = 4};
 
   for (const char* algo : {"SIRT", "CGLS", "OS-SART"}) {
     const auto run = [&] {
@@ -502,7 +499,7 @@ void run_warm_solves(const SuiteFlags& flags, benchlib::BenchReport& report) {
       } else if (std::strcmp(algo, "CGLS") == 0) {
         (void)recon::cgls<float>(op, b, x, solve);
       } else {
-        (void)recon::os_sart<float>(plan, b, x, os_sart);
+        (void)recon::os_sart<float>(op, b, x, 4, solve);
       }
     };
     run();  // the plan memoizes A 1 and A^T 1 (per stratum for OS-SART) here

@@ -6,7 +6,8 @@
 #
 #   1. A coordinator run over both workers produces a volume BITWISE
 #      IDENTICAL to the in-process LocalBackend reference with the same
-#      shard boundaries (`cscv_cli shard-run --check`).
+#      shard boundaries (`cscv_cli shard-run --check`), for SIRT and for
+#      OS-SART (whose stratum applies travel compacted per shard).
 #   2. Killing one worker degrades gracefully: the coordinator reshards onto
 #      the survivor and produces the SAME volume bitwise — the reduce order
 #      is pinned by shard id, not by which process computed the partials.
@@ -78,6 +79,10 @@ JOB_FLAGS="--image=64 --views=48 --algorithm=sirt --iters=8 --shards=4"
 echo "shard_e2e: healthy cluster run (+ bitwise --check vs local reference)"
 "$CLI" shard-run --endpoints="$ENDPOINTS" $JOB_FLAGS --check \
   --save-volume="$WORK/vol_healthy.raw" || fail "healthy shard-run failed"
+
+echo "shard_e2e: healthy cluster OS-SART run (+ bitwise --check vs local reference)"
+"$CLI" shard-run --endpoints="$ENDPOINTS" --image=64 --views=48 --algorithm=ossart \
+  --subsets=4 --iters=4 --shards=4 --check || fail "healthy OS-SART shard-run failed"
 
 echo "shard_e2e: killing worker 1 (pid $W1_PID); coordinator must fail over"
 kill -KILL "$W1_PID"
