@@ -5,7 +5,7 @@
 // not on the quadrature.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   auto flags = benchlib::parse_bench_flags(cli);
@@ -22,14 +22,12 @@ int main(int argc, char** argv) {
     const auto cols = static_cast<std::size_t>(m.csc.cols());
     const auto rows = static_cast<std::size_t>(m.csc.rows());
     core::CscvParams p{.s_vvec = 8, .s_imgb = 32, .s_vxg = 4};
-    auto cz = core::CscvMatrix<float>::build(m.csc, m.layout, p,
-                                             core::CscvMatrix<float>::Variant::kZ);
-    auto cm = core::CscvMatrix<float>::build(m.csc, m.layout, p,
-                                             core::CscvMatrix<float>::Variant::kM);
-    benchlib::Engine<float> ez{"", [&cz](auto x, auto y) { cz.spmv(x, y); },
-                               cz.matrix_bytes(), cz.nnz(), nullptr};
-    benchlib::Engine<float> em{"", [&cm](auto x, auto y) { cm.spmv(x, y); },
-                               cm.matrix_bytes(), cm.nnz(), nullptr};
+    const auto cz = std::make_shared<const core::CscvMatrix<float>>(
+        core::CscvMatrix<float>::build(m.csc, m.layout, p, core::CscvMatrix<float>::Variant::kZ));
+    const auto ez = benchlib::cscv_engine<float>("", cz);
+    const auto em = benchlib::cscv_engine<float>(
+        "", std::make_shared<const core::CscvMatrix<float>>(core::CscvMatrix<float>::build(
+                m.csc, m.layout, p, core::CscvMatrix<float>::Variant::kM)));
     auto mz = benchlib::measure_spmv(ez, cols, rows, util::max_threads(), flags.iters);
     auto mm = benchlib::measure_spmv(em, cols, rows, util::max_threads(), flags.iters);
     const double per_col_view =
@@ -37,9 +35,11 @@ int main(int argc, char** argv) {
         (static_cast<double>(m.csc.cols()) * dataset.geometry.num_views);
     t.add(model == ct::FootprintModel::kRect ? "rect (distance-driven)" : "trapezoid (exact)",
           static_cast<long long>(m.csc.nnz()), util::fmt_fixed(per_col_view, 2),
-          util::fmt_fixed(cz.r_nnze(), 3), util::fmt_fixed(mz.gflops, 2),
+          util::fmt_fixed(cz->r_nnze(), 3), util::fmt_fixed(mz.gflops, 2),
           util::fmt_fixed(mm.gflops, 2));
   }
   benchlib::print_table(t, flags.csv);
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

@@ -5,7 +5,7 @@
 // measured SpMV, not just a lattice count.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   auto flags = benchlib::parse_bench_flags(cli);
@@ -24,14 +24,15 @@ int main(int argc, char** argv) {
                    core::ReferenceStrategy::kConstantBtb}) {
     core::CscvParams p{.s_vvec = 8, .s_imgb = 32, .s_vxg = 2};
     p.reference = ref;
-    auto cz = core::CscvMatrix<float>::build(m.csc, m.layout, p,
-                                             core::CscvMatrix<float>::Variant::kZ);
-    benchlib::Engine<float> engine{"", [&cz](auto x, auto y) { cz.spmv(x, y); },
-                                   cz.matrix_bytes(), cz.nnz(), nullptr};
+    const auto cz = std::make_shared<const core::CscvMatrix<float>>(
+        core::CscvMatrix<float>::build(m.csc, m.layout, p, core::CscvMatrix<float>::Variant::kZ));
+    const auto engine = benchlib::cscv_engine<float>("", cz);
     auto meas = benchlib::measure_spmv(engine, cols, rows, util::max_threads(), flags.iters);
-    t.add(core::reference_name(ref), util::fmt_fixed(cz.r_nnze(), 3),
-          static_cast<long long>(cz.padded_values()), util::fmt_fixed(meas.gflops, 2));
+    t.add(core::reference_name(ref), util::fmt_fixed(cz->r_nnze(), 3),
+          static_cast<long long>(cz->padded_values()), util::fmt_fixed(meas.gflops, 2));
   }
   benchlib::print_table(t, flags.csv);
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

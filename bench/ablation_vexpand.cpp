@@ -7,7 +7,7 @@
 #include "bench_common.hpp"
 #include "core/dispatch.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   auto flags = benchlib::parse_bench_flags(cli);
@@ -36,13 +36,11 @@ int main(int argc, char** argv) {
   util::Table t({"kernel", "expand path", "GFLOP/s", "vs hardware"});
 
   core::CscvParams p{.s_vvec = 8, .s_imgb = 32, .s_vxg = 4};
-  auto cm = core::CscvMatrix<float>::build(m.csc, m.layout, p,
-                                           core::CscvMatrix<float>::Variant::kM);
+  const auto cm = std::make_shared<const core::CscvMatrix<float>>(
+      core::CscvMatrix<float>::build(m.csc, m.layout, p, core::CscvMatrix<float>::Variant::kM));
   double hw_gflops = 0.0;
   for (auto path : {simd::ExpandPath::kHardware, simd::ExpandPath::kSoftware}) {
-    benchlib::Engine<float> engine{
-        "", [&cm, path](auto x, auto y) { cm.spmv(x, y, core::ThreadScheme::kAuto, path); },
-        cm.matrix_bytes(), cm.nnz(), nullptr};
+    const auto engine = benchlib::cscv_engine<float>("", cm, false, {.path = path});
     auto meas = benchlib::measure_spmv(engine, cols, rows, 1, flags.iters);
     const bool is_hw = path == simd::ExpandPath::kHardware;
     if (is_hw) hw_gflops = meas.gflops;
@@ -67,13 +65,14 @@ int main(int argc, char** argv) {
 
   // Context row: CSCV-Z has no expansion at all (the paper's single-thread
   // winner on the soft-vexpand platform).
-  auto cz = core::CscvMatrix<float>::build(m.csc, m.layout, p,
-                                           core::CscvMatrix<float>::Variant::kZ);
-  benchlib::Engine<float> ez{"", [&cz](auto x, auto y) { cz.spmv(x, y); },
-                             cz.matrix_bytes(), cz.nnz(), nullptr};
+  const auto ez = benchlib::cscv_engine<float>(
+      "", std::make_shared<const core::CscvMatrix<float>>(core::CscvMatrix<float>::build(
+              m.csc, m.layout, p, core::CscvMatrix<float>::Variant::kZ)));
   auto meas = benchlib::measure_spmv(ez, cols, rows, 1, flags.iters);
   t.add("CSCV-Z", "(none)", util::fmt_fixed(meas.gflops, 2), "-");
 
   benchlib::print_table(t, flags.csv);
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

@@ -5,7 +5,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   auto flags = benchlib::parse_bench_flags(cli);
@@ -26,16 +26,18 @@ int main(int argc, char** argv) {
                        core::VxgOrder::kByCount}) {
       core::CscvParams p{.s_vvec = 8, .s_imgb = 32, .s_vxg = 4};
       p.order = order;
-      auto cm = core::CscvMatrix<float>::build(m.csc, m.layout, p, variant);
-      benchlib::Engine<float> engine{"", [&cm](auto x, auto y) { cm.spmv(x, y); },
-                                     cm.matrix_bytes(), cm.nnz(), nullptr};
+      const auto cm = std::make_shared<const core::CscvMatrix<float>>(
+          core::CscvMatrix<float>::build(m.csc, m.layout, p, variant));
+      const auto engine = benchlib::cscv_engine<float>("", cm);
       auto one = benchlib::measure_spmv(engine, cols, rows, 1, flags.iters);
       auto many = benchlib::measure_spmv(engine, cols, rows, threads, flags.iters);
       t.add(variant == core::CscvMatrix<float>::Variant::kZ ? "CSCV-Z" : "CSCV-M",
             core::vxg_order_name(order), util::fmt_fixed(one.gflops, 2),
-            util::fmt_fixed(many.gflops, 2), util::fmt_fixed(cm.r_nnze(), 3));
+            util::fmt_fixed(many.gflops, 2), util::fmt_fixed(cm->r_nnze(), 3));
     }
   }
   benchlib::print_table(t, flags.csv);
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

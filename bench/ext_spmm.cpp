@@ -4,7 +4,7 @@
 // cache with vector data.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   auto flags = benchlib::parse_bench_flags(cli);
@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
     for (int k : ks) {
       auto x = sparse::random_vector<float>(cols * static_cast<std::size_t>(k), 1, 0.0, 1.0);
       util::AlignedVector<float> y(rows * static_cast<std::size_t>(k));
-      const double seconds =
-          util::min_time_seconds(flags.iters, [&] { cm.spmv_multi(x, y, k); });
+      const core::SpmvPlan<float> plan(cm, {.num_rhs = k});
+      const double seconds = util::min_time_seconds(flags.iters, [&] { plan.execute(x, y); });
       t.add(vname, k, util::fmt_fixed(seconds * 1e3, 2) + " ms",
             util::fmt_fixed(seconds / k * 1e3, 2) + " ms",
             util::fmt_fixed(
@@ -40,4 +40,6 @@ int main(int argc, char** argv) {
   std::cout << "(K = 1 delegates to the single-RHS kernels; larger K amortizes matrix "
                "traffic per slice)\n";
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

@@ -8,7 +8,7 @@
 // figure regenerates faithfully on real multi-core machines.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   auto flags = benchlib::parse_bench_flags(cli);
@@ -49,4 +49,6 @@ int main(int argc, char** argv) {
   run.operator()<double>("double");
   benchlib::maybe_write_report(flags, std::move(report), "fig10");
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

@@ -8,7 +8,7 @@
 //      CSCV-Z, where Z hits ~98% of peak yet loses on total traffic).
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   auto flags = benchlib::parse_bench_flags(cli);
@@ -44,4 +44,6 @@ int main(int argc, char** argv) {
   run.operator()<float>("single");
   run.operator()<double>("double");
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

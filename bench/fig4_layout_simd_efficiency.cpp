@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "core/analysis.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   auto flags = benchlib::parse_bench_flags(cli);
@@ -88,4 +88,6 @@ int main(int argc, char** argv) {
   benchlib::print_table(agg, flags.csv);
   benchlib::maybe_write_report(flags, std::move(report), "fig4");
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

@@ -10,7 +10,7 @@
 #include "bench_common.hpp"
 #include "core/analysis.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   auto flags = benchlib::parse_bench_flags(cli);
@@ -60,4 +60,6 @@ int main(int argc, char** argv) {
               << " lanes; " << center.cscve_count << " CSCVEs total\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

@@ -7,7 +7,7 @@
 // value).
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   auto flags = benchlib::parse_bench_flags(cli);
@@ -38,4 +38,6 @@ int main(int argc, char** argv) {
   }
   benchlib::print_table(t, flags.csv);
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

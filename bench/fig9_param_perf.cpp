@@ -6,7 +6,7 @@
 // one thread and once for all hardware threads, for CSCV-Z and CSCV-M.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   auto flags = benchlib::parse_bench_flags(cli);
@@ -34,15 +34,14 @@ int main(int argc, char** argv) {
           double best_rnnze = 0.0;
           for (int s_vxg : vxgs) {
             core::CscvParams p{.s_vvec = s_vvec, .s_imgb = s_imgb, .s_vxg = s_vxg};
-            auto cm = core::CscvMatrix<float>::build(m.csc, m.layout, p, variant);
-            benchlib::Engine<float> engine{
-                vname, [&cm](auto x, auto y) { cm.spmv(x, y); }, cm.matrix_bytes(),
-                cm.nnz(), nullptr};
+            const auto cm = std::make_shared<const core::CscvMatrix<float>>(
+                core::CscvMatrix<float>::build(m.csc, m.layout, p, variant));
+            const auto engine = benchlib::cscv_engine<float>(vname, cm);
             auto meas = benchlib::measure_spmv(engine, cols, rows, threads, flags.iters);
             if (meas.gflops > best_gflops) {
               best_gflops = meas.gflops;
               best_vxg = s_vxg;
-              best_rnnze = cm.r_nnze();
+              best_rnnze = cm->r_nnze();
             }
           }
           t.add(vname, threads, s_vvec, s_imgb, util::fmt_fixed(best_gflops, 2), best_vxg,
@@ -54,4 +53,6 @@ int main(int argc, char** argv) {
   }
   benchlib::print_table(t, flags.csv);
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

@@ -21,7 +21,7 @@ template <typename T>
 struct Context {
   benchlib::MatrixPair<T> matrices;
   std::vector<benchlib::Engine<T>> engines;
-  std::shared_ptr<core::CscvMatrix<T>> cscv_z;  // the CSCV-Z engine's matrix
+  std::shared_ptr<const core::CscvMatrix<T>> cscv_z;  // the CSCV-Z engine's matrix
   util::AlignedVector<T> x;
   util::AlignedVector<T> y;
 };
@@ -36,9 +36,8 @@ Context<T>& context() {
     c.engines = benchlib::build_engines<T>(c.matrices.csr, c.matrices.csc,
                                            c.matrices.layout);
     for (const auto& e : c.engines) {
-      if (e.name == "CSCV-Z") {
-        c.cscv_z = std::static_pointer_cast<core::CscvMatrix<T>>(e.state);
-      }
+      if (e.prepare) e.prepare();  // CSCV plans at the ambient thread count
+      if (e.name == "CSCV-Z") c.cscv_z = e.cscv->matrix;
     }
     c.x = sparse::random_vector<T>(static_cast<std::size_t>(c.matrices.csc.cols()), 1,
                                    0.0, 1.0);

@@ -6,7 +6,7 @@
 // be checked at both scales.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   auto flags = benchlib::parse_bench_flags(cli);
@@ -52,4 +52,6 @@ int main(int argc, char** argv) {
   p.add("2048x2048", 2920, 160, "0.1875 deg", "1750179564");
   benchlib::print_table(p, flags.csv);
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

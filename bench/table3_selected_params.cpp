@@ -7,7 +7,7 @@
 // alongside the paper's own SKL/Zen2 choices for comparison.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   auto flags = benchlib::parse_bench_flags(cli);
@@ -36,14 +36,14 @@ int main(int argc, char** argv) {
         for (int s_imgb : {16, 32, 64}) {
           for (int s_vxg : {1, 2, 4}) {
             core::CscvParams p{.s_vvec = s_vvec, .s_imgb = s_imgb, .s_vxg = s_vxg};
-            auto cm = core::CscvMatrix<T>::build(m.csc, m.layout, p, variant);
-            benchlib::Engine<T> engine{"", [&cm](auto x, auto y) { cm.spmv(x, y); },
-                                       cm.matrix_bytes(), cm.nnz(), nullptr};
+            const auto cm = std::make_shared<const core::CscvMatrix<T>>(
+                core::CscvMatrix<T>::build(m.csc, m.layout, p, variant));
+            const auto engine = benchlib::cscv_engine<T>("", cm);
             auto meas = benchlib::measure_spmv(engine, cols, rows, threads, flags.iters);
             if (meas.gflops > best_gflops) {
               best_gflops = meas.gflops;
               best_p = p;
-              best_r = cm.r_nnze();
+              best_r = cm->r_nnze();
             }
           }
         }
@@ -68,4 +68,6 @@ int main(int argc, char** argv) {
   p.add("Zen2", "CSCV-M", "double", 16, 8, 1, 0.303);
   benchlib::print_table(p, flags.csv);
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

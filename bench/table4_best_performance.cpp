@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   auto flags = benchlib::parse_bench_flags(cli);
@@ -57,4 +57,6 @@ int main(int argc, char** argv) {
                " CSCV-Z 73.36 / 79.47, MKL-CSR 43.75 / 54.57, MKL-CSC 41.56 / 44.63,"
                " Merge 30.84 / 39.49\n";
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

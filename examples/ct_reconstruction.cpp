@@ -45,7 +45,7 @@ void write_pgm(const std::string& path, std::span<const double> img, int n) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   const int image = cli.get_int("image", 128);
@@ -55,6 +55,9 @@ int main(int argc, char** argv) {
   const std::string out_path = cli.get_string("out", "recon.pgm");
   const double dose = cli.get_double("dose", 0.0);
   cli.finish();
+  CSCV_CHECK_MSG(solver == "sirt" || solver == "cgls" || solver == "icd" ||
+                     solver == "ossart" || solver == "fbp",
+                 "unknown --solver=" << solver << " (want sirt|cgls|icd|ossart|fbp)");
 
   const auto geometry = ct::standard_geometry(image, views);
   std::cout << "building system matrix (" << image << "x" << image << ", " << views
@@ -85,8 +88,9 @@ int main(int argc, char** argv) {
     std::cout << "added transmission Poisson noise at I0 = " << dose << "\n";
   }
 
-  // Builds the matrix's cached execution plan outside the solve timer.
-  const recon::PlanOperator<double> op(cscv.plan());
+  // Builds the execution plan outside the solve timer.
+  const core::SpmvPlan<double> plan(cscv);
+  const recon::PlanOperator<double> op(plan);
   util::AlignedVector<double> x(static_cast<std::size_t>(csc.cols()), 0.0);
   std::cout << "reconstructing with " << solver << " (" << iters << " iterations)...\n";
   util::WallTimer solve_timer;
@@ -103,7 +107,7 @@ int main(int argc, char** argv) {
                                   dose > 0.0 ? recon::FbpWindow::kHann
                                              : recon::FbpWindow::kRamLak);
     std::copy(img.begin(), img.end(), x.begin());
-  } else {
+  } else {  // sirt
     stats = recon::sirt<double>(op, sinogram, x, {.iterations = iters});
   }
   const double solve_seconds = solve_timer.seconds();
@@ -121,4 +125,6 @@ int main(int argc, char** argv) {
   write_pgm("phantom.pgm", ground_truth, image);
   std::cout << "wrote " << out_path << " and phantom.pgm\n";
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

@@ -18,7 +18,7 @@
 #include "util/stats.hpp"
 #include "util/timing.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   const int image = cli.get_int("image", 96);
@@ -47,15 +47,18 @@ int main(int argc, char** argv) {
   const auto phantom = ct::shepp_logan_modified();
   const auto truth = ct::rasterize<double>(phantom, image);
   util::AlignedVector<double> sinogram(static_cast<std::size_t>(csc.rows()));
-  cscv.spmv(truth, sinogram);
+  const core::SpmvPlan<double> plan(cscv);
+  plan.execute(truth, sinogram);
 
   util::AlignedVector<double> x(static_cast<std::size_t>(csc.cols()), 0.0);
   timer.reset();
-  auto stats = recon::os_sart<double>(recon::PlanOperator<double>(cscv.plan()), sinogram, x,
+  auto stats = recon::os_sart<double>(recon::PlanOperator<double>(plan), sinogram, x,
                                       12, {.iterations = iters, .relaxation = 0.7});
   std::cout << "OS-SART (" << iters << " passes, 12 subsets): residual "
             << stats.residual_norms.front() << " -> " << stats.residual_norms.back()
             << " in " << timer.seconds() << " s\n";
   std::cout << "image RMSE vs phantom: " << util::rmse<double>(x, truth) << "\n";
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

@@ -16,7 +16,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   const int image = cli.get_int("image", 96);
@@ -45,19 +45,17 @@ int main(int argc, char** argv) {
     for (int s_imgb : {16, 32, 64}) {
       for (int s_vxg : {1, 2, 4}) {
         const core::CscvParams p{.s_vvec = s_vvec, .s_imgb = s_imgb, .s_vxg = s_vxg};
-        auto z = core::CscvMatrix<float>::build(csc, layout, p,
-                                                core::CscvMatrix<float>::Variant::kZ);
-        auto m = core::CscvMatrix<float>::build(csc, layout, p,
-                                                core::CscvMatrix<float>::Variant::kM);
-        benchlib::Engine<float> ez{"", [&z](auto x, auto y) { z.spmv(x, y); },
-                                   z.matrix_bytes(), z.nnz(), nullptr};
-        benchlib::Engine<float> em{"", [&m](auto x, auto y) { m.spmv(x, y); },
-                                   m.matrix_bytes(), m.nnz(), nullptr};
+        const auto z = std::make_shared<const core::CscvMatrix<float>>(
+            core::CscvMatrix<float>::build(csc, layout, p, core::CscvMatrix<float>::Variant::kZ));
+        const auto ez = benchlib::cscv_engine<float>("", z);
+        const auto em = benchlib::cscv_engine<float>(
+            "", std::make_shared<const core::CscvMatrix<float>>(core::CscvMatrix<float>::build(
+                    csc, layout, p, core::CscvMatrix<float>::Variant::kM)));
         const auto mz = benchlib::measure_spmv(ez, cols, rows, 1, iters);
         const auto mm = benchlib::measure_spmv(em, cols, rows, threads, iters);
         if (mz.gflops > best_z.gflops) best_z = {mz.gflops, p};
         if (mm.gflops > best_m.gflops) best_m = {mm.gflops, p};
-        t.add(s_vvec, s_imgb, s_vxg, util::fmt_fixed(z.r_nnze(), 3),
+        t.add(s_vvec, s_imgb, s_vxg, util::fmt_fixed(z->r_nnze(), 3),
               util::fmt_fixed(mz.gflops, 2), util::fmt_fixed(mm.gflops, 2));
       }
     }
@@ -73,4 +71,6 @@ int main(int argc, char** argv) {
             << "  (" << util::fmt_fixed(best_m.gflops, 2) << " GFLOP/s @" << threads
             << " threads)\n";
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

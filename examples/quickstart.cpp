@@ -7,7 +7,7 @@
 //   1. describe the scanner            (ct::ParallelGeometry)
 //   2. build the system matrix         (ct::build_system_matrix_csc)
 //   3. convert to CSCV                 (core::CscvMatrix::build)
-//   4. project an image                (CscvMatrix::plan + SpmvPlan::execute)
+//   4. project an image                (core::SpmvPlan + SpmvPlan::execute)
 #include <iostream>
 
 #include "core/format.hpp"
@@ -18,7 +18,7 @@
 #include "util/stats.hpp"
 #include "util/timing.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   const int image = cli.get_int("image", 128);
@@ -45,14 +45,13 @@ int main(int argc, char** argv) {
   std::cout << "CSCV-M: " << cscv.num_vxgs() << " VxGs, zero-padding rate R_nnzE = "
             << cscv.r_nnze() << "\n";
 
-  // 4. Forward projection of the Shepp-Logan phantom. `plan()` builds the
-  //    execution context (kernel dispatch, thread partition, scratch) once;
-  //    every `execute` after that is the pure warm apply — the pattern to
-  //    use whenever the same matrix is applied repeatedly. One-shot callers
-  //    can keep calling cscv.spmv(x, y); it routes through the same cache.
+  // 4. Forward projection of the Shepp-Logan phantom. An SpmvPlan is the
+  //    one way to apply the matrix: it builds the execution context (kernel
+  //    dispatch, thread partition, scratch) once, and every `execute` after
+  //    that is the pure warm apply. Hold it for as long as you iterate.
   const auto phantom = ct::rasterize<float>(ct::shepp_logan_modified(), image);
   util::AlignedVector<float> sinogram(static_cast<std::size_t>(csc.rows()));
-  const core::SpmvPlan<float>& plan = cscv.plan();
+  const core::SpmvPlan<float> plan(cscv);
   const double seconds =
       util::min_time_seconds(10, [&] { plan.execute(phantom, sinogram); });
   std::cout << "CSCV SpMV: " << util::spmv_gflops(static_cast<std::uint64_t>(cscv.nnz()),
@@ -66,4 +65,6 @@ int main(int argc, char** argv) {
   std::cout << "relative L2 error vs CSR reference: "
             << util::rel_l2_error<float>(sinogram, reference) << "\n";
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

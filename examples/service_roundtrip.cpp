@@ -16,7 +16,7 @@
 
 using namespace cscv;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::CliFlags cli(argc, argv);
   const int image = cli.get_int("image", 64);
   const int views = cli.get_int("views", 48);
@@ -79,4 +79,6 @@ int main(int argc, char** argv) {
 
   server.stop();
   return identical ? 0 : 1;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

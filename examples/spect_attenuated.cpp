@@ -20,7 +20,7 @@
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   const int image = cli.get_int("image", 96);
@@ -55,13 +55,14 @@ int main(int argc, char** argv) {
   }
 
   util::AlignedVector<double> sinogram(static_cast<std::size_t>(csc.rows()));
-  cscv.spmv(activity, sinogram);
+  core::SpmvPlan<double>(cscv).execute(activity, sinogram);
   util::Rng rng(21);
   ct::add_emission_poisson_noise<double>(std::span<double>(sinogram), 50.0, rng);
 
   auto reconstruct = [&](const core::CscvMatrix<double>& op_matrix) {
     util::AlignedVector<double> x(static_cast<std::size_t>(csc.cols()), 0.0);
-    recon::os_sart<double>(recon::PlanOperator<double>(op_matrix.plan()), sinogram, x, 10,
+    const core::SpmvPlan<double> plan(op_matrix);
+    recon::os_sart<double>(recon::PlanOperator<double>(plan), sinogram, x, 10,
                            {.iterations = iters, .relaxation = 0.7});
     return x;
   };
@@ -75,4 +76,6 @@ int main(int argc, char** argv) {
             << util::rmse<double>(unmatched, activity) << "\n";
   std::cout << "(the matched operator should win; the gap grows with --mu)\n";
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

@@ -14,7 +14,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cscv;
   util::CliFlags cli(argc, argv);
   const int image = cli.get_int("image", 128);
@@ -62,4 +62,6 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   return 0;
+} catch (const std::exception& e) {
+  return cscv::util::report_main_error(argv[0], e);
 }

@@ -9,9 +9,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/format.hpp"
+#include "core/plan.hpp"
 #include "sparse/csc.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/cvr.hpp"
@@ -19,8 +21,17 @@
 #include "sparse/segsum.hpp"
 #include "sparse/sell.hpp"
 #include "sparse/spc5.hpp"
+#include "util/assertx.hpp"
 
 namespace cscv::benchlib {
+
+/// What a CSCV engine (cscv_engine) holds: its matrix and the plan its
+/// apply runs.
+template <typename T>
+struct CscvEngineState {
+  std::shared_ptr<const core::CscvMatrix<T>> matrix;
+  std::unique_ptr<core::SpmvPlan<T>> plan;  // built by the engine's prepare
+};
 
 template <typename T>
 struct Engine {
@@ -31,9 +42,39 @@ struct Engine {
   std::shared_ptr<void> state;       // keeps the converted matrix alive
   /// Optional warm-up run after the thread count is pinned and before the
   /// timed loop: builds execution plans / scratch so the measurement sees
-  /// only the steady-state apply. Engines without setup leave it empty.
+  /// only the steady-state apply. Engines without setup leave it empty;
+  /// engines with one need it before their first apply.
   std::function<void()> prepare = nullptr;
+  /// CSCV engines only: the matrix and the plan the timed loop ran, whose
+  /// PlanStats the records carry.
+  std::shared_ptr<CscvEngineState<T>> cscv = nullptr;
 };
+
+/// A CSCV engine over `m`: prepare() builds an SpmvPlan with `options` at
+/// the thread count pinned then, and apply runs it — y = A x, or x = A^T y
+/// when `transpose`.
+template <typename T>
+Engine<T> cscv_engine(std::string name, std::shared_ptr<const core::CscvMatrix<T>> m,
+                      bool transpose = false, core::PlanOptions options = {}) {
+  auto s = std::make_shared<CscvEngineState<T>>(CscvEngineState<T>{m, nullptr});
+  Engine<T> e{std::move(name),
+              [s, transpose](std::span<const T> in, std::span<T> out) {
+                CSCV_CHECK_MSG(s->plan != nullptr, "CSCV engine applied before prepare()");
+                if (transpose) {
+                  s->plan->execute_transpose(in, out);
+                } else {
+                  s->plan->execute(in, out);
+                }
+              },
+              m->matrix_bytes(),
+              m->nnz(),
+              s,
+              [s, options] {
+                s->plan = std::make_unique<core::SpmvPlan<T>>(*s->matrix, options);
+              }};
+  e.cscv = std::move(s);
+  return e;
+}
 
 /// CSCV parameters per variant. The paper's Table III picks S_VVec up to 16
 /// at clinical angular sampling (delta ~ 0.375 deg, so 16 views span 6 deg);
@@ -95,14 +136,12 @@ std::vector<Engine<T>> build_engines(const sparse::CsrMatrix<T>& csr,
                        cvr->matrix_bytes(), cvr->nnz(), cvr});
   }
   if (include_cscv) {
-    auto z = std::make_shared<core::CscvMatrix<T>>(core::CscvMatrix<T>::build(
-        csc, layout, config.z, core::CscvMatrix<T>::Variant::kZ));
-    engines.push_back({"CSCV-Z", [z](auto x, auto y) { z->spmv(x, y); },
-                       z->matrix_bytes(), z->nnz(), z, [z] { (void)z->plan(); }});
-    auto m = std::make_shared<core::CscvMatrix<T>>(core::CscvMatrix<T>::build(
-        csc, layout, config.m, core::CscvMatrix<T>::Variant::kM));
-    engines.push_back({"CSCV-M", [m](auto x, auto y) { m->spmv(x, y); },
-                       m->matrix_bytes(), m->nnz(), m, [m] { (void)m->plan(); }});
+    engines.push_back(cscv_engine<T>(
+        "CSCV-Z", std::make_shared<const core::CscvMatrix<T>>(core::CscvMatrix<T>::build(
+                      csc, layout, config.z, core::CscvMatrix<T>::Variant::kZ))));
+    engines.push_back(cscv_engine<T>(
+        "CSCV-M", std::make_shared<const core::CscvMatrix<T>>(core::CscvMatrix<T>::build(
+                      csc, layout, config.m, core::CscvMatrix<T>::Variant::kM))));
   }
   return engines;
 }

@@ -1,5 +1,6 @@
 #include "core/autotune.hpp"
 
+#include "core/plan.hpp"
 #include "sparse/random.hpp"
 #include "util/parallel.hpp"
 #include "util/timing.hpp"
@@ -33,8 +34,9 @@ AutotuneResult autotune(const sparse::CscMatrix<T>& a, const OperatorLayout& lay
           continue;
         }
         util::set_num_threads(threads);
+        const SpmvPlan<T> plan(m, {.threads = threads});
         const double seconds =
-            util::min_time_seconds(options.iterations, [&] { m.spmv(x, y); });
+            util::min_time_seconds(options.iterations, [&] { plan.execute(x, y); });
         util::set_num_threads(saved_threads);
         const double gflops =
             util::spmv_gflops(static_cast<std::uint64_t>(m.nnz()), seconds);

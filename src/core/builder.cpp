@@ -618,7 +618,6 @@ inline float widen_from(core::ValueType vt, std::uint16_t bits) {
 
 template <typename T>
 double CscvMatrix<T>::convert_values(ValueType vt) {
-  CSCV_CHECK_MSG(vt != ValueType::kAuto, "convert_values needs a concrete dtype");
   if (vt == value_type_) return 0.0;
   if constexpr (!std::is_same_v<T, float>) {
     CSCV_CHECK_MSG(false, "reduced value storage requires a float matrix, not "
@@ -658,10 +657,6 @@ double CscvMatrix<T>::convert_values(ValueType vt) {
       sparsify_bound_ += max_row_mass;
     }
     value_type_ = vt;
-    {
-      util::MutexLock lock(plan_cache_.mu);
-      plan_cache_.slots.clear();  // cached plans decode the old storage
-    }
     return max_row_mass;
   }
 }
@@ -747,10 +742,6 @@ SparsifyReport CscvMatrix<T>::sparsify(double eps) {
   stored_nnz_ = stored_kept;
   sparsify_eps_ = std::max(sparsify_eps_, eps);
   sparsify_bound_ += rep.max_row_l1;  // row-wise error masses add
-  {
-    util::MutexLock lock(plan_cache_.mu);
-    plan_cache_.slots.clear();  // stats/val_begin/kernels all changed
-  }
   return rep;
 }
 

@@ -95,8 +95,6 @@ struct TierChoice {
   simd::IsaTier tier = simd::IsaTier::kGeneric;
   bool forced = false;
   bool clamped = false;
-
-  friend bool operator==(const TierChoice&, const TierChoice&) = default;
 };
 
 /// Reads the CSCV_FORCE_ISA environment variable. Unset or "auto" means no

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <type_traits>
 
@@ -37,13 +36,16 @@
 #include "sparse/csc.hpp"
 #include "sparse/types.hpp"
 #include "util/aligned_vector.hpp"
-#include "util/sync.hpp"
 
 namespace cscv::core {
 
 /// Thread-level scheduling of the block loop (Section IV-E).
 enum class ThreadScheme {
-  kAuto,          // row partition when view groups >= threads, else copies
+  // Row partition when the *stored* view groups (grid().view_groups: the
+  // quarter's when folded) are >= threads, else private copies. So a folded
+  // 64x64/48 operator at S_VVec 8 (2 stored groups) picks private-y from 3
+  // threads up, where its unfolded form (6 groups) would not.
+  kAuto,
   kRowPartition,  // threads own whole view groups; scatter straight into y
   kPrivateY,      // threads split blocks; private y copies + reduction
 };
@@ -53,7 +55,7 @@ class SpmvPlan;
 
 /// Configuration an SpmvPlan is built for. A plan resolves these once;
 /// changing any of them (including the ambient thread count when `threads`
-/// is 0) requires a new plan — CscvMatrix::plan() handles that transparently.
+/// is 0) takes a new plan. The value dtype is the matrix's own.
 struct PlanOptions {
   ThreadScheme scheme = ThreadScheme::kAuto;
   simd::ExpandPath path = simd::ExpandPath::kAuto;
@@ -63,13 +65,6 @@ struct PlanOptions {
   // picks the best registered tier for this CPU; a concrete tier pins the
   // plan to it (clamped to what the binary carries — see PlanStats).
   simd::IsaTier isa = simd::IsaTier::kAuto;
-  // Value storage dtype the plan expects (docs/PRECISION.md). kAuto follows
-  // whatever the matrix stores; a concrete dtype asserts it — a mismatch is
-  // a CheckError, because a plan cannot convert storage (use
-  // CscvMatrix::convert_values() for that).
-  ValueType value_type = ValueType::kAuto;
-
-  friend bool operator==(const PlanOptions&, const PlanOptions&) = default;
 };
 
 /// What sparsify() dropped and the certificate it computed. The bound is
@@ -186,78 +181,22 @@ class CscvMatrix {
   /// Largest per-block y~ scratch requirement, in elements.
   [[nodiscard]] std::size_t ytilde_max_slots() const { return ytilde_max_slots_; }
 
-  // ---- compute ---------------------------------------------------------
-  /// y = A x. Parallel; kernels are fully vectorized FMAs over contiguous
-  /// y~ slots (Algorithm 3 with the gather replaced by zero-init, since y
-  /// is overwritten).
-  void spmv(std::span<const T> x, std::span<T> y,
-            ThreadScheme scheme = ThreadScheme::kAuto,
-            simd::ExpandPath path = simd::ExpandPath::kAuto) const;
-
-  /// Y = A X for K right-hand sides stored interleaved (X[col * K + k],
-  /// Y[row * K + k]) — the multi-slice CT case: one system matrix forward-
-  /// projects K slices while its values stream through the cache once.
-  /// Matrix traffic per slice drops by K; the kernels stay gather-free.
-  void spmv_multi(std::span<const T> x, std::span<T> y, int num_rhs,
-                  ThreadScheme scheme = ThreadScheme::kAuto) const;
-
-  /// x = A^T y — CSCV-based backprojection (the paper's stated future
-  /// work). Per block: gather y into y~ with iota_k, then each VxG reduces
-  /// to one x entry via a contiguous dot product (the transpose of the
-  /// forward FMA; same no-gather inner loop) in a fixed order: one partial
-  /// sum per view lane over the S_VxG CSCVEs, a pairwise tree over the
-  /// lanes, then x[col] += in block order. Threads partition image tiles,
-  /// whose x ranges are disjoint, so no private copies are needed and the
-  /// result does not depend on the thread count.
-  void spmv_transpose(std::span<const T> y, std::span<T> x,
-                      simd::ExpandPath path = simd::ExpandPath::kAuto) const;
-
-  /// X = A^T Y for K right-hand sides stored interleaved (Y[row * K + k],
-  /// X[col * K + k]) — the backprojection counterpart of spmv_multi: one
-  /// matrix traversal contracts K sinogram columns. Column k of the result
-  /// is bitwise identical to spmv_transpose of that column alone (the
-  /// kernels run each column through the single-RHS operations).
-  void spmv_transpose_multi(std::span<const T> y, std::span<T> x, int num_rhs) const;
-
   // ---- storage transforms (docs/PRECISION.md) --------------------------
   /// Re-encodes the value array to `vt` in place (float matrices only for
-  /// reduced dtypes; round-to-nearest-even per value) and invalidates every
-  /// cached plan. Returns the certified max per-row l1 rounding mass, which
-  /// is also added into sparsify_error_bound(). Converting back to kF32
-  /// widens exactly but does not recover precision already rounded away.
+  /// reduced dtypes; round-to-nearest-even per value). Returns the certified
+  /// max per-row l1 rounding mass, which is also added into
+  /// sparsify_error_bound(). Converting back to kF32 widens exactly but does
+  /// not recover precision already rounded away. A plan built before the
+  /// call decodes the old storage: rebuild every SpmvPlan of the matrix.
   double convert_values(ValueType vt);
 
   /// Drops every stored entry with |v| < eps: kZ zeroes in place (structure
   /// unchanged), kM repacks values and masks so the dropped entries stop
   /// being streamed. Requires kF32 storage (sparsify before convert_values).
   /// The certificate (report.max_row_l1) accumulates into
-  /// sparsify_error_bound(); cached plans are invalidated.
+  /// sparsify_error_bound(). A plan built before the call reads stale
+  /// value offsets: rebuild every SpmvPlan of the matrix.
   SparsifyReport sparsify(double eps);
-
-  /// Lazily-built cached execution plan for `opts` (see plan.hpp). All the
-  /// apply entry points above route through this, so iterating callers pay
-  /// for thread-scheme resolution, kernel dispatch, partitioning, and
-  /// scratch allocation exactly once per configuration. The cache holds up
-  /// to kPlanCacheSlots plans keyed on (options, thread count) — distinct
-  /// num_rhs values coexist — evicted LRU; a plan is rebuilt when the
-  /// options, the ambient util::max_threads(), or the matrix identity
-  /// change (so set_num_threads() between calls is always honored).
-  ///
-  /// Plan *acquisition* is thread-safe: a small mutex guards the cache, so
-  /// concurrent first calls single-flight the build (one thread constructs,
-  /// the rest wait and receive the same plan). The returned reference stays
-  /// valid while the matrix lives and no caller requests a different
-  /// configuration — a rebuild (changed options or thread count) replaces
-  /// the cached plan and frees the old one. Plan *execution* mutates the
-  /// plan's private scratch, so concurrent execute() calls still need one
-  /// SpmvPlan per caller thread (see pipeline::ReconService's per-worker
-  /// plans for the intended pattern).
-  const SpmvPlan<T>& plan(const PlanOptions& opts = {}) const;
-
-  /// Cached-plan slots kept per matrix (see plan()). Small on purpose: a
-  /// slot pins its plan's scratch, and callers needing many live
-  /// configurations (a worker pool) hold their own SpmvPlans instead.
-  static constexpr std::size_t kPlanCacheSlots = 4;
 
   // ---- introspection (tests, analysis benches) -------------------------
   [[nodiscard]] std::span<const BlockInfo> blocks() const { return blocks_; }
@@ -326,45 +265,6 @@ class CscvMatrix {
   double sparsify_eps_ = 0.0;    // 0 = never sparsified
   double sparsify_bound_ = 0.0;  // certified max per-row l1 error mass
 
-  // Cached plans — a small MRU-first list keyed on the full (matrix,
-  // options, thread count) configuration, guarded by a mutex so concurrent
-  // first calls to plan()/spmv() on a shared matrix cannot race on the
-  // slots (the warm path pays one uncontended lock). Distinct num_rhs
-  // values each get their own slot. Every copy, move, and assignment
-  // leaves BOTH matrices with a cold cache: a plan remembers the address
-  // of the matrix it was built for, so an assignment target's stale plan
-  // would still "match" its own address while indexing the replaced (or
-  // destroyed) arrays — the slots must go, on both sides.
-  // The assignment operators take the (uncontended — assignment implies
-  // exclusive access) locks sequentially, never nested, purely so the
-  // capability analysis can check them like any other member; constructors
-  // are outside the analysis by design.
-  struct PlanCache {
-    util::Mutex mu;
-    std::vector<std::shared_ptr<SpmvPlan<T>>> slots CSCV_GUARDED_BY(mu);  // MRU first
-
-    PlanCache() = default;
-    PlanCache(const PlanCache&) noexcept {}
-    PlanCache& operator=(const PlanCache&) noexcept {
-      util::MutexLock lock(mu);
-      slots.clear();
-      return *this;
-    }
-    PlanCache(PlanCache&& other) noexcept {
-      other.slots.clear();  // the moved-from matrix is gutted, so its
-    }                       // plans must go too
-    PlanCache& operator=(PlanCache&& other) noexcept {
-      {
-        util::MutexLock lock(mu);
-        slots.clear();
-      }
-      util::MutexLock lock_other(other.mu);
-      other.slots.clear();
-      return *this;
-    }
-  };
-  mutable PlanCache plan_cache_;
-
   template <typename U>
   friend class CscvBuilderAccess;
   template <typename U>
@@ -372,7 +272,7 @@ class CscvMatrix {
 };
 
 // Note: no `extern template class` here on purpose. The out-of-line members
-// are explicitly instantiated member-by-member in builder.cpp / spmv.cpp /
+// are explicitly instantiated member-by-member in builder.cpp /
 // serialize.cpp; suppressing implicit instantiation of the whole class would
 // also suppress the in-class inline accessors, which unoptimized builds do
 // not inline (undefined references at Debug link time).

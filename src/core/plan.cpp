@@ -14,7 +14,7 @@ using sparse::offset_t;
 
 template <typename T>
 SpmvPlan<T>::SpmvPlan(const CscvMatrix<T>& a, const PlanOptions& opts)
-    : a_(&a), requested_(opts) {
+    : a_(&a) {
   const util::telemetry::Stopwatch build_timer;
   CSCV_CHECK(opts.num_rhs >= 1);
   num_rhs_ = opts.num_rhs;
@@ -24,19 +24,14 @@ SpmvPlan<T>::SpmvPlan(const CscvMatrix<T>& a, const PlanOptions& opts)
   k_stored_ = folded_ ? ct::ViewFold::kImages * num_rhs_ : num_rhs_;
   stored_ = a.stored_layout();
 
-  // Resolve once what the one-shot paths used to resolve per call.
+  // Resolve the scheme, dtype, tier and kernels once for every apply.
   scheme_ = opts.scheme;
   if (scheme_ == ThreadScheme::kAuto) {
     scheme_ = a.grid_.view_groups >= threads_ ? ThreadScheme::kRowPartition
                                               : ThreadScheme::kPrivateY;
   }
   if (threads_ == 1) scheme_ = ThreadScheme::kRowPartition;  // trivially race-free
-  value_type_ = opts.value_type == ValueType::kAuto ? a.value_type() : opts.value_type;
-  CSCV_CHECK_MSG(value_type_ == a.value_type(),
-                 "PlanOptions::value_type " << value_type_name(value_type_)
-                                            << " does not match the matrix's stored "
-                                            << value_type_name(a.value_type())
-                                            << " (convert_values first)");
+  value_type_ = a.value_type();
   tier_ = dispatch::select_tier_for_dtype(opts.isa, value_type_);
   use_hw_ = a.variant_ == CscvMatrix<T>::Variant::kM &&
             dispatch::resolve_expand_path(opts.path, std::is_same_v<T, double>,
@@ -657,34 +652,7 @@ PlanStats SpmvPlan<T>::stats() const {
   return s;
 }
 
-// ---- cached-plan accessor on the matrix ---------------------------------
-
-template <typename T>
-const SpmvPlan<T>& CscvMatrix<T>::plan(const PlanOptions& opts) const {
-  const int want_threads = opts.threads > 0 ? opts.threads : util::max_threads();
-  // The build happens under the lock on purpose: concurrent cold callers
-  // single-flight onto one construction instead of each building (and all
-  // but one discarding) a plan. The warm path is one uncontended lock plus
-  // a scan of a handful of slots, keyed on the full (options, thread count)
-  // configuration — so distinct num_rhs values (a service batching jobs at
-  // several widths) coexist instead of thrashing one slot.
-  util::MutexLock lock(plan_cache_.mu);
-  auto& slots = plan_cache_.slots;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i]->matches(*this, opts, want_threads)) {
-      if (i != 0) std::rotate(slots.begin(), slots.begin() + static_cast<std::ptrdiff_t>(i),
-                              slots.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-      return *slots.front();
-    }
-  }
-  slots.insert(slots.begin(), std::make_shared<SpmvPlan<T>>(*this, opts));
-  if (slots.size() > kPlanCacheSlots) slots.pop_back();
-  return *slots.front();
-}
-
 template class SpmvPlan<float>;
 template class SpmvPlan<double>;
-template const SpmvPlan<float>& CscvMatrix<float>::plan(const PlanOptions&) const;
-template const SpmvPlan<double>& CscvMatrix<double>::plan(const PlanOptions&) const;
 
 }  // namespace cscv::core

@@ -22,10 +22,11 @@
 // each row from the image that owns its view; subset applies keep their
 // meaning over the operator's view groups (docs/FORMAT.md §9).
 //
-// A plan stays *correct* if util::max_threads() changes after construction
-// (partition slots are striped over however many OpenMP threads show up),
-// but it is tuned for the thread count it was built with;
-// CscvMatrix::plan() rebuilds its cached plan on a thread-count change.
+// A plan is the only way to apply a CscvMatrix: callers build one and hold
+// it for as long as they iterate. It stays *correct* if util::max_threads()
+// changes after construction (partition slots are striped over however many
+// OpenMP threads show up), but it is tuned for the thread count it was
+// built with, so a caller that changes the thread count builds a new plan.
 // A plan owns mutable scratch: concurrent execute() calls on one plan are
 // not allowed (use one plan per caller thread).
 #pragma once
@@ -134,13 +135,26 @@ class SpmvPlan {
   /// Builds a plan for `a`. The matrix must outlive the plan (and not move).
   explicit SpmvPlan(const CscvMatrix<T>& a, const PlanOptions& opts = {});
 
-  /// y = A x (num_rhs == 1) or Y = A X for num_rhs interleaved RHS.
-  /// x.size() == cols * num_rhs, y.size() == rows * num_rhs.
+  /// y = A x (num_rhs == 1) or Y = A X for num_rhs interleaved RHS
+  /// (X[col * K + k], Y[row * K + k]): the multi-slice CT case, where K
+  /// slices share one pass of the matrix values. x.size() == cols * num_rhs,
+  /// y.size() == rows * num_rhs. Kernels are fully vectorized FMAs over
+  /// contiguous y~ slots (Algorithm 3 with the gather replaced by zero-init,
+  /// since y is overwritten); each block's y~ is added into y in block
+  /// order. Under kRowPartition a row's sum does not depend on the thread
+  /// count; kPrivateY reduces the per-slot copies in partition order.
   void execute(std::span<const T> x, std::span<T> y) const;
 
-  /// x = A^T y (num_rhs == 1) or X = A^T Y for num_rhs interleaved RHS.
-  /// y.size() == rows * num_rhs, x.size() == cols * num_rhs. Column k is
-  /// bitwise identical to a single-RHS transpose of that column.
+  /// x = A^T y (num_rhs == 1) or X = A^T Y for num_rhs interleaved RHS —
+  /// CSCV backprojection (the paper's stated future work). Per block: gather
+  /// y into y~ with iota_k, then each VxG reduces to one x entry in a fixed
+  /// order: one partial sum per view lane over the S_VxG CSCVEs, a pairwise
+  /// tree over the lanes, then x[col] += in block order; folded, the four
+  /// images add as ((I + T) + R) + M per pixel. Slots partition image
+  /// tiles, whose x ranges are disjoint, so the result does not depend on
+  /// the thread count, and column k is bitwise identical to a single-RHS
+  /// transpose of that column. y.size() == rows * num_rhs,
+  /// x.size() == cols * num_rhs.
   void execute_transpose(std::span<const T> y, std::span<T> x) const;
 
   /// y = A_s x over the rows of subset s's view groups only; every other
@@ -172,7 +186,6 @@ class SpmvPlan {
 
   // ---- introspection ---------------------------------------------------
   [[nodiscard]] const CscvMatrix<T>* matrix() const { return a_; }
-  [[nodiscard]] const PlanOptions& options() const { return requested_; }
   /// Partition slots == the thread count the plan was built for.
   [[nodiscard]] int threads() const { return threads_; }
   /// The scheme after kAuto resolution.
@@ -180,7 +193,7 @@ class SpmvPlan {
   [[nodiscard]] bool hardware_expand() const { return use_hw_; }
   /// The kernel ISA tier the plan resolved (never kAuto).
   [[nodiscard]] simd::IsaTier isa_tier() const { return tier_.tier; }
-  /// The storage dtype the plan's kernels decode (kAuto resolved).
+  /// The storage dtype the plan's kernels decode: the matrix's at build.
   [[nodiscard]] ValueType value_type() const { return value_type_; }
   [[nodiscard]] int num_rhs() const { return num_rhs_; }
   /// VxGs assigned to each forward-partition slot (load-balance checks).
@@ -197,17 +210,6 @@ class SpmvPlan {
   [[nodiscard]] PlanStats stats() const;
   /// Clears the dynamic counters (no-op without CSCV_TELEMETRY).
   void reset_telemetry() { counters_.reset(); }
-
-  /// True when this cached plan can serve (matrix, opts) at `threads`.
-  /// Re-runs tier selection so a CSCV_FORCE_ISA change between calls (tests,
-  /// A/B runs) rebuilds instead of serving the stale tier's kernels.
-  [[nodiscard]] bool matches(const CscvMatrix<T>& a, const PlanOptions& opts,
-                             int threads) const {
-    const ValueType vt =
-        opts.value_type == ValueType::kAuto ? a.value_type() : opts.value_type;
-    return a_ == &a && requested_ == opts && threads_ == threads && value_type_ == vt &&
-           tier_ == dispatch::select_tier_for_dtype(opts.isa, vt);
-  }
 
  private:
   [[nodiscard]] T* ytilde_slot(int slot) const {
@@ -252,12 +254,11 @@ class SpmvPlan {
   [[nodiscard]] std::span<const T> sums_of_ones(bool transpose) const;
 
   const CscvMatrix<T>* a_ = nullptr;
-  PlanOptions requested_;
   int threads_ = 1;          // partition slots
   int num_rhs_ = 1;
   ThreadScheme scheme_ = ThreadScheme::kRowPartition;  // resolved, never kAuto
   bool use_hw_ = false;
-  ValueType value_type_ = ValueType::kF32;  // resolved, never kAuto
+  ValueType value_type_ = ValueType::kF32;
   dispatch::TierChoice tier_;  // resolved ISA tier (level-one dispatch)
   dispatch::KernelSet<T> kernels_;  // for k_stored_ columns
 

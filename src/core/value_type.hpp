@@ -15,15 +15,12 @@
 
 namespace cscv::core {
 
+// The values are the tags stored in .cscv headers and spill files.
 enum class ValueType : int {
-  kAuto = -1,  // PlanOptions only: follow the matrix's stored dtype
-  kF32 = 0,    // values stored in the matrix's arithmetic type T
-  kBf16 = 1,   // bfloat16 storage, fp32 accumulate (float matrices only)
-  kF16 = 2,    // IEEE binary16 storage, fp32 accumulate (float matrices only)
+  kF32 = 0,   // values stored in the matrix's arithmetic type T
+  kBf16 = 1,  // bfloat16 storage, fp32 accumulate (float matrices only)
+  kF16 = 2,   // IEEE binary16 storage, fp32 accumulate (float matrices only)
 };
-
-/// Number of concrete (storable) dtypes; kAuto is a request, not storage.
-inline constexpr int kNumValueTypes = 3;
 
 [[nodiscard]] inline constexpr bool value_type_is_reduced(ValueType t) {
   return t == ValueType::kBf16 || t == ValueType::kF16;
@@ -39,7 +36,6 @@ inline constexpr int kNumValueTypes = 3;
 
 inline std::string value_type_name(ValueType t) {
   switch (t) {
-    case ValueType::kAuto: return "auto";
     case ValueType::kF32: return "fp32";
     case ValueType::kBf16: return "bf16";
     case ValueType::kF16: return "fp16";
@@ -50,12 +46,11 @@ inline std::string value_type_name(ValueType t) {
 /// Inverse of value_type_name; CheckError on unknown names (the service wire
 /// format and the CLI parse these from untrusted input).
 inline ValueType value_type_from_name(const std::string& name) {
-  if (name == "auto") return ValueType::kAuto;
   if (name == "fp32") return ValueType::kF32;
   if (name == "bf16") return ValueType::kBf16;
   if (name == "fp16") return ValueType::kF16;
   CSCV_CHECK_MSG(false,
-                 "unknown value type \"" << name << "\" (want auto|fp32|bf16|fp16)");
+                 "unknown value type \"" << name << "\" (want fp32|bf16|fp16)");
   return ValueType::kF32;  // unreachable
 }
 

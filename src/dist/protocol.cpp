@@ -121,8 +121,11 @@ ApplyHeader decode_apply(std::string_view payload, util::AlignedVector<float>& d
                         std::to_string(payload.size()) + " bytes");
   }
   data.resize(static_cast<std::size_t>(h.count));
-  // memcpy: the payload has no alignment guarantee.
-  std::memcpy(data.data(), p + kApplyHeaderBytes, data.size() * sizeof(float));
+  // memcpy: the payload has no alignment guarantee. An empty vector's data()
+  // may be null, which memcpy must not get even for zero bytes.
+  if (h.count > 0) {
+    std::memcpy(data.data(), p + kApplyHeaderBytes, data.size() * sizeof(float));
+  }
   return h;
 }
 

@@ -100,7 +100,8 @@ Shard build_shard(const ShardSpec& spec, const std::string& spill_dir) {
     if (!spill_path.empty()) try_spill(spill_path, *shard.cscv);
   }
   shard.nnz = static_cast<std::uint64_t>(shard.cscv->nnz());
-  (void)shard.plan();  // warm the cached plan before the first apply
+  shard.plan = std::make_shared<const core::SpmvPlan<float>>(*shard.cscv,
+                                                             core::PlanOptions{.threads = 1});
   shard.build_seconds = timer.seconds();
   return shard;
 }
@@ -109,7 +110,7 @@ void apply_shard(const Shard& shard, ApplyOp op, int subset, std::span<const flo
                  util::AlignedVector<float>& out) {
   const auto cols = static_cast<std::size_t>(shard.local_layout.num_cols());
   const auto rows = static_cast<std::size_t>(shard.spec.local_rows());
-  const core::SpmvPlan<float>& plan = shard.plan();
+  const core::SpmvPlan<float>& plan = *shard.plan;
 
   if (subset < 0) {
     if (op == ApplyOp::kForward) {

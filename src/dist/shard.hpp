@@ -29,15 +29,13 @@ struct Shard {
   ShardSpec spec;
   core::OperatorLayout local_layout;  // num_views = spec.num_local_views()
   std::shared_ptr<core::CscvMatrix<float>> cscv;
+  /// The single-threaded single-RHS plan every apply runs, built once by
+  /// build_shard.
+  std::shared_ptr<const core::SpmvPlan<float>> plan;
 
   std::uint64_t nnz = 0;
   bool restored_from_spill = false;
   double build_seconds = 0.0;
-
-  /// The single-threaded single-RHS plan (cached inside the matrix).
-  [[nodiscard]] const core::SpmvPlan<float>& plan() const {
-    return cscv->plan({.threads = 1});
-  }
 };
 
 /// The OS-SART stratum count of the spec's global problem:

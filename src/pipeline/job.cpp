@@ -114,10 +114,6 @@ ReconJob ReconJob::from_json(const util::Json& spec) {
 
   job.value_type = core::value_type_from_name(
       util::get_string_field(spec, "value_type", core::value_type_name(job.value_type)));
-  // kAuto means "match the matrix" in PlanOptions; a job spec names the
-  // matrix dtype itself, so "auto" has nothing to resolve against.
-  CSCV_CHECK_MSG(job.value_type != core::ValueType::kAuto,
-                 "job spec: value_type must be fp32|bf16|fp16");
   job.sparsify_eps = util::get_double_field(spec, "sparsify_eps", 0.0);
   CSCV_CHECK_MSG(std::isfinite(job.sparsify_eps) && job.sparsify_eps >= 0.0,
                  "job spec: sparsify_eps must be finite and >= 0");

@@ -173,10 +173,10 @@ class CscOperator final : public LinearOperator<T> {
 /// The CSCV operator: forward via the plan's execute, adjoint via its
 /// execute_transpose (the CSCV transpose, the paper's future work). The
 /// caller owns the plan, so it decides which plan instance serves which
-/// thread: `cscv.plan()` (the matrix's cached plan) in one-thread-at-a-time
-/// code, one plan per worker in pipeline::ReconService, since a plan's
-/// scratch forbids concurrent execute() calls on one instance. A plan built
-/// with num_rhs == K serves K-column batched solves.
+/// thread: one plan per solve in serial code, one plan per worker in
+/// pipeline::ReconService, since a plan's scratch forbids concurrent
+/// execute() calls on one instance. A plan built with num_rhs == K serves
+/// K-column batched solves.
 template <typename T>
 class PlanOperator final : public LinearOperator<T> {
  public:

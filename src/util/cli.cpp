@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <cstdlib>
+#include <iostream>
 #include <sstream>
 #include <string_view>
 
@@ -74,6 +75,12 @@ void CliFlags::finish() const {
   for (const auto& [name, _] : flags_) {
     CSCV_CHECK_MSG(queried_.count(name) != 0, "unknown flag --" << name);
   }
+}
+
+int report_main_error(const char* argv0, const std::exception& e) {
+  const std::string_view path = argv0 != nullptr ? argv0 : "";
+  std::cerr << path.substr(path.find_last_of('/') + 1) << ": " << e.what() << "\n";
+  return 2;
 }
 
 }  // namespace cscv::util

@@ -5,6 +5,7 @@
 // the wrong configuration.
 #pragma once
 
+#include <exception>
 #include <map>
 #include <optional>
 #include <string>
@@ -41,5 +42,10 @@ class CliFlags {
   mutable std::map<std::string, bool> queried_;
   std::vector<std::string> positional_;
 };
+
+/// The handler of a bench or example `main`: prints the error that escaped
+/// it (an unknown flag, a bad value, a failed check) as "<program>: <what>"
+/// on stderr and returns the exit code, 2.
+int report_main_error(const char* argv0, const std::exception& e);
 
 }  // namespace cscv::util

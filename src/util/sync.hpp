@@ -1,7 +1,7 @@
 // Annotated synchronization primitives (docs/CONCURRENCY.md).
 //
 // util::Mutex / util::MutexLock / util::CondVar are the only lock types the
-// concurrent layers (src/pipeline, src/net, the CscvMatrix plan cache) use.
+// concurrent layers (src/pipeline, src/net) use.
 // They are zero-overhead inline shims over the std primitives whose single
 // purpose is to carry the Clang Thread Safety Analysis attributes
 // (util/thread_annotations.hpp): a std::mutex is opaque to the analysis,

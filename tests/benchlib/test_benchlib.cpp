@@ -59,6 +59,7 @@ TEST(Engines, FullRegistryAgreesOnCtMatrix) {
   csr.spmv_serial(x, y_ref);
   for (const auto& engine : engines) {
     util::AlignedVector<float> y(static_cast<std::size_t>(csc.rows()));
+    if (engine.prepare) engine.prepare();
     engine.apply(x, y);
     EXPECT_LT(util::rel_l2_error<float>(y, y_ref), 1e-5) << engine.name;
     EXPECT_GT(engine.matrix_bytes, 0u) << engine.name;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/format.hpp"
+#include "core/plan.hpp"
 #include "sparse/coo.hpp"
 #include "test_helpers.hpp"
 #include "util/parallel.hpp"
@@ -277,7 +278,7 @@ TEST(CscvBuilder, LaterVxgOwnsOverlappingOffsets) {
   csc.spmv_serial(x, want);
   for (const M* a : {&z, &m}) {
     util::AlignedVector<float> y(want.size());
-    a->spmv(x, y);
+    SpmvPlan<float>(*a).execute(x, y);
     EXPECT_EQ(y, want);
   }
 }

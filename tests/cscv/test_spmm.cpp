@@ -32,7 +32,7 @@ void check_spmm(int num_rhs, typename CscvMatrix<T>::Variant variant,
   // Interleaved X: X[col * K + k].
   auto x_multi = sparse::random_vector<T>(cols * static_cast<std::size_t>(num_rhs), 17, 0.0, 1.0);
   util::AlignedVector<T> y_multi(rows * static_cast<std::size_t>(num_rhs));
-  m.spmv_multi(x_multi, y_multi, num_rhs, scheme);
+  SpmvPlan<T>(m, {.scheme = scheme, .num_rhs = num_rhs}).execute(x_multi, y_multi);
 
   util::AlignedVector<T> x_one(cols), y_one(rows);
   for (int k = 0; k < num_rhs; ++k) {
@@ -71,18 +71,20 @@ void check_bitwise_columns(int num_rhs, typename CscvMatrix<T>::Variant variant)
   const auto rows = static_cast<std::size_t>(m.rows());
   const auto k = static_cast<std::size_t>(num_rhs);
 
+  const SpmvPlan<T> fused(m, {.num_rhs = num_rhs});
+  const SpmvPlan<T> single(m);
   const auto x_multi = sparse::random_vector<T>(cols * k, 23, 0.0, 1.0);
   util::AlignedVector<T> y_multi(rows * k);
-  m.spmv_multi(x_multi, y_multi, num_rhs);
+  fused.execute(x_multi, y_multi);
 
   const auto y_rand = sparse::random_vector<T>(rows * k, 29, 0.0, 1.0);
   util::AlignedVector<T> xt_multi(cols * k);
-  m.spmv_transpose_multi(y_rand, xt_multi, num_rhs);
+  fused.execute_transpose(y_rand, xt_multi);
 
   util::AlignedVector<T> in_one(cols), out_one(rows), col(rows);
   for (std::size_t c = 0; c < k; ++c) {
     for (std::size_t j = 0; j < cols; ++j) in_one[j] = x_multi[j * k + c];
-    m.spmv(in_one, out_one);
+    single.execute(in_one, out_one);
     for (std::size_t i = 0; i < rows; ++i) col[i] = y_multi[i * k + c];
     EXPECT_EQ(std::memcmp(col.data(), out_one.data(), rows * sizeof(T)), 0)
         << "forward column " << c << " of " << num_rhs << " not bitwise";
@@ -90,7 +92,7 @@ void check_bitwise_columns(int num_rhs, typename CscvMatrix<T>::Variant variant)
   util::AlignedVector<T> yt_one(rows), xt_one(cols), colx(cols);
   for (std::size_t c = 0; c < k; ++c) {
     for (std::size_t i = 0; i < rows; ++i) yt_one[i] = y_rand[i * k + c];
-    m.spmv_transpose(yt_one, xt_one);
+    single.execute_transpose(yt_one, xt_one);
     for (std::size_t j = 0; j < cols; ++j) colx[j] = xt_multi[j * k + c];
     EXPECT_EQ(std::memcmp(colx.data(), xt_one.data(), cols * sizeof(T)), 0)
         << "transpose column " << c << " of " << num_rhs << " not bitwise";
@@ -200,7 +202,7 @@ void check_transpose_multi(int num_rhs, typename CscvMatrix<T>::Variant variant)
 
   const auto y_multi = sparse::random_vector<T>(rows * k, 31, 0.0, 1.0);
   util::AlignedVector<T> x_multi(cols * k);
-  m.spmv_transpose_multi(y_multi, x_multi, num_rhs);
+  SpmvPlan<T>(m, {.num_rhs = num_rhs}).execute_transpose(y_multi, x_multi);
 
   util::AlignedVector<T> y_one(rows), x_ref(cols), x_col(cols);
   for (std::size_t c = 0; c < k; ++c) {
@@ -229,7 +231,8 @@ TEST(CscvSpmm, RejectsBadSizes) {
                                           CscvMatrix<float>::Variant::kZ);
   util::AlignedVector<float> x(static_cast<std::size_t>(m.cols()) * 2);
   util::AlignedVector<float> y(static_cast<std::size_t>(m.rows()) * 3);  // wrong K
-  EXPECT_THROW(m.spmv_multi(x, y, 2), util::CheckError);
+  const SpmvPlan<float> plan(m, {.num_rhs = 2});
+  EXPECT_THROW(plan.execute(x, y), util::CheckError);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/format.hpp"
+#include "core/plan.hpp"
 #include "test_helpers.hpp"
 #include "util/parallel.hpp"
 
@@ -11,6 +12,7 @@ namespace {
 using core::CscvMatrix;
 using core::CscvParams;
 using core::OperatorLayout;
+using core::SpmvPlan;
 using core::ThreadScheme;
 using testing::cached_ct_csc;
 using testing::cached_ct_csr;
@@ -32,7 +34,7 @@ void check_spmv(int image_size, int num_views, const CscvParams& params,
   util::AlignedVector<T> y_ref(static_cast<std::size_t>(csc.rows()));
   util::AlignedVector<T> y_got(static_cast<std::size_t>(csc.rows()));
   csr.spmv_serial(x, y_ref);
-  cscv.spmv(x, y_got, scheme, path);
+  SpmvPlan<T>(cscv, {.scheme = scheme, .path = path}).execute(x, y_got);
   expect_vectors_close<T>(y_got, y_ref, spmv_tolerance<T>());
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/format.hpp"
+#include "core/plan.hpp"
 #include "ct/system_matrix.hpp"
 #include "sparse/random.hpp"
 #include "test_helpers.hpp"
@@ -29,10 +30,11 @@ TEST(CscvProperty, ImpulseColumnsMatchCsc) {
   const auto& csc = cached_ct_csc<double>(image, views);
   util::AlignedVector<double> x(static_cast<std::size_t>(csc.cols()), 0.0);
   util::AlignedVector<double> y(static_cast<std::size_t>(csc.rows()));
+  const SpmvPlan<double> plan(m);
   for (sparse::index_t j = 0; j < csc.cols(); j += 37) {
     std::fill(x.begin(), x.end(), 0.0);
     x[static_cast<std::size_t>(j)] = 1.0;
-    m.spmv(x, y);
+    plan.execute(x, y);
     // Column j of the CSC matrix, densified.
     util::AlignedVector<double> want(y.size(), 0.0);
     for (auto k = csc.col_ptr()[static_cast<std::size_t>(j)];
@@ -55,9 +57,10 @@ TEST(CscvProperty, Linearity) {
   util::AlignedVector<double> x_sum(n);
   for (std::size_t i = 0; i < n; ++i) x_sum[i] = 2.0 * x1[i] - 3.0 * x2[i];
   util::AlignedVector<double> y1(rows), y2(rows), y_sum(rows), want(rows);
-  m.spmv(x1, y1);
-  m.spmv(x2, y2);
-  m.spmv(x_sum, y_sum);
+  const SpmvPlan<double> plan(m);
+  plan.execute(x1, y1);
+  plan.execute(x2, y2);
+  plan.execute(x_sum, y_sum);
   for (std::size_t i = 0; i < rows; ++i) want[i] = 2.0 * y1[i] - 3.0 * y2[i];
   expect_vectors_close<double>(y_sum, want, 1e-12);
 }
@@ -72,7 +75,7 @@ TEST(CscvProperty, ConstantImageGivesColumnSums) {
   util::AlignedVector<double> ones(static_cast<std::size_t>(m.cols()), 1.0);
   util::AlignedVector<double> y_got(static_cast<std::size_t>(m.rows()));
   util::AlignedVector<double> y_ref(static_cast<std::size_t>(m.rows()));
-  m.spmv(ones, y_got);
+  SpmvPlan<double>(m).execute(ones, y_got);
   csr.spmv_serial(ones, y_ref);
   expect_vectors_close<double>(y_got, y_ref, 1e-12);
 }
@@ -92,7 +95,7 @@ TEST_P(CscvGeometrySweep, AgreesWithCsr) {
   auto x = sparse::random_vector<float>(static_cast<std::size_t>(m.cols()), 5, 0.0, 1.0);
   util::AlignedVector<float> y_got(static_cast<std::size_t>(m.rows()));
   util::AlignedVector<float> y_ref(static_cast<std::size_t>(m.rows()));
-  m.spmv(x, y_got);
+  SpmvPlan<float>(m).execute(x, y_got);
   csr.spmv_serial(x, y_ref);
   expect_vectors_close<float>(y_got, y_ref, 2e-5);
 }
@@ -118,7 +121,7 @@ TEST(CscvProperty, TrapezoidFootprintMatrixAlsoWorks) {
   auto x = sparse::random_vector<float>(static_cast<std::size_t>(m.cols()), 6, 0.0, 1.0);
   util::AlignedVector<float> y_got(static_cast<std::size_t>(m.rows()));
   util::AlignedVector<float> y_ref(static_cast<std::size_t>(m.rows()));
-  m.spmv(x, y_got);
+  SpmvPlan<float>(m).execute(x, y_got);
   csr.spmv_serial(x, y_ref);
   expect_vectors_close<float>(y_got, y_ref, 2e-5);
 }
@@ -135,7 +138,7 @@ TEST(CscvProperty, LimitedAngleGeometry) {
   auto x = sparse::random_vector<float>(static_cast<std::size_t>(m.cols()), 8, 0.0, 1.0);
   util::AlignedVector<float> y_got(static_cast<std::size_t>(m.rows()));
   util::AlignedVector<float> y_ref(static_cast<std::size_t>(m.rows()));
-  m.spmv(x, y_got);
+  SpmvPlan<float>(m).execute(x, y_got);
   csr.spmv_serial(x, y_ref);
   expect_vectors_close<float>(y_got, y_ref, 2e-5);
 }
@@ -159,7 +162,8 @@ TEST(CscvProperty, ArbitraryMatrixWithOperatorShapeIsExact) {
                                              seed + 7);
       util::AlignedVector<double> y_got(static_cast<std::size_t>(layout.num_rows()));
       util::AlignedVector<double> y_ref(static_cast<std::size_t>(layout.num_rows()));
-      m.spmv(x, y_got);
+      const SpmvPlan<double> plan(m);
+      plan.execute(x, y_got);
       csr.spmv_serial(x, y_ref);
       expect_vectors_close<double>(y_got, y_ref, 1e-12);
 
@@ -167,7 +171,7 @@ TEST(CscvProperty, ArbitraryMatrixWithOperatorShapeIsExact) {
                                              seed + 9);
       util::AlignedVector<double> x_got(static_cast<std::size_t>(layout.num_cols()));
       util::AlignedVector<double> x_ref(static_cast<std::size_t>(layout.num_cols()));
-      m.spmv_transpose(y, x_got);
+      plan.execute_transpose(y, x_got);
       csr.spmv_transpose_serial(y, x_ref);
       expect_vectors_close<double>(x_got, x_ref, 1e-12);
     }
@@ -198,7 +202,7 @@ TEST(CscvProperty, BandedOperatorLikeMatrix) {
   auto x = sparse::random_vector<double>(static_cast<std::size_t>(layout.num_cols()), 3);
   util::AlignedVector<double> y_got(static_cast<std::size_t>(layout.num_rows()));
   util::AlignedVector<double> y_ref(static_cast<std::size_t>(layout.num_rows()));
-  m.spmv(x, y_got);
+  SpmvPlan<double>(m).execute(x, y_got);
   csr.spmv_serial(x, y_ref);
   expect_vectors_close<double>(y_got, y_ref, 1e-12);
 }

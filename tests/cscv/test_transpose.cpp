@@ -32,7 +32,7 @@ void check_transpose(const CscvParams& params, typename CscvMatrix<T>::Variant v
   util::AlignedVector<T> x_ref(static_cast<std::size_t>(csc.cols()));
   util::AlignedVector<T> x_got(static_cast<std::size_t>(csc.cols()));
   csr.spmv_transpose_serial(y, x_ref);
-  cscv.spmv_transpose(y, x_got, path);
+  SpmvPlan<T>(cscv, {.path = path}).execute_transpose(y, x_got);
   expect_vectors_close<T>(x_got, x_ref, spmv_tolerance<T>());
 }
 
@@ -277,7 +277,7 @@ TEST(CscvTranspose, SummationOrderIsPinned) { check_transpose_order(22, false); 
 
 TEST(CscvTranspose, SummationOrderIsPinnedFolded) { check_transpose_order(24, true); }
 
-// The documented forward order (docs/API.md, spmv), spelled out over the
+// The documented forward order (SpmvPlan::execute), spelled out over the
 // public format arrays: per block, y~ starts at zero and every VxG adds its
 // products lane by lane in block order; y~ is then added into y, block by
 // block. `by_run` instead sums each run of VxGs sharing a vxg_q from zero
@@ -407,8 +407,9 @@ TEST(CscvTranspose, AdjointIdentity) {
   auto x = sparse::random_vector<double>(static_cast<std::size_t>(csc.cols()), 1);
   auto y = sparse::random_vector<double>(static_cast<std::size_t>(csc.rows()), 2);
   util::AlignedVector<double> ax(y.size()), aty(x.size());
-  cscv.spmv(x, ax);
-  cscv.spmv_transpose(y, aty);
+  const SpmvPlan<double> plan(cscv);
+  plan.execute(x, ax);
+  plan.execute_transpose(y, aty);
   double lhs = 0.0, rhs = 0.0;
   for (std::size_t i = 0; i < ax.size(); ++i) lhs += ax[i] * y[i];
   for (std::size_t j = 0; j < aty.size(); ++j) rhs += aty[j] * x[j];

@@ -439,8 +439,8 @@ TEST(CscvVerify, HardenedLoadRoundTripStillComputes) {
   auto x = sparse::random_vector<double>(static_cast<std::size_t>(m.cols()), 7);
   util::AlignedVector<double> y1(static_cast<std::size_t>(m.rows()));
   util::AlignedVector<double> y2(static_cast<std::size_t>(m.rows()));
-  m.spmv(x, y1);
-  back.spmv(x, y2);
+  SpmvPlan<double>(m).execute(x, y1);
+  SpmvPlan<double>(back).execute(x, y2);
   for (std::size_t i = 0; i < y1.size(); ++i) EXPECT_EQ(y1[i], y2[i]);
 }
 

@@ -3,6 +3,7 @@
 #include <numbers>
 
 #include "core/format.hpp"
+#include "core/plan.hpp"
 #include "ct/attenuated.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/random.hpp"
@@ -99,7 +100,7 @@ TEST(Attenuated, CscvStillExactOnAttenuatedMatrix) {
     auto x = sparse::random_vector<double>(static_cast<std::size_t>(csc.cols()), 3, 0.0, 1.0);
     util::AlignedVector<double> y_got(static_cast<std::size_t>(csc.rows()));
     util::AlignedVector<double> y_ref(static_cast<std::size_t>(csc.rows()));
-    m.spmv(x, y_got);
+    core::SpmvPlan<double>(m).execute(x, y_got);
     csr.spmv_serial(x, y_ref);
     expect_vectors_close<double>(y_got, y_ref, 1e-12);
   }

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "core/format.hpp"
+#include "core/plan.hpp"
 #include "ct/fan_beam.hpp"
 #include "ct/phantom.hpp"
 #include "sparse/convert.hpp"
@@ -108,7 +109,7 @@ TEST(FanBeam, CscvZMatchesCsr) {
   auto x = sparse::random_vector<double>(static_cast<std::size_t>(csc.cols()), 3, 0.0, 1.0);
   util::AlignedVector<double> y_got(static_cast<std::size_t>(csc.rows()));
   util::AlignedVector<double> y_ref(static_cast<std::size_t>(csc.rows()));
-  cscv.spmv(x, y_got);
+  core::SpmvPlan<double>(cscv).execute(x, y_got);
   csr.spmv_serial(x, y_ref);
   expect_vectors_close<double>(y_got, y_ref, 1e-12);
 }
@@ -124,13 +125,14 @@ TEST(FanBeam, CscvMMatchesCsrAndTranspose) {
   auto y = sparse::random_vector<double>(static_cast<std::size_t>(csc.rows()), 6, 0.0, 1.0);
   util::AlignedVector<double> y_got(static_cast<std::size_t>(csc.rows()));
   util::AlignedVector<double> y_ref(static_cast<std::size_t>(csc.rows()));
-  cscv.spmv(x, y_got);
+  const core::SpmvPlan<double> plan(cscv);
+  plan.execute(x, y_got);
   csr.spmv_serial(x, y_ref);
   expect_vectors_close<double>(y_got, y_ref, 1e-12);
 
   util::AlignedVector<double> x_got(static_cast<std::size_t>(csc.cols()));
   util::AlignedVector<double> x_ref(static_cast<std::size_t>(csc.cols()));
-  cscv.spmv_transpose(y, x_got);
+  plan.execute_transpose(y, x_got);
   csr.spmv_transpose_serial(y, x_ref);
   expect_vectors_close<double>(x_got, x_ref, 1e-12);
 }

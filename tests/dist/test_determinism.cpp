@@ -62,7 +62,8 @@ TEST(ShardedDeterminism, SirtSingleShardIsBitwiseSerial) {
   auto csc = ct::build_system_matrix_csc<float>(job.geometry);
   const auto layout = core::OperatorLayout::from_geometry(job.geometry);
   auto m = core::CscvMatrix<float>::build(csc, layout, job.cscv, job.variant);
-  recon::PlanOperator<float> op(m.plan({.threads = 1}));
+  const core::SpmvPlan<float> plan(m, {.threads = 1});
+  recon::PlanOperator<float> op(plan);
   util::AlignedVector<float> ref(static_cast<std::size_t>(layout.num_cols()), 0.0f);
   const recon::RunStats ref_stats = recon::sirt<float>(op, job.sinogram, ref, job.solve);
 
@@ -78,7 +79,8 @@ TEST(ShardedDeterminism, CglsSingleShardIsBitwiseSerial) {
   auto csc = ct::build_system_matrix_csc<float>(job.geometry);
   const auto layout = core::OperatorLayout::from_geometry(job.geometry);
   auto m = core::CscvMatrix<float>::build(csc, layout, job.cscv, job.variant);
-  recon::PlanOperator<float> op(m.plan({.threads = 1}));
+  const core::SpmvPlan<float> plan(m, {.threads = 1});
+  recon::PlanOperator<float> op(plan);
   util::AlignedVector<float> ref(static_cast<std::size_t>(layout.num_cols()), 0.0f);
   (void)recon::cgls<float>(op, job.sinogram, ref, job.solve);
 
@@ -92,10 +94,11 @@ TEST(ShardedDeterminism, OsSartSingleShardIsBitwiseSerial) {
   auto csc = ct::build_system_matrix_csc<float>(job.geometry);
   const auto layout = core::OperatorLayout::from_geometry(job.geometry);
   auto m = core::CscvMatrix<float>::build(csc, layout, job.cscv, job.variant);
+  const core::SpmvPlan<float> plan(m, {.threads = 1});
   util::AlignedVector<float> ref(static_cast<std::size_t>(layout.num_cols()), 0.0f);
   const recon::RunStats ref_stats =
-      recon::os_sart<float>(recon::PlanOperator<float>(m.plan({.threads = 1})), job.sinogram,
-                            ref, job.os_sart_subsets, job.solve);
+      recon::os_sart<float>(recon::PlanOperator<float>(plan), job.sinogram, ref,
+                            job.os_sart_subsets, job.solve);
 
   recon::RunStats stats;
   const auto volume = run_sharded(job, 1, &stats);

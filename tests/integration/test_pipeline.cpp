@@ -49,9 +49,9 @@ TEST(Pipeline, AllEnginesProduceTheSameSinogram) {
   EXPECT_LT(util::rel_l2_error<float>(y, y_ref), 1e-5);
   sparse::merge_spmv(csr, std::span<const float>(img), std::span<float>(y));
   EXPECT_LT(util::rel_l2_error<float>(y, y_ref), 1e-5);
-  cz.spmv(img, y);
+  core::SpmvPlan<float>(cz).execute(img, y);
   EXPECT_LT(util::rel_l2_error<float>(y, y_ref), 1e-5);
-  cm.spmv(img, y);
+  core::SpmvPlan<float>(cm).execute(img, y);
   EXPECT_LT(util::rel_l2_error<float>(y, y_ref), 1e-5);
 }
 
@@ -81,7 +81,8 @@ TEST(Pipeline, CscvReconstructionMatchesCsrReconstruction) {
                                                 {.s_vvec = 8, .s_imgb = 8, .s_vxg = 2},
                                                 core::CscvMatrix<double>::Variant::kM);
   recon::CsrOperator<double> op_csr(csr);
-  const recon::PlanOperator<double> op_cscv(cscv_m.plan());
+  const core::SpmvPlan<double> plan(cscv_m);
+  const recon::PlanOperator<double> op_cscv(plan);
 
   auto x_true = ct::rasterize<double>(ct::shepp_logan_modified(), image);
   util::AlignedVector<double> b(static_cast<std::size_t>(csr.rows()));

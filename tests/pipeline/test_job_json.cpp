@@ -156,6 +156,11 @@ TEST(JobJson, RejectsMalformedSpecs) {
     spec["sinogram_b64"] = util::Json(std::string("!not-base64!"));
     EXPECT_THROW(ReconJob::from_json(spec), util::CheckError);
   }
+  {  // "auto" is not a dtype: a job spec names the matrix's value storage
+    util::Json spec = good;
+    spec["value_type"] = util::Json("auto");
+    EXPECT_THROW(ReconJob::from_json(spec), util::CheckError);
+  }
   {  // bad QoS class
     util::Json spec = good;
     spec["qos"] = util::Json("realtime");

@@ -114,7 +114,7 @@ TEST(SirtBatch, FinishedColumnFreezesWithoutStallingTheBatch) {
 TEST(SirtBatch, ColumnsBitwiseMatchSerialOnCscv) {
   // Same contract through the CSCV engine: the batch goes through a
   // four-wide plan (fused SpMM kernels), the serial reference through the
-  // matrix's single-RHS plan.
+  // a single-RHS plan.
   const int image = 16, views = 12;
   const auto& csc = cached_ct_csc<float>(image, views);
   const core::OperatorLayout layout{image, ct::standard_num_bins(image), views};
@@ -124,7 +124,8 @@ TEST(SirtBatch, ColumnsBitwiseMatchSerialOnCscv) {
   constexpr std::size_t kBatch = 4;
   const core::SpmvPlan<float> fused(cscv, {.num_rhs = kBatch});
   const PlanOperator<float> op(fused);
-  const PlanOperator<float> serial(cscv.plan());
+  const core::SpmvPlan<float> single(cscv);
+  const PlanOperator<float> serial(single);
   const auto m = static_cast<std::size_t>(cscv.rows());
   const auto n = static_cast<std::size_t>(cscv.cols());
 

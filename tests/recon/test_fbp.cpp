@@ -149,7 +149,8 @@ TEST(Fbp, CscvBackprojectorMatchesCsc) {
                                               {.s_vvec = 8, .s_imgb = 8, .s_vxg = 2},
                                               core::CscvMatrix<double>::Variant::kM);
   CscOperator<double> op_csc(csc);
-  const PlanOperator<double> op_cscv(cscv.plan());
+  const core::SpmvPlan<double> plan(cscv);
+  const PlanOperator<double> op_cscv(plan);
   auto sino = ct::analytic_sinogram<double>(ct::shepp_logan_modified(), g);
   auto img1 = fbp<double>(g, op_csc, std::span<const double>(sino));
   auto img2 = fbp<double>(g, op_cscv, std::span<const double>(sino));

@@ -28,7 +28,7 @@ TEST(Operators, CsrAndCscAgree) {
 }
 
 TEST(Operators, PlanOperatorMatchesCsc) {
-  // The CSCV operator over the matrix's cached plan: forward and adjoint
+  // The CSCV operator over a held plan: forward and adjoint
   // (the CSCV transpose) agree with CSC.
   const int image = 16, views = 12;
   const auto& csc = cached_ct_csc<double>(image, views);
@@ -36,7 +36,8 @@ TEST(Operators, PlanOperatorMatchesCsc) {
   auto cscv_z = core::CscvMatrix<double>::build(csc, layout,
                                                 {.s_vvec = 4, .s_imgb = 4, .s_vxg = 2},
                                                 core::CscvMatrix<double>::Variant::kZ);
-  const PlanOperator<double> op(cscv_z.plan());
+  const core::SpmvPlan<double> plan(cscv_z);
+  const PlanOperator<double> op(plan);
   CscOperator<double> ref(csc);
   auto x = sparse::random_vector<double>(static_cast<std::size_t>(csc.cols()), 3);
   auto y = sparse::random_vector<double>(static_cast<std::size_t>(csc.rows()), 4);

@@ -55,7 +55,8 @@ TEST(Sirt, CscvForwardEngineGivesSameReconstruction) {
   auto cscv_m = core::CscvMatrix<double>::build(csc, layout,
                                                 {.s_vvec = 4, .s_imgb = 4, .s_vxg = 1},
                                                 core::CscvMatrix<double>::Variant::kM);
-  const PlanOperator<double> op_cscv(cscv_m.plan());
+  const core::SpmvPlan<double> plan(cscv_m);
+  const PlanOperator<double> op_cscv(plan);
   CscOperator<double> op_csc(csc);
 
   auto x_true = ct::rasterize<double>(ct::shepp_logan_modified(), image);

@@ -41,7 +41,7 @@ struct VolumeFixture {
       for (int k = 0; k < kSlices; ++k) truth[c * kSlices + k] = base[c] * (k + 1);
     }
     b.resize(rows * kSlices);
-    cscv.spmv_multi(truth, b, kSlices);
+    plan.execute(truth, b);
   }
 
   std::vector<RunStats> solve(util::AlignedVector<double>& x, int iterations) const {
@@ -56,7 +56,8 @@ TEST(SirtVolume, MatchesSliceBySliceSirt) {
   const auto stats = f.solve(x_vol, 10);
 
   // Reference: plain SIRT per slice over the matrix's one-column plan.
-  const PlanOperator<double> serial(f.cscv.plan());
+  const core::SpmvPlan<double> plan(f.cscv);
+  const PlanOperator<double> serial(plan);
   for (std::size_t k = 0; k < VolumeFixture::kSlices; ++k) {
     util::AlignedVector<double> bk(f.rows), xk(f.cols, 0.0), got(f.cols);
     for (std::size_t r = 0; r < f.rows; ++r) bk[r] = f.b[r * VolumeFixture::kSlices + k];

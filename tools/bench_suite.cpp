@@ -64,18 +64,16 @@ void run_precision(const benchlib::Dataset& dataset, const SuiteFlags& flags,
   const int threads = flags.threads > 0 ? flags.threads : util::max_threads();
 
   const core::CscvParams params{.s_vvec = 8, .s_imgb = 16, .s_vxg = 4};
-  auto z = std::make_shared<core::CscvMatrix<T>>(
-      core::CscvMatrix<T>::build(csc, layout, params, core::CscvMatrix<T>::Variant::kZ));
-  auto m = std::make_shared<core::CscvMatrix<T>>(
-      core::CscvMatrix<T>::build(csc, layout, params, core::CscvMatrix<T>::Variant::kM));
-
   std::vector<benchlib::Engine<T>> engines;
   engines.push_back({"CSR", [&csr](auto x, auto y) { csr.spmv(x, y); },
                      csr.matrix_bytes(), csr.nnz(), nullptr});
-  engines.push_back({"CSCV-Z", [z](auto x, auto y) { z->spmv(x, y); }, z->matrix_bytes(),
-                     z->nnz(), z, [z] { (void)z->plan(); }});
-  engines.push_back({"CSCV-M", [m](auto x, auto y) { m->spmv(x, y); }, m->matrix_bytes(),
-                     m->nnz(), m, [m] { (void)m->plan(); }});
+  for (const auto variant :
+       {core::CscvMatrix<T>::Variant::kZ, core::CscvMatrix<T>::Variant::kM}) {
+    engines.push_back(benchlib::cscv_engine<T>(
+        variant == core::CscvMatrix<T>::Variant::kZ ? "CSCV-Z" : "CSCV-M",
+        std::make_shared<const core::CscvMatrix<T>>(
+            core::CscvMatrix<T>::build(csc, layout, params, variant))));
+  }
 
   double csr_median = 0.0;  // same-run CSR reference for the speedup ratio
   for (const auto& engine : engines) {
@@ -92,16 +90,12 @@ void run_precision(const benchlib::Dataset& dataset, const SuiteFlags& flags,
       // unlike absolute wall times.
       record.set("speedup_vs_csr", csr_median / samples.median);
     }
-    // CSCV engines carry their plan/format telemetry: the structural
-    // metrics are machine-independent (ideal regression-gate candidates),
-    // the timing-derived ones appear when built with CSCV_TELEMETRY.
-    const core::CscvMatrix<T>* cscv =
-        engine.name == "CSCV-Z" ? z.get() : engine.name == "CSCV-M" ? m.get() : nullptr;
-    if (cscv != nullptr) {
-      const int saved = util::max_threads();
-      util::set_num_threads(threads);  // address the plan the timed loop used
-      const core::PlanStats st = cscv->plan().stats();
-      util::set_num_threads(saved);
+    // CSCV engines carry the telemetry of the plan their timed loop ran:
+    // the structural metrics are machine-independent (ideal regression-gate
+    // candidates), the timing-derived ones appear when built with
+    // CSCV_TELEMETRY.
+    if (engine.cscv) {
+      const core::PlanStats st = engine.cscv->plan->stats();
       record.set("padding_fraction", st.padding_fraction);
       record.set("r_nnze", st.r_nnze);
       record.set("vxg_occupancy", st.vxg_occupancy);
@@ -153,30 +147,18 @@ void run_mixed_precision(const SuiteFlags& flags, benchlib::BenchReport& report,
         csc, layout, params, core::CscvMatrix<float>::Variant::kM));
     if (vt != core::ValueType::kF32) m->convert_values(vt);
     for (Direction& d : directions) {
-      const auto apply = [m, t = d.transpose](std::span<const float> in, std::span<float> out) {
-        if (t) {
-          m->spmv_transpose(in, out);
-        } else {
-          m->spmv(in, out);
-        }
-      };
-      benchlib::Engine<float> engine{
-          std::string("CSCV-M-") + core::value_type_name(vt) + d.suffix,
-          apply,
-          m->matrix_bytes(),
-          m->nnz(),
-          m,
-          [m] { (void)m->plan(); }};
+      const benchlib::Engine<float> engine = benchlib::cscv_engine<float>(
+          std::string("CSCV-M-") + core::value_type_name(vt) + d.suffix, m, d.transpose);
       auto samples = benchlib::measure_spmv_samples(engine, d.in, d.out, threads, flags.iters);
       auto record = benchlib::make_spmv_record("mixed_precision", engine, threads,
                                                flags.iters, d.in, d.out, samples);
       record.set("bytes_per_value", static_cast<double>(m->value_bytes()));
 
-      // Same seeded input the timing loop uses, so the error metric audits
-      // the exact kernels being timed.
+      // Same seeded input and plan the timing loop used, so the error
+      // metric audits the exact kernels being timed.
       const auto in = sparse::random_vector<float>(d.in, 12345, 0.0, 1.0);
       util::AlignedVector<float> out(d.out);
-      apply(in, out);
+      engine.apply(in, out);
       if (vt == core::ValueType::kF32) {
         d.fp32_median = samples.median;
         d.ref = out;
@@ -218,10 +200,6 @@ void run_transpose(const SuiteFlags& flags, benchlib::BenchReport& report,
   const auto rows = static_cast<std::size_t>(csc.rows());
   const int threads = flags.threads > 0 ? flags.threads : util::max_threads();
   const core::CscvParams params{.s_vvec = 8, .s_imgb = 16, .s_vxg = 4};
-  auto z = std::make_shared<core::CscvMatrix<float>>(core::CscvMatrix<float>::build(
-      csc, layout, params, core::CscvMatrix<float>::Variant::kZ));
-  auto m = std::make_shared<core::CscvMatrix<float>>(core::CscvMatrix<float>::build(
-      csc, layout, params, core::CscvMatrix<float>::Variant::kM));
 
   // Every engine maps y (rows) to x (cols), so the sampler's input and
   // output lengths are (rows, cols).
@@ -230,10 +208,14 @@ void run_transpose(const SuiteFlags& flags, benchlib::BenchReport& report,
                      csr.matrix_bytes(), csr.nnz(), nullptr});
   engines.push_back({"CSC", [&csc](auto y, auto x) { csc.spmv_transpose(y, x); },
                      csc.matrix_bytes(), csc.nnz(), nullptr});
-  engines.push_back({"CSCV-Z", [z](auto y, auto x) { z->spmv_transpose(y, x); },
-                     z->matrix_bytes(), z->nnz(), z, [z] { (void)z->plan(); }});
-  engines.push_back({"CSCV-M", [m](auto y, auto x) { m->spmv_transpose(y, x); },
-                     m->matrix_bytes(), m->nnz(), m, [m] { (void)m->plan(); }});
+  for (const auto variant :
+       {core::CscvMatrix<float>::Variant::kZ, core::CscvMatrix<float>::Variant::kM}) {
+    engines.push_back(benchlib::cscv_engine<float>(
+        variant == core::CscvMatrix<float>::Variant::kZ ? "CSCV-Z" : "CSCV-M",
+        std::make_shared<const core::CscvMatrix<float>>(
+            core::CscvMatrix<float>::build(csc, layout, params, variant)),
+        /*transpose=*/true));
+  }
 
   std::vector<benchlib::BenchRecord> records;
   std::vector<double> medians;
@@ -244,13 +226,8 @@ void run_transpose(const SuiteFlags& flags, benchlib::BenchReport& report,
     auto record = benchlib::make_spmv_record("transpose", engine, threads, flags.iters,
                                              rows, cols, samples);
     if (engine.name == "CSC") csc_median = samples.median;
-    const core::CscvMatrix<float>* cscv =
-        engine.name == "CSCV-Z" ? z.get() : engine.name == "CSCV-M" ? m.get() : nullptr;
-    if (cscv != nullptr) {
-      const int saved = util::max_threads();
-      util::set_num_threads(threads);  // address the plan the timed loop used
-      const core::PlanStats st = cscv->plan().stats();
-      util::set_num_threads(saved);
+    if (engine.cscv) {
+      const core::PlanStats st = engine.cscv->plan->stats();
       if (st.telemetry_enabled && st.transpose_applies > 0) {
         record.set("telemetry_transpose_gflops_best", st.transpose_gflops_best);
       }

@@ -240,7 +240,7 @@ int cmd_spmv(util::CliFlags& cli) {
   util::set_num_threads(threads);
   // Build the execution plan up front (the warm state an iterating caller
   // sees) and report what it resolved to.
-  const core::SpmvPlan<float>& plan = m.plan();
+  const core::SpmvPlan<float> plan(m);
   std::cout << "plan: "
             << (plan.scheme() == core::ThreadScheme::kRowPartition ? "row-partition"
                                                                    : "private-y")
