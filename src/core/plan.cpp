@@ -129,31 +129,48 @@ void SpmvPlan<T>::run_forward(int block, const T* x, T* ytilde, int k) const {
   }
 }
 
+namespace {
+
+/// f(std::integral_constant<int, W>{}) with W = k for the widths that have
+/// compile-time kernels (1, 2, 4, 8, 16), else W = 0: the runtime k.
+template <typename F>
+[[gnu::always_inline]] inline void at_width(int k, F&& f) {
+  using std::integral_constant;
+  switch (k) {
+    case 1: return f(integral_constant<int, 1>{});
+    case 2: return f(integral_constant<int, 2>{});
+    case 4: return f(integral_constant<int, 4>{});
+    case 8: return f(integral_constant<int, 8>{});
+    case 16: return f(integral_constant<int, 16>{});
+    default: return f(integral_constant<int, 0>{});
+  }
+}
+
+}  // namespace
+
 template <typename T>
 void SpmvPlan<T>::scatter_add(int block, const T* ytilde, T* dst, int k) const {
   const auto& info = a_->blocks_[static_cast<std::size_t>(block)];
   const int s = a_->params_.s_vvec;
   const int v0 = a_->grid_.first_view(info.view_group);
   const int s_eff = std::min(s, stored_.num_views - v0);
-  for (int vi = 0; vi < s_eff; ++vi) {
-    const int ref = a_->refs_[static_cast<std::size_t>(block) * s + vi];
-    // Valid offset indices keep the bin ref + o_min + o_idx on the detector.
-    const int lo = std::max(0, -(ref + info.o_min));
-    const int hi = std::min(info.o_count, stored_.num_bins - ref - info.o_min);
-    const int bin0 = ref + info.o_min;
-    T* yrow = dst + static_cast<std::size_t>(stored_.row_of(v0 + vi, 0)) * k;
-    if (k == 1) {
+  at_width(k, [&](auto width) {
+    constexpr int W = decltype(width)::value;
+    const auto kw = static_cast<std::size_t>(W > 0 ? W : k);
+    for (int vi = 0; vi < s_eff; ++vi) {
+      const int ref = a_->refs_[static_cast<std::size_t>(block) * s + vi];
+      // Valid offset indices keep the bin ref + o_min + o_idx on the detector.
+      const int lo = std::max(0, -(ref + info.o_min));
+      const int hi = std::min(info.o_count, stored_.num_bins - ref - info.o_min);
+      const int bin0 = ref + info.o_min;
+      T* yrow = dst + static_cast<std::size_t>(stored_.row_of(v0 + vi, 0)) * kw;
       for (int o = lo; o < hi; ++o) {
-        yrow[bin0 + o] += ytilde[static_cast<std::size_t>(o) * s + vi];
-      }
-    } else {
-      for (int o = lo; o < hi; ++o) {
-        const T* src = ytilde + (static_cast<std::size_t>(o) * s + vi) * k;
-        T* d = yrow + static_cast<std::size_t>(bin0 + o) * k;
-        for (int r = 0; r < k; ++r) d[r] += src[r];
+        const T* src = ytilde + (static_cast<std::size_t>(o) * s + vi) * kw;
+        T* d = yrow + static_cast<std::size_t>(bin0 + o) * kw;
+        for (std::size_t r = 0; r < kw; ++r) d[r] += src[r];
       }
     }
-  }
+  });
 }
 
 template <typename T>
@@ -163,24 +180,22 @@ void SpmvPlan<T>::gather(int block, const T* src, T* ytilde, int k) const {
   const int v0 = a_->grid_.first_view(info.view_group);
   const int s_eff = std::min(s, stored_.num_views - v0);
   std::fill_n(ytilde, static_cast<std::size_t>(info.o_count) * s * k, T(0));
-  for (int vi = 0; vi < s_eff; ++vi) {
-    const int ref = a_->refs_[static_cast<std::size_t>(block) * s + vi];
-    const int lo = std::max(0, -(ref + info.o_min));
-    const int hi = std::min(info.o_count, stored_.num_bins - ref - info.o_min);
-    const T* yrow = src + static_cast<std::size_t>(stored_.row_of(v0 + vi, 0)) * k;
-    const int bin0 = ref + info.o_min;
-    if (k == 1) {
+  at_width(k, [&](auto width) {
+    constexpr int W = decltype(width)::value;
+    const auto kw = static_cast<std::size_t>(W > 0 ? W : k);
+    for (int vi = 0; vi < s_eff; ++vi) {
+      const int ref = a_->refs_[static_cast<std::size_t>(block) * s + vi];
+      const int lo = std::max(0, -(ref + info.o_min));
+      const int hi = std::min(info.o_count, stored_.num_bins - ref - info.o_min);
+      const T* yrow = src + static_cast<std::size_t>(stored_.row_of(v0 + vi, 0)) * kw;
+      const int bin0 = ref + info.o_min;
       for (int o = lo; o < hi; ++o) {
-        ytilde[static_cast<std::size_t>(o) * s + vi] = yrow[bin0 + o];
-      }
-    } else {
-      for (int o = lo; o < hi; ++o) {
-        const T* srow = yrow + static_cast<std::size_t>(bin0 + o) * k;
-        T* drow = ytilde + (static_cast<std::size_t>(o) * s + vi) * k;
-        for (int r = 0; r < k; ++r) drow[r] = srow[r];
+        const T* srow = yrow + static_cast<std::size_t>(bin0 + o) * kw;
+        T* drow = ytilde + (static_cast<std::size_t>(o) * s + vi) * kw;
+        for (std::size_t r = 0; r < kw; ++r) drow[r] = srow[r];
       }
     }
-  }
+  });
 }
 
 template <typename T>
@@ -308,15 +323,25 @@ template <typename T>
 void SpmvPlan<T>::load_images(const T* x, int f0, int f1, std::size_t stride, T* out) const {
   const int n = stored_.image_size;
   const auto k = static_cast<std::size_t>(num_rhs_);
+  const auto from = [&](std::pair<int, int> pixel) {
+    return x + static_cast<std::size_t>(stored_.col_of_pixel(pixel.first, pixel.second)) * k;
+  };
   util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t row) {
     const int jy = static_cast<int>(row);
-    for (int f = f0; f < f1; ++f) {
-      T* dst = out + row * static_cast<std::size_t>(n) * stride +
-               static_cast<std::size_t>(f - f0) * k;
-      for (int jx = 0; jx < n; ++jx) {
-        const auto [sx, sy] = ct::ViewFold::source_pixel(f, n, jx, jy);
-        copy_columns(x + static_cast<std::size_t>(stored_.col_of_pixel(sx, sy)) * k,
-                     dst + static_cast<std::size_t>(jx) * stride, k);
+    T* dst = out + row * static_cast<std::size_t>(n) * stride;
+    for (int jx = 0; jx < n; ++jx, dst += stride) {
+      if (f1 - f0 == ct::ViewFold::kImages) {
+        // Pixel (jx, jy) of all four images, whose columns sit side by side.
+#pragma GCC unroll 4
+        for (int f = 0; f < ct::ViewFold::kImages; ++f) {
+          copy_columns(from(ct::ViewFold::source_pixel(f, n, jx, jy)),
+                       dst + static_cast<std::size_t>(f) * k, k);
+        }
+      } else {
+        for (int f = f0; f < f1; ++f) {
+          copy_columns(from(ct::ViewFold::source_pixel(f, n, jx, jy)),
+                       dst + static_cast<std::size_t>(f - f0) * k, k);
+        }
       }
     }
   });
@@ -366,19 +391,25 @@ template <typename T>
 void SpmvPlan<T>::sum_images(const T* images, std::size_t image_offset, std::size_t stride,
                              T* x) const {
   const int n = stored_.image_size;
-  const auto k = static_cast<std::size_t>(num_rhs_);
-  util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t row) {
-    const int py = static_cast<int>(row);
-    for (int px = 0; px < n; ++px) {
-      const T* at[ct::ViewFold::kImages];
-      for (int f = 0; f < ct::ViewFold::kImages; ++f) {
-        const auto [jx, jy] = ct::ViewFold::image_pixel(f, n, px, py);
-        at[f] = images + static_cast<std::size_t>(f) * image_offset +
-                static_cast<std::size_t>(stored_.col_of_pixel(jx, jy)) * stride;
+  at_width(num_rhs_, [&](auto width) {
+    constexpr int W = decltype(width)::value;
+    const auto k = static_cast<std::size_t>(W > 0 ? W : num_rhs_);
+    util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t row) {
+      const int py = static_cast<int>(row);
+      for (int px = 0; px < n; ++px) {
+        const T* at[ct::ViewFold::kImages];
+#pragma GCC unroll 4
+        for (int f = 0; f < ct::ViewFold::kImages; ++f) {
+          const auto [jx, jy] = ct::ViewFold::image_pixel(f, n, px, py);
+          at[f] = images + static_cast<std::size_t>(f) * image_offset +
+                  static_cast<std::size_t>(stored_.col_of_pixel(jx, jy)) * stride;
+        }
+        T* dst = x + static_cast<std::size_t>(stored_.col_of_pixel(px, py)) * k;
+        for (std::size_t r = 0; r < k; ++r) {
+          dst[r] = ((at[0][r] + at[1][r]) + at[2][r]) + at[3][r];
+        }
       }
-      T* dst = x + static_cast<std::size_t>(stored_.col_of_pixel(px, py)) * k;
-      for (std::size_t r = 0; r < k; ++r) dst[r] = ((at[0][r] + at[1][r]) + at[2][r]) + at[3][r];
-    }
+    });
   });
 }
 

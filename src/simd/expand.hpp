@@ -24,7 +24,7 @@
 #include <type_traits>
 #include <utility>
 
-#if defined(__AVX512F__) || defined(__F16C__)
+#if defined(__AVX__) || defined(__F16C__)
 #include <immintrin.h>
 #endif
 

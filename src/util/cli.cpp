@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -39,17 +40,37 @@ std::string CliFlags::get_string(const std::string& name, const std::string& def
   return lookup(name).value_or(def);
 }
 
+namespace {
+
+/// The whole of `text` as a number of type N; anything else, a trailing
+/// character or a value out of N's range included, is a CheckError that
+/// names the flag.
+template <typename N>
+N parse_number(const std::string& name, const std::string& text, const char* what) {
+  N value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  CSCV_CHECK_MSG(ec != std::errc::result_out_of_range,
+                 "--" << name << ": " << text << " is out of range");
+  CSCV_CHECK_MSG(ec == std::errc() && ptr == end && !text.empty(),
+                 "--" << name << ": '" << text << "' is not " << what);
+  return value;
+}
+
+}  // namespace
+
 int CliFlags::get_int(const std::string& name, int def) {
   auto v = lookup(name);
   if (!v) return def;
   CSCV_CHECK_MSG(!v->empty(), "--" << name << " needs a value");
-  return std::stoi(*v);
+  return parse_number<int>(name, *v, "an integer");
 }
 
 double CliFlags::get_double(const std::string& name, double def) {
   auto v = lookup(name);
   if (!v) return def;
-  return std::stod(*v);
+  CSCV_CHECK_MSG(!v->empty(), "--" << name << " needs a value");
+  return parse_number<double>(name, *v, "a number");
 }
 
 bool CliFlags::get_bool(const std::string& name, bool def) {
@@ -65,7 +86,7 @@ std::vector<int> CliFlags::get_int_list(const std::string& name, std::vector<int
   std::stringstream ss(*v);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::stoi(item));
+    if (!item.empty()) out.push_back(parse_number<int>(name, item, "an integer"));
   }
   CSCV_CHECK_MSG(!out.empty(), "--" << name << " list is empty");
   return out;

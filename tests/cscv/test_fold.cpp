@@ -379,29 +379,45 @@ TEST(CscvFold, BatchColumnsAreTheSerialApply) {
   }
 }
 
+// The full apply runs the K = 4·k kernels, the subset apply each image at
+// K = k, so at k = 1 this checks the K = 4 kernels against the K = 1 ones.
+// 64²/32 at S_VVec 8 stores 9 views: its last view group has one live lane.
 TEST(CscvFold, OneStratumSubsetIsTheFullApply) {
-  for (const simd::IsaTier tier : testing::usable_tiers()) {
-    for (const Path& path : kPaths) {
-      for (const int k : {1, 3}) {
-        const auto m = build_ct<float>(path.variant);
-        // Subset applies partition rows like the row-partition scheme.
-        const SpmvPlan<float> plan(m, {.scheme = ThreadScheme::kRowPartition,
-                                       .path = path.expand,
-                                       .num_rhs = k,
-                                       .isa = tier});
-        const auto rows = static_cast<std::size_t>(m.rows()) * static_cast<std::size_t>(k);
-        const auto cols = static_cast<std::size_t>(m.cols()) * static_cast<std::size_t>(k);
-        const auto x = sparse::random_vector<float>(cols, 91, 0.0, 1.0);
-        const auto y_in = sparse::random_vector<float>(rows, 92, 0.0, 1.0);
-        util::AlignedVector<float> y_full(rows), y_sub(rows), x_full(cols), x_sub(cols);
-        plan.execute(x, y_full);
-        plan.execute(GroupSubset{}, x, y_sub);
-        plan.execute_transpose(y_in, x_full);
-        plan.execute_transpose(GroupSubset{}, y_in, x_sub);
-        const std::string label = std::string(simd::isa_tier_name(tier)) + " " + path.name +
-                                  " K=" + std::to_string(k);
-        EXPECT_TRUE(same_bytes<float>(y_sub, y_full)) << label << " forward";
-        EXPECT_TRUE(same_bytes<float>(x_sub, x_full)) << label << " adjoint";
+  struct Shape {
+    int image, views;
+    CscvParams params;
+  };
+  for (const Shape& shape : {Shape{kImage, kViews, kParams},
+                             Shape{64, 32, {.s_vvec = 8, .s_imgb = 8, .s_vxg = 2}}}) {
+    for (const simd::IsaTier tier : testing::usable_tiers()) {
+      for (const Path& path : kPaths) {
+        for (const ValueType vt : {ValueType::kF32, ValueType::kBf16, ValueType::kF16}) {
+          auto m = build_ct<float>(path.variant, shape.image, shape.views, shape.params);
+          ASSERT_TRUE(m.folded());
+          if (vt != ValueType::kF32) m.convert_values(vt);
+          for (const int k : {1, 3}) {
+            // Subset applies partition rows like the row-partition scheme.
+            const SpmvPlan<float> plan(m, {.scheme = ThreadScheme::kRowPartition,
+                                           .path = path.expand,
+                                           .num_rhs = k,
+                                           .isa = tier});
+            const auto rows = static_cast<std::size_t>(m.rows()) * static_cast<std::size_t>(k);
+            const auto cols = static_cast<std::size_t>(m.cols()) * static_cast<std::size_t>(k);
+            const auto x = sparse::random_vector<float>(cols, 91, 0.0, 1.0);
+            const auto y_in = sparse::random_vector<float>(rows, 92, 0.0, 1.0);
+            util::AlignedVector<float> y_full(rows), y_sub(rows), x_full(cols), x_sub(cols);
+            plan.execute(x, y_full);
+            plan.execute(GroupSubset{}, x, y_sub);
+            plan.execute_transpose(y_in, x_full);
+            plan.execute_transpose(GroupSubset{}, y_in, x_sub);
+            const std::string label = std::to_string(shape.image) + "/" +
+                                      std::to_string(shape.views) + " " +
+                                      simd::isa_tier_name(tier) + " " + path.name + " " +
+                                      value_type_name(vt) + " K=" + std::to_string(k);
+            EXPECT_TRUE(same_bytes<float>(y_sub, y_full)) << label << " forward";
+            EXPECT_TRUE(same_bytes<float>(x_sub, x_full)) << label << " adjoint";
+          }
+        }
       }
     }
   }

@@ -3,6 +3,8 @@
 
 #include <cstring>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "core/format.hpp"
 #include "core/plan.hpp"
@@ -59,10 +61,22 @@ TEST(CscvSpmm, PrivateYScheme) {
 // both variants, same plan thread count. The batched solvers and the
 // service's job fusion lean on exactly this (their per-job volumes must
 // memcmp-equal serial execution), so the comparison here is memcmp, not
-// tolerance.
+// tolerance. 24 views fold (docs/FORMAT.md §9), so both sides run the
+// K-column kernels, at 4·K and 4; 22 views do not, so the single-RHS side
+// runs the K = 1 kernels.
+constexpr int kViewCounts[] = {24, 22};
+
+template <typename T>
+void check_bitwise_columns(int num_rhs, typename CscvMatrix<T>::Variant variant, int views);
+
 template <typename T>
 void check_bitwise_columns(int num_rhs, typename CscvMatrix<T>::Variant variant) {
-  const int image = 32, views = 24;
+  for (const int views : kViewCounts) check_bitwise_columns<T>(num_rhs, variant, views);
+}
+
+template <typename T>
+void check_bitwise_columns(int num_rhs, typename CscvMatrix<T>::Variant variant, int views) {
+  const int image = 32;
   const auto& csc = cached_ct_csc<T>(image, views);
   const OperatorLayout layout{image, ct::standard_num_bins(image), views};
   const auto m = CscvMatrix<T>::build(csc, layout, {.s_vvec = 8, .s_imgb = 8, .s_vxg = 2},
@@ -87,7 +101,7 @@ void check_bitwise_columns(int num_rhs, typename CscvMatrix<T>::Variant variant)
     single.execute(in_one, out_one);
     for (std::size_t i = 0; i < rows; ++i) col[i] = y_multi[i * k + c];
     EXPECT_EQ(std::memcmp(col.data(), out_one.data(), rows * sizeof(T)), 0)
-        << "forward column " << c << " of " << num_rhs << " not bitwise";
+        << "forward column " << c << " of " << num_rhs << " not bitwise, " << views << " views";
   }
   util::AlignedVector<T> yt_one(rows), xt_one(cols), colx(cols);
   for (std::size_t c = 0; c < k; ++c) {
@@ -95,7 +109,8 @@ void check_bitwise_columns(int num_rhs, typename CscvMatrix<T>::Variant variant)
     single.execute_transpose(yt_one, xt_one);
     for (std::size_t j = 0; j < cols; ++j) colx[j] = xt_multi[j * k + c];
     EXPECT_EQ(std::memcmp(colx.data(), xt_one.data(), cols * sizeof(T)), 0)
-        << "transpose column " << c << " of " << num_rhs << " not bitwise";
+        << "transpose column " << c << " of " << num_rhs << " not bitwise, " << views
+        << " views";
   }
 }
 
@@ -116,56 +131,92 @@ TEST(CscvSpmmBitwise, MSevenRhsDouble) {
 }
 
 // The same contract swept over the kernel shapes: every S_VVec x S_VxG x
-// {Z, M-hw, M-soft} x K (the compile-time widths 2/8/16 and the runtime-K
-// fallback at 3), each registered tier pinned through PlanOptions::isa, both
-// directions, memcmp per column against a single-RHS plan of that tier.
+// {Z, M-hw, M-soft} x K (the compile-time widths 2/4/8/16 and the runtime-K
+// fallback at 3) x value dtype (fp32, bf16, fp16 for float), each registered
+// tier pinned through PlanOptions::isa, both directions, memcmp per column
+// against a single-RHS plan of that tier, on a folded (24 views) and an
+// unfolded (22 views) operator. Unfolded, the single-RHS side runs the K = 1
+// kernels, so every compile-time-K kernel is checked against them. Column c
+// of every width is the same vector, so each single-RHS apply runs once, and
+// everything runs on one thread to keep the sweep cheap.
 template <typename T>
 void check_bitwise_sweep(int s_vvec, int s_vxg) {
-  const int image = 32, views = 24;
-  const auto& csc = cached_ct_csc<T>(image, views);
-  const OperatorLayout layout{image, ct::standard_num_bins(image), views};
-  const auto rows = static_cast<std::size_t>(csc.rows());
-  const auto cols = static_cast<std::size_t>(csc.cols());
+  const int image = 32;
+  constexpr int kWidths[] = {2, 3, 4, 8, 16};
+  constexpr std::size_t kMax = 16;
   using Variant = typename CscvMatrix<T>::Variant;
   struct Path {
     Variant variant;
     simd::ExpandPath expand;
     const char* name;
   };
-  for (const Path path : {Path{Variant::kZ, simd::ExpandPath::kAuto, "Z"},
-                          Path{Variant::kM, simd::ExpandPath::kHardware, "M-hw"},
-                          Path{Variant::kM, simd::ExpandPath::kSoftware, "M-soft"}}) {
-    const auto m = CscvMatrix<T>::build(
-        csc, layout, {.s_vvec = s_vvec, .s_imgb = 8, .s_vxg = s_vxg}, path.variant);
-    for (const simd::IsaTier tier : testing::usable_tiers()) {
-      const SpmvPlan<T> single(m, {.path = path.expand, .isa = tier});
-      for (const int k : {2, 3, 8, 16}) {
-        const std::string where = std::string(path.name) + " on " +
-                                  simd::isa_tier_name(tier) + ", K=" + std::to_string(k);
-        const auto ks = static_cast<std::size_t>(k);
-        const SpmvPlan<T> batched(m, {.path = path.expand, .num_rhs = k, .isa = tier});
-        const auto x = sparse::random_vector<T>(cols * ks, 41, 0.0, 1.0);
-        const auto y = sparse::random_vector<T>(rows * ks, 43, -1.0, 1.0);
-        util::AlignedVector<T> y_multi(rows * ks), x_multi(cols * ks);
-        batched.execute(x, y_multi);
-        batched.execute_transpose(y, x_multi);
-        util::AlignedVector<T> x_one(cols), y_one(rows), out_y(rows), out_x(cols);
-        util::AlignedVector<T> col_y(rows), col_x(cols);
-        for (std::size_t c = 0; c < ks; ++c) {
-          for (std::size_t j = 0; j < cols; ++j) x_one[j] = x[j * ks + c];
-          for (std::size_t i = 0; i < rows; ++i) y_one[i] = y[i * ks + c];
-          single.execute(x_one, out_y);
-          single.execute_transpose(y_one, out_x);
-          for (std::size_t i = 0; i < rows; ++i) col_y[i] = y_multi[i * ks + c];
-          for (std::size_t j = 0; j < cols; ++j) col_x[j] = x_multi[j * ks + c];
-          EXPECT_EQ(std::memcmp(col_y.data(), out_y.data(), rows * sizeof(T)), 0)
-              << "forward column " << c << ", " << where;
-          EXPECT_EQ(std::memcmp(col_x.data(), out_x.data(), cols * sizeof(T)), 0)
-              << "transpose column " << c << ", " << where;
+  std::vector<ValueType> dtypes{ValueType::kF32};
+  if constexpr (std::is_same_v<T, float>) {
+    dtypes.push_back(ValueType::kBf16);
+    dtypes.push_back(ValueType::kF16);
+  }
+  const int saved = util::max_threads();
+  util::set_num_threads(1);
+  for (const int views : kViewCounts) {
+    const auto& csc = cached_ct_csc<T>(image, views);
+    const OperatorLayout layout{image, ct::standard_num_bins(image), views};
+    const auto rows = static_cast<std::size_t>(csc.rows());
+    const auto cols = static_cast<std::size_t>(csc.cols());
+    // Columns 0..15, interleaved 16 wide; width k takes the first k.
+    const auto x16 = sparse::random_vector<T>(cols * kMax, 41, 0.0, 1.0);
+    const auto y16 = sparse::random_vector<T>(rows * kMax, 43, -1.0, 1.0);
+    for (const Path path : {Path{Variant::kZ, simd::ExpandPath::kAuto, "Z"},
+                            Path{Variant::kM, simd::ExpandPath::kHardware, "M-hw"},
+                            Path{Variant::kM, simd::ExpandPath::kSoftware, "M-soft"}}) {
+      for (const ValueType vt : dtypes) {
+        auto m = CscvMatrix<T>::build(
+            csc, layout, {.s_vvec = s_vvec, .s_imgb = 8, .s_vxg = s_vxg}, path.variant);
+        if (vt != ValueType::kF32) m.convert_values(vt);
+        for (const simd::IsaTier tier : testing::usable_tiers()) {
+          const SpmvPlan<T> single(m, {.path = path.expand, .threads = 1, .isa = tier});
+          std::vector<util::AlignedVector<T>> one_y, one_x;
+          util::AlignedVector<T> x_one(cols), y_one(rows);
+          for (std::size_t c = 0; c < kMax; ++c) {
+            for (std::size_t j = 0; j < cols; ++j) x_one[j] = x16[j * kMax + c];
+            for (std::size_t i = 0; i < rows; ++i) y_one[i] = y16[i * kMax + c];
+            one_y.emplace_back(rows);
+            one_x.emplace_back(cols);
+            single.execute(x_one, one_y.back());
+            single.execute_transpose(y_one, one_x.back());
+          }
+          for (const int k : kWidths) {
+            const std::string where = std::string(path.name) + " " + value_type_name(vt) +
+                                      " on " + simd::isa_tier_name(tier) +
+                                      ", K=" + std::to_string(k) + ", " +
+                                      std::to_string(views) + " views";
+            const auto ks = static_cast<std::size_t>(k);
+            const SpmvPlan<T> batched(
+                m, {.path = path.expand, .num_rhs = k, .threads = 1, .isa = tier});
+            util::AlignedVector<T> x(cols * ks), y(rows * ks);
+            for (std::size_t j = 0; j < cols; ++j) {
+              for (std::size_t c = 0; c < ks; ++c) x[j * ks + c] = x16[j * kMax + c];
+            }
+            for (std::size_t i = 0; i < rows; ++i) {
+              for (std::size_t c = 0; c < ks; ++c) y[i * ks + c] = y16[i * kMax + c];
+            }
+            util::AlignedVector<T> y_multi(rows * ks), x_multi(cols * ks);
+            batched.execute(x, y_multi);
+            batched.execute_transpose(y, x_multi);
+            util::AlignedVector<T> col_y(rows), col_x(cols);
+            for (std::size_t c = 0; c < ks; ++c) {
+              for (std::size_t i = 0; i < rows; ++i) col_y[i] = y_multi[i * ks + c];
+              for (std::size_t j = 0; j < cols; ++j) col_x[j] = x_multi[j * ks + c];
+              EXPECT_EQ(std::memcmp(col_y.data(), one_y[c].data(), rows * sizeof(T)), 0)
+                  << "forward column " << c << ", " << where;
+              EXPECT_EQ(std::memcmp(col_x.data(), one_x[c].data(), cols * sizeof(T)), 0)
+                  << "transpose column " << c << ", " << where;
+            }
+          }
         }
       }
     }
   }
+  util::set_num_threads(saved);
 }
 
 class CscvSpmmBitwiseSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};

@@ -206,8 +206,9 @@ TEST(ServiceApi, CancelQueuedJobResolvesAsCancelled) {
   FrontEndOptions fe;
   fe.service.num_workers = 1;  // a slow job keeps the doomed one queued
   Stack stack(fe);
+  // Long enough to outlast the two requests below under a loaded ctest -j.
   const HttpResponse slow =
-      stack.client->post_json("/v1/jobs", phantom_job(32, 24, 40).to_json());
+      stack.client->post_json("/v1/jobs", phantom_job(32, 24, 400).to_json());
   ASSERT_EQ(slow.status, 202);
   const HttpResponse posted =
       stack.client->post_json("/v1/jobs", phantom_job().to_json());

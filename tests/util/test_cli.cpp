@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
 
 #include "util/assertx.hpp"
 #include "util/cli.hpp"
@@ -57,6 +58,37 @@ TEST(Cli, PositionalArgsCollected) {
   EXPECT_EQ(f.positional()[0], "input.mtx");
   EXPECT_EQ(f.positional()[1], "output.mtx");
   EXPECT_EQ(f.get_int("n", 0), 3);
+  f.finish();
+}
+
+// A value is read whole: garbage, a numeric prefix with a tail, and a
+// number outside the type's range are errors that name the flag.
+TEST(Cli, MalformedNumbersNameTheFlag) {
+  auto f = make_flags({"--image=abc", "--views=12abc", "--big=99999999999", "--tol=0.5x",
+                       "--huge=1e999", "--sizes=4,x,16", "--empty="});
+  const auto message = [](auto&& read) {
+    try {
+      read();
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(message([&] { f.get_int("image", 0); }).find("--image"), std::string::npos);
+  EXPECT_NE(message([&] { f.get_int("views", 0); }).find("--views"), std::string::npos);
+  EXPECT_NE(message([&] { f.get_int("big", 0); }).find("out of range"), std::string::npos);
+  EXPECT_NE(message([&] { f.get_double("tol", 0.0); }).find("--tol"), std::string::npos);
+  EXPECT_NE(message([&] { f.get_double("huge", 0.0); }).find("out of range"),
+            std::string::npos);
+  EXPECT_NE(message([&] { f.get_int_list("sizes", {}); }).find("--sizes"), std::string::npos);
+  EXPECT_NE(message([&] { f.get_double("empty", 0.0); }).find("needs a value"),
+            std::string::npos);
+}
+
+TEST(Cli, NegativeAndExponentNumbers) {
+  auto f = make_flags({"--offset=-3", "--tol=1e-6"});
+  EXPECT_EQ(f.get_int("offset", 0), -3);
+  EXPECT_DOUBLE_EQ(f.get_double("tol", 0.0), 1e-6);
   f.finish();
 }
 
