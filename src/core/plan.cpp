@@ -329,19 +329,11 @@ void SpmvPlan<T>::load_images(const T* x, int f0, int f1, std::size_t stride, T*
   util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t row) {
     const int jy = static_cast<int>(row);
     T* dst = out + row * static_cast<std::size_t>(n) * stride;
+    // Pixel (jx, jy) of images f0..f1, whose columns sit side by side.
     for (int jx = 0; jx < n; ++jx, dst += stride) {
-      if (f1 - f0 == ct::ViewFold::kImages) {
-        // Pixel (jx, jy) of all four images, whose columns sit side by side.
-#pragma GCC unroll 4
-        for (int f = 0; f < ct::ViewFold::kImages; ++f) {
-          copy_columns(from(ct::ViewFold::source_pixel(f, n, jx, jy)),
-                       dst + static_cast<std::size_t>(f) * k, k);
-        }
-      } else {
-        for (int f = f0; f < f1; ++f) {
-          copy_columns(from(ct::ViewFold::source_pixel(f, n, jx, jy)),
-                       dst + static_cast<std::size_t>(f - f0) * k, k);
-        }
+      for (int f = f0; f < f1; ++f) {
+        copy_columns(from(ct::ViewFold::source_pixel(f, n, jx, jy)),
+                     dst + static_cast<std::size_t>(f - f0) * k, k);
       }
     }
   });

@@ -3,7 +3,6 @@
 
 #include <cstring>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "core/format.hpp"
@@ -132,101 +131,115 @@ TEST(CscvSpmmBitwise, MSevenRhsDouble) {
 
 // The same contract swept over the kernel shapes: every S_VVec x S_VxG x
 // {Z, M-hw, M-soft} x K (the compile-time widths 2/4/8/16 and the runtime-K
-// fallback at 3) x value dtype (fp32, bf16, fp16 for float), each registered
-// tier pinned through PlanOptions::isa, both directions, memcmp per column
-// against a single-RHS plan of that tier, on a folded (24 views) and an
-// unfolded (22 views) operator. Unfolded, the single-RHS side runs the K = 1
-// kernels, so every compile-time-K kernel is checked against them. Column c
-// of every width is the same vector, so each single-RHS apply runs once, and
-// everything runs on one thread to keep the sweep cheap.
+// fallback at 3), each registered tier pinned through PlanOptions::isa, both
+// directions, memcmp per column against a single-RHS plan of that tier, both
+// plans at the default thread count. 24 views fold, so both sides run the
+// K-column kernels (at 4·K and 4); 22 views do not, so the single-RHS side
+// runs the K = 1 kernels and every compile-time-K kernel is checked against
+// them. Column c of every width is the same vector, so each single-RHS apply
+// runs once.
 template <typename T>
-void check_bitwise_sweep(int s_vvec, int s_vxg) {
+void check_bitwise_sweep(int s_vvec, int s_vxg, int views, ValueType vt) {
   const int image = 32;
-  constexpr int kWidths[] = {2, 3, 4, 8, 16};
   constexpr std::size_t kMax = 16;
+  const auto& csc = cached_ct_csc<T>(image, views);
+  const OperatorLayout layout{image, ct::standard_num_bins(image), views};
+  const auto rows = static_cast<std::size_t>(csc.rows());
+  const auto cols = static_cast<std::size_t>(csc.cols());
+  // Columns 0..15, interleaved 16 wide; width k takes the first k.
+  const auto x16 = sparse::random_vector<T>(cols * kMax, 41, 0.0, 1.0);
+  const auto y16 = sparse::random_vector<T>(rows * kMax, 43, -1.0, 1.0);
   using Variant = typename CscvMatrix<T>::Variant;
   struct Path {
     Variant variant;
     simd::ExpandPath expand;
     const char* name;
   };
-  std::vector<ValueType> dtypes{ValueType::kF32};
-  if constexpr (std::is_same_v<T, float>) {
-    dtypes.push_back(ValueType::kBf16);
-    dtypes.push_back(ValueType::kF16);
-  }
-  const int saved = util::max_threads();
-  util::set_num_threads(1);
-  for (const int views : kViewCounts) {
-    const auto& csc = cached_ct_csc<T>(image, views);
-    const OperatorLayout layout{image, ct::standard_num_bins(image), views};
-    const auto rows = static_cast<std::size_t>(csc.rows());
-    const auto cols = static_cast<std::size_t>(csc.cols());
-    // Columns 0..15, interleaved 16 wide; width k takes the first k.
-    const auto x16 = sparse::random_vector<T>(cols * kMax, 41, 0.0, 1.0);
-    const auto y16 = sparse::random_vector<T>(rows * kMax, 43, -1.0, 1.0);
-    for (const Path path : {Path{Variant::kZ, simd::ExpandPath::kAuto, "Z"},
-                            Path{Variant::kM, simd::ExpandPath::kHardware, "M-hw"},
-                            Path{Variant::kM, simd::ExpandPath::kSoftware, "M-soft"}}) {
-      for (const ValueType vt : dtypes) {
-        auto m = CscvMatrix<T>::build(
-            csc, layout, {.s_vvec = s_vvec, .s_imgb = 8, .s_vxg = s_vxg}, path.variant);
-        if (vt != ValueType::kF32) m.convert_values(vt);
-        for (const simd::IsaTier tier : testing::usable_tiers()) {
-          const SpmvPlan<T> single(m, {.path = path.expand, .threads = 1, .isa = tier});
-          std::vector<util::AlignedVector<T>> one_y, one_x;
-          util::AlignedVector<T> x_one(cols), y_one(rows);
-          for (std::size_t c = 0; c < kMax; ++c) {
-            for (std::size_t j = 0; j < cols; ++j) x_one[j] = x16[j * kMax + c];
-            for (std::size_t i = 0; i < rows; ++i) y_one[i] = y16[i * kMax + c];
-            one_y.emplace_back(rows);
-            one_x.emplace_back(cols);
-            single.execute(x_one, one_y.back());
-            single.execute_transpose(y_one, one_x.back());
-          }
-          for (const int k : kWidths) {
-            const std::string where = std::string(path.name) + " " + value_type_name(vt) +
-                                      " on " + simd::isa_tier_name(tier) +
-                                      ", K=" + std::to_string(k) + ", " +
-                                      std::to_string(views) + " views";
-            const auto ks = static_cast<std::size_t>(k);
-            const SpmvPlan<T> batched(
-                m, {.path = path.expand, .num_rhs = k, .threads = 1, .isa = tier});
-            util::AlignedVector<T> x(cols * ks), y(rows * ks);
-            for (std::size_t j = 0; j < cols; ++j) {
-              for (std::size_t c = 0; c < ks; ++c) x[j * ks + c] = x16[j * kMax + c];
-            }
-            for (std::size_t i = 0; i < rows; ++i) {
-              for (std::size_t c = 0; c < ks; ++c) y[i * ks + c] = y16[i * kMax + c];
-            }
-            util::AlignedVector<T> y_multi(rows * ks), x_multi(cols * ks);
-            batched.execute(x, y_multi);
-            batched.execute_transpose(y, x_multi);
-            util::AlignedVector<T> col_y(rows), col_x(cols);
-            for (std::size_t c = 0; c < ks; ++c) {
-              for (std::size_t i = 0; i < rows; ++i) col_y[i] = y_multi[i * ks + c];
-              for (std::size_t j = 0; j < cols; ++j) col_x[j] = x_multi[j * ks + c];
-              EXPECT_EQ(std::memcmp(col_y.data(), one_y[c].data(), rows * sizeof(T)), 0)
-                  << "forward column " << c << ", " << where;
-              EXPECT_EQ(std::memcmp(col_x.data(), one_x[c].data(), cols * sizeof(T)), 0)
-                  << "transpose column " << c << ", " << where;
-            }
-          }
+  for (const Path path : {Path{Variant::kZ, simd::ExpandPath::kAuto, "Z"},
+                          Path{Variant::kM, simd::ExpandPath::kHardware, "M-hw"},
+                          Path{Variant::kM, simd::ExpandPath::kSoftware, "M-soft"}}) {
+    auto m = CscvMatrix<T>::build(
+        csc, layout, {.s_vvec = s_vvec, .s_imgb = 8, .s_vxg = s_vxg}, path.variant);
+    if (value_type_is_reduced(vt)) m.convert_values(vt);
+    for (const simd::IsaTier tier : testing::usable_tiers()) {
+      const SpmvPlan<T> single(m, {.path = path.expand, .isa = tier});
+      std::vector<util::AlignedVector<T>> one_y, one_x;
+      util::AlignedVector<T> x_one(cols), y_one(rows);
+      for (std::size_t c = 0; c < kMax; ++c) {
+        for (std::size_t j = 0; j < cols; ++j) x_one[j] = x16[j * kMax + c];
+        for (std::size_t i = 0; i < rows; ++i) y_one[i] = y16[i * kMax + c];
+        one_y.emplace_back(rows);
+        one_x.emplace_back(cols);
+        single.execute(x_one, one_y.back());
+        single.execute_transpose(y_one, one_x.back());
+      }
+      for (const int k : {2, 3, 4, 8, 16}) {
+        const std::string where =
+            std::string(path.name) + (value_type_is_reduced(vt) ? " " + value_type_name(vt) : "") +
+            " on " + simd::isa_tier_name(tier) + ", K=" + std::to_string(k) + ", " +
+            std::to_string(views) + " views";
+        const auto ks = static_cast<std::size_t>(k);
+        const SpmvPlan<T> batched(m, {.path = path.expand, .num_rhs = k, .isa = tier});
+        util::AlignedVector<T> x(cols * ks), y(rows * ks);
+        for (std::size_t j = 0; j < cols; ++j) {
+          for (std::size_t c = 0; c < ks; ++c) x[j * ks + c] = x16[j * kMax + c];
+        }
+        for (std::size_t i = 0; i < rows; ++i) {
+          for (std::size_t c = 0; c < ks; ++c) y[i * ks + c] = y16[i * kMax + c];
+        }
+        util::AlignedVector<T> y_multi(rows * ks), x_multi(cols * ks);
+        batched.execute(x, y_multi);
+        batched.execute_transpose(y, x_multi);
+        util::AlignedVector<T> col_y(rows), col_x(cols);
+        for (std::size_t c = 0; c < ks; ++c) {
+          for (std::size_t i = 0; i < rows; ++i) col_y[i] = y_multi[i * ks + c];
+          for (std::size_t j = 0; j < cols; ++j) col_x[j] = x_multi[j * ks + c];
+          EXPECT_EQ(std::memcmp(col_y.data(), one_y[c].data(), rows * sizeof(T)), 0)
+              << "forward column " << c << ", " << where;
+          EXPECT_EQ(std::memcmp(col_x.data(), one_x[c].data(), cols * sizeof(T)), 0)
+              << "transpose column " << c << ", " << where;
         }
       }
     }
   }
-  util::set_num_threads(saved);
 }
 
-class CscvSpmmBitwiseSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
+class CscvSpmmBitwiseSweep : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  int s_vvec() const { return std::get<0>(GetParam()); }
+  int s_vxg() const { return std::get<1>(GetParam()); }
+};
 
 TEST_P(CscvSpmmBitwiseSweep, FloatColumnsMatchSingleRhs) {
-  check_bitwise_sweep<float>(std::get<0>(GetParam()), std::get<1>(GetParam()));
+  check_bitwise_sweep<float>(s_vvec(), s_vxg(), 24, ValueType::kF32);
 }
 
 TEST_P(CscvSpmmBitwiseSweep, DoubleColumnsMatchSingleRhs) {
-  check_bitwise_sweep<double>(std::get<0>(GetParam()), std::get<1>(GetParam()));
+  check_bitwise_sweep<double>(s_vvec(), s_vxg(), 24, ValueType::kF32);
+}
+
+TEST_P(CscvSpmmBitwiseSweep, FloatUnfoldedColumnsMatchK1) {
+  check_bitwise_sweep<float>(s_vvec(), s_vxg(), 22, ValueType::kF32);
+}
+
+TEST_P(CscvSpmmBitwiseSweep, DoubleUnfoldedColumnsMatchK1) {
+  check_bitwise_sweep<double>(s_vvec(), s_vxg(), 22, ValueType::kF32);
+}
+
+TEST_P(CscvSpmmBitwiseSweep, Bf16ColumnsMatchSingleRhs) {
+  check_bitwise_sweep<float>(s_vvec(), s_vxg(), 24, ValueType::kBf16);
+}
+
+TEST_P(CscvSpmmBitwiseSweep, Bf16UnfoldedColumnsMatchK1) {
+  check_bitwise_sweep<float>(s_vvec(), s_vxg(), 22, ValueType::kBf16);
+}
+
+TEST_P(CscvSpmmBitwiseSweep, F16ColumnsMatchSingleRhs) {
+  check_bitwise_sweep<float>(s_vvec(), s_vxg(), 24, ValueType::kF16);
+}
+
+TEST_P(CscvSpmmBitwiseSweep, F16UnfoldedColumnsMatchK1) {
+  check_bitwise_sweep<float>(s_vvec(), s_vxg(), 22, ValueType::kF16);
 }
 
 INSTANTIATE_TEST_SUITE_P(
