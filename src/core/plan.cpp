@@ -322,20 +322,35 @@ template <typename T>
 template <typename T>
 void SpmvPlan<T>::load_images(const T* x, int f0, int f1, std::size_t stride, T* out) const {
   const int n = stored_.image_size;
-  const auto k = static_cast<std::size_t>(num_rhs_);
-  const auto from = [&](std::pair<int, int> pixel) {
-    return x + static_cast<std::size_t>(stored_.col_of_pixel(pixel.first, pixel.second)) * k;
-  };
-  util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t row) {
-    const int jy = static_cast<int>(row);
-    T* dst = out + row * static_cast<std::size_t>(n) * stride;
-    // Pixel (jx, jy) of images f0..f1, whose columns sit side by side.
-    for (int jx = 0; jx < n; ++jx, dst += stride) {
-      for (int f = f0; f < f1; ++f) {
-        copy_columns(from(ct::ViewFold::source_pixel(f, n, jx, jy)),
-                     dst + static_cast<std::size_t>(f - f0) * k, k);
+  at_width(num_rhs_, [&](auto width) {
+    constexpr int W = decltype(width)::value;
+    const auto k = static_cast<std::size_t>(W > 0 ? W : num_rhs_);
+    const auto from = [&](std::pair<int, int> pixel) {
+      return x + static_cast<std::size_t>(stored_.col_of_pixel(pixel.first, pixel.second)) * k;
+    };
+    util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t row) {
+      const int jy = static_cast<int>(row);
+      T* dst = out + row * static_cast<std::size_t>(n) * stride;
+      // Pixel (jx, jy) of images f0..f1, whose columns sit side by side. A
+      // full apply's four images take a constant-bound loop whose unrolled
+      // copies resolve source_pixel at compile time; for them it runs about
+      // twice as fast as the runtime-bound loop, which a subset apply's one
+      // image keeps.
+      for (int jx = 0; jx < n; ++jx, dst += stride) {
+        if (f1 - f0 == ct::ViewFold::kImages) {
+#pragma GCC unroll 4
+          for (int f = 0; f < ct::ViewFold::kImages; ++f) {
+            copy_columns(from(ct::ViewFold::source_pixel(f, n, jx, jy)),
+                         dst + static_cast<std::size_t>(f) * k, k);
+          }
+        } else {
+          for (int f = f0; f < f1; ++f) {
+            copy_columns(from(ct::ViewFold::source_pixel(f, n, jx, jy)),
+                         dst + static_cast<std::size_t>(f - f0) * k, k);
+          }
+        }
       }
-    }
+    });
   });
 }
 
